@@ -16,9 +16,10 @@
 //!   `<repo root>/.github/bench-baseline.json`);
 //! * `--check` — exit non-zero if the shot-engine serial/sharded speedup
 //!   or the path-engine serial/chunked speedup regressed more than the
-//!   baseline's tolerance. Each gate skips gracefully when there is no
-//!   baseline (or the baseline lacks its reference), no matching bench
-//!   result, or only one core.
+//!   baseline's tolerance, or if the v6 `BENCH_SERVE.json` fleet summary
+//!   shows deadline-priority shedding losing to tail-drop. Each gate
+//!   skips gracefully when there is no baseline, no matching result, or
+//!   only one core.
 //! * `--abs-baseline NAME` — also compare every bench's absolute mean
 //!   against the `--save-baseline NAME` snapshot under
 //!   `<target>/bench/baselines/NAME` (default name `ci`). Regressions
@@ -37,12 +38,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use qram_bench::report::{
-    apply_fleet_slo_gate, apply_gate, apply_path_gate, baseline_snapshot_dir, bench_results_dir,
+    apply_fleet_slo_gate, apply_gate, baseline_snapshot_dir, bench_results_dir,
     compare_against_baseline, find_repo_root, load_records, merge_baseline_records, parse_baseline,
-    path_engine_summary, serve_fleet_headline, serve_policy_headline, serve_summary_headline,
-    serve_telemetry_headline, shot_engine_summary, summary_json, write_baseline_snapshot,
-    GateOutcome,
+    serve_fleet_headline, serve_policy_headline, serve_summary_headline, serve_telemetry_headline,
+    speedup, summary_json, write_baseline_snapshot, Baseline, GateOutcome, Speedup,
 };
+use qram_telemetry::Json;
 
 struct Args {
     out: Option<PathBuf>,
@@ -61,21 +62,17 @@ fn parse_args() -> Args {
     let mut refresh_abs_baseline = false;
     let mut check = false;
     let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(args.next().expect("--out requires a path"))),
-            "--baseline-file" => {
-                baseline_file = Some(PathBuf::from(
-                    args.next().expect("--baseline-file requires a path"),
-                ))
-            }
-            "--abs-baseline" => abs_baseline = args.next().expect("--abs-baseline requires a name"),
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| panic!("{flag} requires a value"))
+        };
+        match flag.as_str() {
+            "--out" => out = Some(PathBuf::from(value())),
+            "--baseline-file" => baseline_file = Some(PathBuf::from(value())),
+            "--abs-baseline" => abs_baseline = value(),
             "--abs-tolerance" => {
-                abs_tolerance = args
-                    .next()
-                    .expect("--abs-tolerance requires a value")
-                    .parse()
-                    .expect("--abs-tolerance expects a number")
+                abs_tolerance = value().parse().expect("--abs-tolerance expects a number")
             }
             "--refresh-abs-baseline" => refresh_abs_baseline = true,
             "--check" => check = true,
@@ -140,7 +137,8 @@ fn main() -> ExitCode {
     let args = parse_args();
     let repo_root = std::env::current_dir()
         .ok()
-        .and_then(|d| find_repo_root(&d));
+        .and_then(|d| find_repo_root(&d))
+        .unwrap_or_else(|| PathBuf::from("."));
 
     let Some(results_dir) = bench_results_dir() else {
         eprintln!("bench_report: could not locate the bench results directory");
@@ -156,8 +154,8 @@ fn main() -> ExitCode {
     }
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shot_engine = shot_engine_summary(&records);
-    let path_engine = path_engine_summary(&records);
+    let shot_engine = speedup(&records, "shot_engine", "sharded");
+    let path_engine = speedup(&records, "path_engine", "chunked");
     let summary = summary_json(
         &records,
         shot_engine.as_ref(),
@@ -165,13 +163,8 @@ fn main() -> ExitCode {
         threads,
     );
 
-    let out_path = args.out.clone().unwrap_or_else(|| {
-        repo_root
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_2.json")
-    });
-    if let Err(e) = std::fs::write(&out_path, &summary) {
+    let out_path = args.out.clone().unwrap_or(repo_root.join("BENCH_2.json"));
+    if let Err(e) = std::fs::write(&out_path, summary.pretty()) {
         eprintln!("bench_report: cannot write {}: {e}", out_path.display());
         return ExitCode::from(2);
     }
@@ -180,47 +173,43 @@ fn main() -> ExitCode {
         records.len(),
         out_path.display()
     );
-    if let Some(s) = &shot_engine {
-        println!(
-            "bench_report: shot_engine serial {:.0} ns / sharded {:.0} ns → {:.2}x speedup ({threads} threads)",
-            s.serial_ns, s.sharded_ns, s.speedup
-        );
-    }
-    if let Some(p) = &path_engine {
-        println!(
-            "bench_report: path_engine serial {:.0} ns / chunked {:.0} ns → {:.2}x speedup ({threads} threads)",
-            p.serial_ns, p.chunked_ns, p.speedup
-        );
+    for (group, arm, pair) in [
+        ("shot_engine", "sharded", &shot_engine),
+        ("path_engine", "chunked", &path_engine),
+    ] {
+        if let Some(s) = pair {
+            println!(
+                "bench_report: {group} serial {:.0} ns / {arm} {:.0} ns → {:.2}x speedup ({threads} threads)",
+                s.serial_ns, s.parallel_ns, s.speedup
+            );
+        }
     }
 
     // Surface the serving summary alongside the micro-bench one when a
-    // serve_bench run left it behind. Tolerant across schema
-    // generations (v2 summaries predate the `arch` field) and never a
-    // gate: an absent or unreadable summary is only noted.
-    let serve_path = repo_root
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("."))
-        .join("BENCH_SERVE.json");
-    let serve_json = std::fs::read_to_string(&serve_path).ok();
+    // serve_bench run left it behind. Only a v6 summary is read, and it
+    // is never a gate here: an absent or unrecognized file is only
+    // noted. A file that does not parse counts as unrecognized.
+    let serve_path = repo_root.join("BENCH_SERVE.json");
+    let serve_json = std::fs::read_to_string(&serve_path).ok().map(|text| {
+        Json::parse(&text).unwrap_or_else(|e| {
+            println!("bench_report: {}: {e}", serve_path.display());
+            Json::Null
+        })
+    });
     match &serve_json {
         Some(json) => match serve_summary_headline(json) {
             Some(headline) => {
                 println!("bench_report: serve summary — {headline}");
-                // v4+ summaries carry a telemetry section; print its
-                // stage breakdown too (older summaries just skip it).
-                if let Some(stages) = serve_telemetry_headline(json) {
-                    println!("bench_report: serve telemetry — {stages}");
-                }
-                // v5+ summaries name their release policy and, in open
-                // mode, the head-to-head policy deltas (older summaries
-                // just skip the line).
-                if let Some(policy) = serve_policy_headline(json) {
-                    println!("bench_report: serve policy — {policy}");
-                }
-                // v6+ fleet runs carry the sharded-front-door sections
-                // (bare runs just skip the line).
-                if let Some(fleet) = serve_fleet_headline(json) {
-                    println!("bench_report: serve fleet — {fleet}");
+                let lines = [
+                    ("telemetry", serve_telemetry_headline(json)),
+                    ("policy", serve_policy_headline(json)),
+                    // Bare (non-fleet) runs have no fleet line.
+                    ("fleet", serve_fleet_headline(json)),
+                ];
+                for (label, line) in lines {
+                    if let Some(line) = line {
+                        println!("bench_report: serve {label} — {line}");
+                    }
                 }
             }
             None => println!(
@@ -266,26 +255,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let baseline_path = args.baseline_file.clone().unwrap_or_else(|| {
-        repo_root
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join(".github")
-            .join("bench-baseline.json")
-    });
+    let default_baseline = repo_root.join(".github").join("bench-baseline.json");
+    let baseline_path = args.baseline_file.clone().unwrap_or(default_baseline);
     let baseline = std::fs::read_to_string(&baseline_path)
         .ok()
         .and_then(|json| parse_baseline(&json));
+    let gate = |measured: &Option<Speedup>, reference: fn(&Baseline) -> f64| {
+        apply_gate(measured.as_ref(), baseline.as_ref(), reference, threads)
+    };
     let mut failed = false;
     for (label, outcome) in [
-        (
-            "shot-engine",
-            apply_gate(shot_engine.as_ref(), baseline.as_ref(), threads),
-        ),
-        (
-            "path-engine",
-            apply_path_gate(path_engine.as_ref(), baseline.as_ref(), threads),
-        ),
-        ("fleet-slo", apply_fleet_slo_gate(serve_json.as_deref())),
+        ("shot-engine", gate(&shot_engine, |b| b.shot_engine_speedup)),
+        ("path-engine", gate(&path_engine, |b| b.path_speedup)),
+        ("fleet-slo", apply_fleet_slo_gate(serve_json.as_ref())),
     ] {
         match outcome {
             GateOutcome::Pass { speedup, floor } => {

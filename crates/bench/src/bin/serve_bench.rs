@@ -96,16 +96,18 @@
 //! one modeled ns), so percentiles include queueing delay, decompose
 //! into `queue_wait`/`compile`/`execute`, and are bit-identical across
 //! `--threads` values — wall-clock throughput of the simulation host is
-//! reported separately. Every run records through a
-//! `qram_telemetry::TelemetryRecorder`; the printed `trace_digest` and
-//! `telemetry_digest` lines are bit-identical across `--threads`,
-//! `--shot-threads` and `--path-chunks` (CI diffs them).
+//! reported separately (closed mode's `wall_rps` spans `submit_all`
+//! and the drain). Every run records through a
+//! `qram_telemetry::TelemetryRecorder`; the `trace_digest` and
+//! `telemetry_digest` are bit-identical across `--threads`,
+//! `--shot-threads` and `--path-chunks` (CI diffs them). Every mode's
+//! summary is one `serve-summary/v6` [`Json`] value written once.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use qram_bench::report::{
-    find_repo_root, fnv1a_64, percentile, serve_arch_json, serve_sweep_json, ServeArchPoint,
-    ServeLoadPoint,
+    find_repo_root, latency_json, percentile, ServeArchPoint, ServeLoadPoint, SERVE_SUMMARY_SCHEMA,
 };
 use qram_bench::{experiment_memory, print_row};
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
@@ -115,7 +117,7 @@ use qram_service::{
     assign_specs_with, Admission, ArrivalProcess, BatchReport, QramService, QueryResult, QuerySpec,
     ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks, Workload,
 };
-use qram_telemetry::{host_wall, key, MetricsRegistry, TelemetryRecorder};
+use qram_telemetry::{fnv1a_64, host_wall, key, Json, MetricsRegistry, TelemetryRecorder};
 
 struct Args {
     full: bool,
@@ -184,92 +186,54 @@ fn parse_args() -> Args {
         trace_out: None,
     };
     let mut args = std::env::args().skip(1);
-    let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| panic!("{flag} requires a value"))
+        };
+        match flag.as_str() {
             "--full" => parsed.full = true,
-            "--arch" => parsed.arch = value("--arch", &mut args),
-            "--shots" => parsed.shots = Some(value("--shots", &mut args).parse().expect("--shots")),
-            "--seed" => parsed.seed = value("--seed", &mut args).parse().expect("--seed"),
-            "--threads" => {
-                parsed.threads = value("--threads", &mut args).parse().expect("--threads")
-            }
-            "--shot-threads" => {
-                parsed.shot_threads = value("--shot-threads", &mut args)
-                    .parse()
-                    .expect("--shot-threads")
-            }
-            "--path-chunks" => {
-                parsed.path_chunks = value("--path-chunks", &mut args)
-                    .parse()
-                    .expect("--path-chunks")
-            }
-            "--mode" => parsed.mode = value("--mode", &mut args),
-            "--workload" => parsed.workload = value("--workload", &mut args),
-            "--arrivals" => parsed.arrivals = value("--arrivals", &mut args),
+            "--arch" => parsed.arch = value(),
+            "--shots" => parsed.shots = Some(number(&flag, &value())),
+            "--seed" => parsed.seed = number(&flag, &value()),
+            "--threads" => parsed.threads = number(&flag, &value()),
+            "--shot-threads" => parsed.shot_threads = number(&flag, &value()),
+            "--path-chunks" => parsed.path_chunks = number(&flag, &value()),
+            "--mode" => parsed.mode = value(),
+            "--workload" => parsed.workload = value(),
+            "--arrivals" => parsed.arrivals = value(),
             "--load" => {
-                parsed.loads = value("--load", &mut args)
-                    .split(',')
-                    .map(|x| x.trim().parse().expect("--load"))
-                    .collect();
+                let list = value();
+                parsed.loads = list.split(',').map(|x| number(&flag, x.trim())).collect();
                 assert!(!parsed.loads.is_empty(), "--load needs at least one value");
             }
-            "--spec-skew" => {
-                parsed.spec_skew = value("--spec-skew", &mut args)
-                    .parse()
-                    .expect("--spec-skew")
-            }
-            "--requests" => {
-                parsed.requests = Some(value("--requests", &mut args).parse().expect("--requests"))
-            }
-            "--width" => parsed.width = Some(value("--width", &mut args).parse().expect("--width")),
-            "--theta" => parsed.theta = value("--theta", &mut args).parse().expect("--theta"),
-            "--batch" => parsed.batch = value("--batch", &mut args).parse().expect("--batch"),
-            "--cache" => parsed.cache = value("--cache", &mut args).parse().expect("--cache"),
-            "--queue" => parsed.queue = value("--queue", &mut args).parse().expect("--queue"),
-            "--deadline" => {
-                parsed.deadline = value("--deadline", &mut args).parse().expect("--deadline")
-            }
-            "--release-policy" => parsed.release_policy = value("--release-policy", &mut args),
+            "--spec-skew" => parsed.spec_skew = number(&flag, &value()),
+            "--requests" => parsed.requests = Some(number(&flag, &value())),
+            "--width" => parsed.width = Some(number(&flag, &value())),
+            "--theta" => parsed.theta = number(&flag, &value()),
+            "--batch" => parsed.batch = number(&flag, &value()),
+            "--cache" => parsed.cache = number(&flag, &value()),
+            "--queue" => parsed.queue = number(&flag, &value()),
+            "--deadline" => parsed.deadline = number(&flag, &value()),
+            "--release-policy" => parsed.release_policy = value(),
             "--qubit-budget" => {
-                let budget: usize = value("--qubit-budget", &mut args)
-                    .parse()
-                    .expect("--qubit-budget");
-                parsed.qubit_budget = if budget == 0 {
-                    UNLIMITED_BUDGET
-                } else {
-                    budget
+                parsed.qubit_budget = match number(&flag, &value()) {
+                    0 => UNLIMITED_BUDGET,
+                    budget => budget,
                 };
             }
-            "--fleet" => parsed.fleet = value("--fleet", &mut args).parse().expect("--fleet"),
+            "--fleet" => parsed.fleet = number(&flag, &value()),
             "--tenants" => {
-                parsed.tenants = value("--tenants", &mut args).parse().expect("--tenants");
+                parsed.tenants = number(&flag, &value());
                 assert!(parsed.tenants > 0, "--tenants needs at least one tenant");
             }
-            "--front-capacity" => {
-                parsed.front_capacity = value("--front-capacity", &mut args)
-                    .parse()
-                    .expect("--front-capacity")
-            }
-            "--shed-policy" => parsed.shed_policy = value("--shed-policy", &mut args),
-            "--replication" => {
-                parsed.replication = value("--replication", &mut args)
-                    .parse()
-                    .expect("--replication")
-            }
+            "--front-capacity" => parsed.front_capacity = number(&flag, &value()),
+            "--shed-policy" => parsed.shed_policy = value(),
+            "--replication" => parsed.replication = number(&flag, &value()),
             "--pin-planned" => parsed.pin_planned = true,
-            "--slo-deadline" => {
-                parsed.slo_deadline = value("--slo-deadline", &mut args)
-                    .parse()
-                    .expect("--slo-deadline")
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value("--out", &mut args))),
-            "--trace-out" => {
-                parsed.trace_out = Some(PathBuf::from(value("--trace-out", &mut args)))
-            }
+            "--slo-deadline" => parsed.slo_deadline = number(&flag, &value()),
+            "--out" => parsed.out = Some(PathBuf::from(value())),
+            "--trace-out" => parsed.trace_out = Some(PathBuf::from(value())),
             other => panic!(
                 "unknown flag `{other}` (expected --full, --arch NAME, --shots N, --seed N, \
                  --threads N, --shot-threads N, --path-chunks N, --mode closed|open, \
@@ -284,6 +248,12 @@ fn parse_args() -> Args {
         }
     }
     parsed
+}
+
+/// Parses the value of a numeric `flag`.
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+    text.parse()
+        .unwrap_or_else(|_| panic!("{flag} expects a number, got `{text}`"))
 }
 
 /// The hot circuit shapes the workload cycles over for the selected
@@ -313,20 +283,13 @@ fn hot_specs(arch: &str, n: usize, qubit_budget: usize) -> Vec<QuerySpec> {
         }
         "sqc" => vec![QuerySpec::of(ArchSpec::Sqc { n })],
         "fanout" => vec![QuerySpec::of(ArchSpec::Fanout { m: n })],
-        "bb" => {
-            let mut specs = vec![QuerySpec::of(ArchSpec::BucketBrigade { k: 1, m: n - 1 })];
-            if n >= 3 {
-                specs.push(QuerySpec::of(ArchSpec::BucketBrigade { k: 2, m: n - 2 }));
-            }
-            specs
-        }
-        "ss" => {
-            let mut specs = vec![QuerySpec::of(ArchSpec::SelectSwap { k: 1, m: n - 1 })];
-            if n >= 3 {
-                specs.push(QuerySpec::of(ArchSpec::SelectSwap { k: 2, m: n - 2 }));
-            }
-            specs
-        }
+        "bb" | "ss" => (1..=if n >= 3 { 2 } else { 1 })
+            .map(|k| match arch {
+                "bb" => ArchSpec::BucketBrigade { k, m: n - k },
+                _ => ArchSpec::SelectSwap { k, m: n - k },
+            })
+            .map(QuerySpec::of)
+            .collect(),
         "mix" => {
             let planned = planned_families(n, qubit_budget);
             assert!(
@@ -442,16 +405,11 @@ fn results_digest(results: &[QueryResult]) -> u64 {
     fnv1a_64(bytes)
 }
 
-/// Virtual end-to-end latency percentiles `[p50, p90, p99, max]` in ns.
-fn latency_percentiles(results: &[QueryResult]) -> [f64; 4] {
-    let totals: Vec<f64> = results.iter().map(|r| r.latency.total() as f64).collect();
-    let max = totals.iter().copied().fold(0.0f64, f64::max);
-    [
-        percentile(&totals, 50.0),
-        percentile(&totals, 90.0),
-        percentile(&totals, 99.0),
-        max,
-    ]
+/// Nearest-rank `[p50, p90, p99, max]` of latency samples in ns.
+fn percentiles(totals: impl Iterator<Item = f64>) -> [f64; 4] {
+    let totals: Vec<f64> = totals.collect();
+    let [p50, p90, p99] = [50.0, 90.0, 99.0].map(|q| percentile(&totals, q));
+    [p50, p90, p99, totals.iter().copied().fold(0.0f64, f64::max)]
 }
 
 fn mean(values: impl Iterator<Item = f64>, count: usize) -> f64 {
@@ -512,17 +470,11 @@ fn arch_breakdown(runs: &[(&[QueryResult], &[BatchReport])]) -> Vec<ServeArchPoi
                     .filter(|b| b.spec.arch.family() == family && b.compile > 0)
                     .count();
             }
-            let max = totals.iter().copied().fold(0.0f64, f64::max);
             ServeArchPoint {
                 arch: family.into(),
                 requests,
                 virtual_rps: requests as f64 * 1e9 / span.max(1) as f64,
-                latency_ns: [
-                    percentile(&totals, 50.0),
-                    percentile(&totals, 90.0),
-                    percentile(&totals, 99.0),
-                    max,
-                ],
+                latency_ns: percentiles(totals.into_iter()),
                 mean_execute_ns: mean(executes.iter().copied(), executes.len()),
                 batches: fired,
                 compiled,
@@ -531,51 +483,107 @@ fn arch_breakdown(runs: &[(&[QueryResult], &[BatchReport])]) -> Vec<ServeArchPoi
         .collect()
 }
 
-/// The fixed context of an open-loop sweep (everything but the load
-/// multiplier).
-struct OpenSweep<'a> {
+/// The fixed context of a run: the flags, the memory image, the
+/// address workload, the hot specs, and the shot and request counts
+/// (requests per load point in open mode).
+struct Ctx<'a> {
     args: &'a Args,
     memory: &'a Memory,
     workload: &'a Workload,
     specs: &'a [QuerySpec],
     shots: usize,
     requests: usize,
-    capacity_rps: f64,
 }
 
-/// One open-loop operating point's full output: the condensed summary
-/// point, raw results and batch reports, the point's recorder (span log
-/// + recorder-side metrics), and its merged metrics registry.
-struct OpenPointRun {
+/// The modeled capacity the open-loop load factors multiply: virtual
+/// execution units over the mean per-request execute cost of the hot
+/// specs, each priced from its architecture's measured resources, times
+/// the fleet's shard count.
+fn capacity_rps(ctx: &Ctx<'_>) -> f64 {
+    let cost = service_config(ctx.args, ctx.shots).cost;
+    let mean_execute = ctx
+        .specs
+        .iter()
+        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(ctx.memory), ctx.shots))
+        .sum::<u64>() as f64
+        / ctx.specs.len() as f64;
+    cost.capacity_rps(mean_execute.round() as u64) * ctx.args.fleet.max(1) as f64
+}
+
+/// One operating point of an open-loop sweep, bare or through the
+/// fleet: the condensed summary point, the served results and batch
+/// reports (a fleet point keeps none), the merged metrics, the results
+/// and trace digests, the recorder whose span log `--trace-out` exports
+/// (kept only then), and the fleet tallies (empty for a bare point).
+struct PointRun {
     point: ServeLoadPoint,
     results: Vec<QueryResult>,
     batch_reports: Vec<BatchReport>,
-    recorder: TelemetryRecorder,
     telemetry: MetricsRegistry,
+    results_digest: u64,
+    trace_digest: u64,
+    recorder: Option<TelemetryRecorder>,
+    fleet: FleetTally,
 }
 
-/// Runs one open-loop operating point under `policy` and condenses it.
-/// The arrival stream and spec assignment depend only on `(args,
-/// load_factor)`, so two policies at the same point serve *identical*
-/// arrivals — the policy-compare block relies on this.
-fn run_open_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ReleasePolicy) -> OpenPointRun {
-    let OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    } = *sweep;
-    let offered_rps = capacity_rps * load_factor;
-    let mean_gap = 1e9 / offered_rps;
-    let arrivals = build_arrivals(args, mean_gap).arrivals(requests);
-    let submissions = assign_specs_with(workload, specs, spec_mix(args), requests);
+/// The offered stream of one operating point: arrival instants and
+/// `(address, spec)` submissions. It depends only on the flags and
+/// `load_factor`, so every policy compared at a point serves
+/// *identical* arrivals — the head-to-head blocks rely on this.
+fn offered_stream(
+    ctx: &Ctx<'_>,
+    capacity_rps: f64,
+    load_factor: f64,
+) -> (Vec<Ticks>, Vec<(u64, QuerySpec)>) {
+    let mean_gap = 1e9 / (capacity_rps * load_factor);
+    let arrivals = build_arrivals(ctx.args, mean_gap).arrivals(ctx.requests);
+    let mix = spec_mix(ctx.args);
+    let submissions = assign_specs_with(ctx.workload, ctx.specs, mix, ctx.requests);
+    (arrivals, submissions)
+}
 
+/// Condenses an operating point from each completion's virtual
+/// `[completed at, queue wait, compile, execute, total]` ns.
+fn load_point(
+    ctx: &Ctx<'_>,
+    capacity_rps: f64,
+    load_factor: f64,
+    first_arrival: Ticks,
+    shed: u64,
+    cache_hit_rate: f64,
+    done: &[[u64; 5]],
+) -> ServeLoadPoint {
+    let completed = done.len();
+    let last_completed = done.iter().map(|d| d[0]).max().unwrap_or(0);
+    let span = last_completed.saturating_sub(first_arrival).max(1) as f64;
+    let column = |i: usize| done.iter().map(move |d| d[i] as f64);
+    ServeLoadPoint {
+        offered_rps: capacity_rps * load_factor,
+        load_factor,
+        offered: ctx.requests,
+        completed,
+        shed,
+        achieved_rps: completed as f64 * 1e9 / span,
+        latency_ns: percentiles(column(4)),
+        mean_queue_wait_ns: mean(column(1), completed),
+        mean_compile_ns: mean(column(2), completed),
+        mean_execute_ns: mean(column(3), completed),
+        cache_hit_rate,
+    }
+}
+
+/// Runs one operating point through a bare service under `policy`.
+fn run_open_point(
+    ctx: &Ctx<'_>,
+    capacity_rps: f64,
+    load_factor: f64,
+    policy: ReleasePolicy,
+) -> PointRun {
+    let args = ctx.args;
+    let (arrivals, submissions) = offered_stream(ctx, capacity_rps, load_factor);
     let mut service = QramService::with_recorder(
-        memory.clone(),
-        service_config(args, shots).with_release_policy(policy),
+        ctx.memory.clone(),
+        service_config(args, ctx.shots).with_release_policy(policy),
         TelemetryRecorder::new(),
     );
     for (&arrival, &(address, spec)) in arrivals.iter().zip(&submissions) {
@@ -586,112 +594,53 @@ fn run_open_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ReleasePolicy
     }
     let results = service.run_until_idle();
     let batch_reports = service.take_batch_reports();
-
+    let done: Vec<[u64; 5]> = results
+        .iter()
+        .map(|r| {
+            let l = r.latency;
+            [r.completed, l.queue_wait, l.compile, l.execute, l.total()]
+        })
+        .collect();
     let first_arrival = arrivals.first().copied().unwrap_or(0);
-    let last_completed = results.iter().map(|r| r.completed).max().unwrap_or(0);
-    let span = last_completed.saturating_sub(first_arrival).max(1) as f64;
-    let completed = results.len();
-    let point = ServeLoadPoint {
-        offered_rps,
-        load_factor,
-        offered: requests,
-        completed,
-        shed: service.admission_stats().shed,
-        achieved_rps: completed as f64 * 1e9 / span,
-        latency_ns: latency_percentiles(&results),
-        mean_queue_wait_ns: mean(
-            results.iter().map(|r| r.latency.queue_wait as f64),
-            completed,
-        ),
-        mean_compile_ns: mean(results.iter().map(|r| r.latency.compile as f64), completed),
-        mean_execute_ns: mean(results.iter().map(|r| r.latency.execute as f64), completed),
-        cache_hit_rate: service.cache_stats().hit_rate(),
-    };
+    let shed = service.admission_stats().shed;
+    let hit_rate = service.cache_stats().hit_rate();
     let mut telemetry = service.metrics_snapshot();
     telemetry.merge_from(service.recorder().metrics());
-    OpenPointRun {
-        point,
+    PointRun {
+        point: load_point(
+            ctx,
+            capacity_rps,
+            load_factor,
+            first_arrival,
+            shed,
+            hit_rate,
+            &done,
+        ),
+        results_digest: results_digest(&results),
+        trace_digest: service.recorder().trace_digest(),
+        recorder: args.trace_out.is_some().then(|| service.recorder().clone()),
         results,
         batch_reports,
-        recorder: service.recorder().clone(),
         telemetry,
+        fleet: FleetTally::default(),
     }
-}
-
-/// The flat `telemetry` section of the v5 summary: stage-histogram
-/// percentiles, admission flow conservation, release-policy counters,
-/// and the trace/metrics digests. Every key is globally unique within
-/// the summary so the first-occurrence field parser in
-/// `qram_bench::report` reads them without structural JSON parsing.
-fn telemetry_json(telemetry: &MetricsRegistry, trace_digest: u64) -> String {
-    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
-    let c = |name: &str| telemetry.counter(name);
-    let arrivals = c(key::ADMISSION_ACCEPTED) + c(key::ADMISSION_SHED) + c(key::ADMISSION_REJECTED);
-    format!(
-        "{{\n    \"trace_digest\": \"{trace_digest:016x}\",\n    \
-         \"telemetry_digest\": \"{:016x}\",\n    \
-         \"arrivals\": {arrivals},\n    \"accepted\": {},\n    \"shed\": {},\n    \
-         \"rejected\": {},\n    \"completed\": {},\n    \"batches_fired\": {},\n    \
-         \"queue_depth_high_water\": {},\n    \
-         \"stage_queue_wait_p50_ns\": {},\n    \"stage_queue_wait_p99_ns\": {},\n    \
-         \"stage_compile_p50_ns\": {},\n    \"stage_compile_p99_ns\": {},\n    \
-         \"stage_execute_p50_ns\": {},\n    \"stage_execute_p99_ns\": {},\n    \
-         \"stage_total_p50_ns\": {},\n    \"stage_total_p90_ns\": {},\n    \
-         \"stage_total_p99_ns\": {},\n    \"batch_size_p50\": {},\n    \
-         \"policy_cache_affine_fires\": {},\n    \"policy_age_cap_forced\": {},\n    \
-         \"sim_shots\": {},\n    \"sim_gate_applications\": {}\n  }}",
-        telemetry.digest(),
-        c(key::ADMISSION_ACCEPTED),
-        c(key::ADMISSION_SHED),
-        c(key::ADMISSION_REJECTED),
-        c(key::SERVICE_COMPLETED),
-        c(key::BATCHES_FIRED),
-        telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER),
-        p(key::STAGE_QUEUE_WAIT, 50.0),
-        p(key::STAGE_QUEUE_WAIT, 99.0),
-        p(key::STAGE_COMPILE, 50.0),
-        p(key::STAGE_COMPILE, 99.0),
-        p(key::STAGE_EXECUTE, 50.0),
-        p(key::STAGE_EXECUTE, 99.0),
-        p(key::STAGE_TOTAL, 50.0),
-        p(key::STAGE_TOTAL, 90.0),
-        p(key::STAGE_TOTAL, 99.0),
-        p(key::BATCH_SIZE, 50.0),
-        c(key::POLICY_CACHE_AFFINE_FIRES),
-        c(key::POLICY_AGE_CAP_FORCED),
-        c(key::SIM_SHOTS),
-        c(key::SIM_GATES),
-    )
 }
 
 /// Prints the human-readable stage breakdown plus the digest lines CI
 /// diffs across parallelism settings.
 fn print_telemetry(telemetry: &MetricsRegistry, trace_digest: u64) {
-    let p = |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q));
-    print_row(&[
-        "stage_queue_wait_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_QUEUE_WAIT, 50.0) as f64 / 1e3,
-            p(key::STAGE_QUEUE_WAIT, 99.0) as f64 / 1e3
-        ),
-    ]);
-    print_row(&[
-        "stage_compile_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_COMPILE, 50.0) as f64 / 1e3,
-            p(key::STAGE_COMPILE, 99.0) as f64 / 1e3
-        ),
-    ]);
-    print_row(&[
-        "stage_execute_us".into(),
-        format!(
-            "p50 {:.1}, p99 {:.1}",
-            p(key::STAGE_EXECUTE, 50.0) as f64 / 1e3,
-            p(key::STAGE_EXECUTE, 99.0) as f64 / 1e3
-        ),
-    ]);
+    let us =
+        |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q)) as f64 / 1e3;
+    for (label, name) in [
+        ("stage_queue_wait_us", key::STAGE_QUEUE_WAIT),
+        ("stage_compile_us", key::STAGE_COMPILE),
+        ("stage_execute_us", key::STAGE_EXECUTE),
+    ] {
+        print_row(&[
+            label.into(),
+            format!("p50 {:.1}, p99 {:.1}", us(name, 50.0), us(name, 99.0)),
+        ]);
+    }
     print_row(&[
         "queue_depth_high_water".into(),
         telemetry.gauge(key::QUEUE_DEPTH_HIGH_WATER).to_string(),
@@ -700,37 +649,15 @@ fn print_telemetry(telemetry: &MetricsRegistry, trace_digest: u64) {
     println!("# telemetry_digest: {:016x}", telemetry.digest());
 }
 
-/// Writes the full trace export: per-section canonical span logs plus
-/// the merged metrics registry.
-fn write_trace(
-    path: &PathBuf,
-    mode: &str,
-    sections: &[(String, &TelemetryRecorder)],
-    merged: &MetricsRegistry,
-    trace_digest: u64,
-) {
-    let mut body = format!(
-        "{{\n  \"schema\": \"qram-bench/trace/v1\",\n  \"mode\": \"{mode}\",\n  \
-         \"trace_digest\": \"{trace_digest:016x}\",\n  \
-         \"telemetry_digest\": \"{:016x}\",\n  \"sections\": [",
-        merged.digest()
-    );
-    let rendered: Vec<String> = sections
-        .iter()
-        .map(|(label, recorder)| {
-            format!(
-                "\n    {{\n      \"label\": \"{label}\",\n      \"trace_digest\": \"{:016x}\",\n      \"spans\":\n{}\n    }}",
-                recorder.trace_digest(),
-                recorder.tracer().to_json("      ")
-            )
-        })
-        .collect();
-    body.push_str(&rendered.join(","));
-    body.push_str("\n  ],\n  \"metrics\":\n");
-    body.push_str(&merged.to_json("  "));
-    body.push_str("\n}\n");
-    match std::fs::write(path, &body) {
-        Ok(()) => println!("# trace written to {}", path.display()),
+/// A digest as the summaries print it: 16 lowercase hex digits.
+fn hex(digest: u64) -> Json {
+    format!("{digest:016x}").into()
+}
+
+/// Writes `doc` to `path`, exiting with status 2 if it cannot.
+fn write_json(path: &Path, doc: &Json, what: &str) {
+    match std::fs::write(path, doc.pretty()) {
+        Ok(()) => println!("# {what} written to {}", path.display()),
         Err(e) => {
             eprintln!("serve_bench: cannot write {}: {e}", path.display());
             std::process::exit(2);
@@ -738,70 +665,227 @@ fn write_trace(
     }
 }
 
-fn write_summary(out: Option<PathBuf>, json: &str) {
-    let out_path = out.unwrap_or_else(|| {
+/// Writes the full trace export: per-section canonical span logs plus
+/// the merged metrics registry.
+fn write_trace(
+    path: &Path,
+    mode: &str,
+    sections: &[(String, &TelemetryRecorder)],
+    merged: &MetricsRegistry,
+    trace_digest: u64,
+) {
+    let sections = sections.iter().map(|(label, recorder)| {
+        Json::object([
+            ("label", label.as_str().into()),
+            ("trace_digest", hex(recorder.trace_digest())),
+            ("spans", Json::from(recorder.tracer())),
+        ])
+    });
+    let doc = Json::object([
+        ("schema", "qram-bench/trace/v1".into()),
+        ("mode", mode.into()),
+        ("trace_digest", hex(trace_digest)),
+        ("telemetry_digest", hex(merged.digest())),
+        ("sections", Json::Array(sections.collect())),
+        ("metrics", Json::from(merged)),
+    ]);
+    write_json(path, &doc, "trace");
+}
+
+/// Named summary sections, in write order.
+type Sections = Vec<(&'static str, Json)>;
+
+/// How the summary header describes the serving loop.
+enum Loop {
+    /// Closed loop: requests served and batches fired.
+    Closed { requests: usize, batches: usize },
+    /// Open loop (bare or fleet): the modeled capacity the swept load
+    /// factors multiply.
+    Open { capacity_rps: f64 },
+}
+
+/// What a mode contributes to its serve summary beyond the header the
+/// flags determine.
+struct Summary<'a> {
+    serving: Loop,
+    results_digest: u64,
+    /// Mode sections written between the header and `telemetry`.
+    lead: Sections,
+    telemetry: &'a MetricsRegistry,
+    trace_digest: u64,
+    /// Mode sections written between `telemetry` and `per_arch`.
+    tail: Sections,
+    per_arch: &'a [ServeArchPoint],
+}
+
+/// Writes the `serve-summary/v6` document every mode emits: the shared
+/// header, the mode's leading sections, the flat `telemetry` section,
+/// the mode's trailing sections, and the per-architecture breakdown.
+fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
+    let args = ctx.args;
+    let policy = release_policy(args);
+    let (closed, capacity) = match summary.serving {
+        Loop::Closed { requests, batches } => (Some((requests, batches)), None),
+        Loop::Open { capacity_rps } => (None, Some(capacity_rps)),
+    };
+    // The header every mode shares; `None` marks a member only the
+    // other loop writes.
+    let open = |value: Json| capacity.map(|_| value);
+    let header = [
+        ("schema", Some(SERVE_SUMMARY_SCHEMA.into())),
+        (
+            "mode",
+            Some(if closed.is_some() { "closed" } else { "open" }.into()),
+        ),
+        ("arch", Some(args.arch.as_str().into())),
+        ("workload", Some(ctx.workload.name().into())),
+        ("arrivals", open(args.arrivals.as_str().into())),
+        ("spec_mix", Some(mix_name(args).into())),
+        ("address_width", Some(ctx.memory.address_width().into())),
+        ("requests", closed.map(|(requests, _)| requests.into())),
+        ("batches", closed.map(|(_, batches)| batches.into())),
+        ("requests_per_point", open(ctx.requests.into())),
+        ("specs", Some(ctx.specs.len().into())),
+        ("shots", Some(ctx.shots.into())),
+        ("seed", Some(args.seed.into())),
+        ("shot_threads", Some(args.shot_threads.into())),
+        ("path_chunks", Some(args.path_chunks.into())),
+        ("queue_capacity", open(args.queue.into())),
+        ("deadline_ns", open(args.deadline.into())),
+        ("batch_limit", open(args.batch.into())),
+        ("release_policy", Some(policy.label().into())),
+        ("age_cap_ns", Some(policy_age_cap(policy).into())),
+        ("qubit_budget", Some(budget_field(args).into())),
+        ("capacity_rps", capacity.map(|rps| Json::fixed(rps, 1))),
+        ("results_digest", Some(hex(summary.results_digest))),
+    ];
+    let mut doc: Vec<(&str, Json)> = header
+        .into_iter()
+        .filter_map(|(key, value)| Some((key, value?)))
+        .collect();
+    doc.extend(summary.lead);
+
+    // Stage-histogram percentiles, admission flow conservation,
+    // release-policy counters, and the trace/metrics digests.
+    let t = summary.telemetry;
+    let c = |name: &str| Json::from(t.counter(name));
+    let p = |name: &str, q: f64| Json::from(t.histogram(name).map_or(0, |h| h.percentile(q)));
+    let arrivals = t.counter(key::ADMISSION_ACCEPTED)
+        + t.counter(key::ADMISSION_SHED)
+        + t.counter(key::ADMISSION_REJECTED);
+    let telemetry = Json::object([
+        ("trace_digest", hex(summary.trace_digest)),
+        ("telemetry_digest", hex(t.digest())),
+        ("arrivals", arrivals.into()),
+        ("accepted", c(key::ADMISSION_ACCEPTED)),
+        ("shed", c(key::ADMISSION_SHED)),
+        ("rejected", c(key::ADMISSION_REJECTED)),
+        ("completed", c(key::SERVICE_COMPLETED)),
+        ("batches_fired", c(key::BATCHES_FIRED)),
+        (
+            "queue_depth_high_water",
+            t.gauge(key::QUEUE_DEPTH_HIGH_WATER).into(),
+        ),
+        ("stage_queue_wait_p50_ns", p(key::STAGE_QUEUE_WAIT, 50.0)),
+        ("stage_queue_wait_p99_ns", p(key::STAGE_QUEUE_WAIT, 99.0)),
+        ("stage_compile_p50_ns", p(key::STAGE_COMPILE, 50.0)),
+        ("stage_compile_p99_ns", p(key::STAGE_COMPILE, 99.0)),
+        ("stage_execute_p50_ns", p(key::STAGE_EXECUTE, 50.0)),
+        ("stage_execute_p99_ns", p(key::STAGE_EXECUTE, 99.0)),
+        ("stage_total_p50_ns", p(key::STAGE_TOTAL, 50.0)),
+        ("stage_total_p90_ns", p(key::STAGE_TOTAL, 90.0)),
+        ("stage_total_p99_ns", p(key::STAGE_TOTAL, 99.0)),
+        ("batch_size_p50", p(key::BATCH_SIZE, 50.0)),
+        (
+            "policy_cache_affine_fires",
+            c(key::POLICY_CACHE_AFFINE_FIRES),
+        ),
+        ("policy_age_cap_forced", c(key::POLICY_AGE_CAP_FORCED)),
+        ("sim_shots", c(key::SIM_SHOTS)),
+        ("sim_gate_applications", c(key::SIM_GATES)),
+    ]);
+    doc.push(("telemetry", telemetry));
+    doc.extend(summary.tail);
+    let per_arch = summary.per_arch.iter().map(Json::from).collect();
+    doc.push(("per_arch", Json::Array(per_arch)));
+
+    let path = args.out.clone().unwrap_or_else(|| {
         std::env::current_dir()
             .ok()
             .and_then(|d| find_repo_root(&d))
             .unwrap_or_else(|| PathBuf::from("."))
             .join("BENCH_SERVE.json")
     });
-    match std::fs::write(&out_path, json) {
-        Ok(()) => println!("# summary written to {}", out_path.display()),
-        Err(e) => {
-            eprintln!("serve_bench: cannot write {}: {e}", out_path.display());
-            std::process::exit(2);
-        }
-    }
+    write_json(&path, &Json::object(doc), "summary");
 }
 
 fn main() {
     let args = parse_args();
     let n = args.width.unwrap_or(if args.full { 6 } else { 4 });
-    let requests = args.requests.unwrap_or(if args.full { 1024 } else { 256 });
-    let shots = args.shots.unwrap_or(if args.full { 32 } else { 8 });
-
     let memory = experiment_memory(n, args.seed);
     let workload = build_workload(&args, n);
     let specs = hot_specs(&args.arch, n, args.qubit_budget);
+    let ctx = Ctx {
+        args: &args,
+        memory: &memory,
+        workload: &workload,
+        specs: &specs,
+        shots: args.shots.unwrap_or(if args.full { 32 } else { 8 }),
+        requests: args.requests.unwrap_or(if args.full { 1024 } else { 256 }),
+    };
     match args.mode.as_str() {
         "closed" => {
             assert!(
                 args.fleet == 0,
                 "--fleet requires --mode open (the fleet controller is an open-loop front door)"
             );
-            run_closed(&args, &memory, &workload, &specs, shots, requests)
+            run_closed(&ctx)
         }
-        "open" if args.fleet > 0 => {
-            run_open_fleet(&args, &memory, &workload, &specs, shots, requests)
-        }
-        "open" => run_open(&args, &memory, &workload, &specs, shots, requests),
+        "open" => run_open(&ctx),
         other => panic!("unknown mode `{other}` (expected closed, open)"),
     }
 }
 
+/// Prints the column header of an open-loop sweep table.
+fn print_sweep_header() {
+    let columns = "load offered completed shed rps p50_us p99_us qwait_us hit_rate";
+    print_row(&columns.split(' ').map(String::from).collect::<Vec<_>>());
+}
+
+/// Prints one operating point of an open-loop sweep table.
+fn print_point(load_factor: f64, point: &ServeLoadPoint) {
+    print_row(&[
+        format!("{load_factor:.2}"),
+        point.offered.to_string(),
+        point.completed.to_string(),
+        point.shed.to_string(),
+        format!("{:.0}", point.achieved_rps),
+        format!("{:.1}", point.latency_ns[0] / 1e3),
+        format!("{:.1}", point.latency_ns[2] / 1e3),
+        format!("{:.1}", point.mean_queue_wait_ns / 1e3),
+        format!("{:.3}", point.cache_hit_rate),
+    ]);
+}
+
 /// Closed loop: every request is queued up front (a blocking client
 /// population), then the pipeline drains to idle.
-fn run_closed(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
+fn run_closed(ctx: &Ctx<'_>) {
+    let args = ctx.args;
     let mut service = QramService::with_recorder(
-        memory.clone(),
-        service_config(args, shots),
+        ctx.memory.clone(),
+        service_config(args, ctx.shots),
         TelemetryRecorder::new(),
     );
-    service.submit_all(assign_specs_with(workload, specs, spec_mix(args), requests));
+    let submissions = assign_specs_with(ctx.workload, ctx.specs, spec_mix(args), ctx.requests);
 
+    // Host time spans `submit_all`, which already fires every full
+    // batch, and the drain of the rest.
     let start = host_wall();
+    service.submit_all(submissions);
     let report = service.drain();
     let wall = start.elapsed();
 
-    let latency = latency_percentiles(&report.results);
+    let latency = percentiles(report.results.iter().map(|r| r.latency.total() as f64));
     let wall_rps = report.results.len() as f64 / wall.as_secs_f64().max(1e-9);
     let virtual_span = report
         .results
@@ -827,12 +911,12 @@ fn run_closed(
     println!(
         "# serve_bench closed: {} x {} over n={} (arch {}, {} hot specs, batch <= {}, {} shots, {} workers x {} shot-threads)",
         count,
-        workload.name(),
-        memory.address_width(),
+        ctx.workload.name(),
+        ctx.memory.address_width(),
         args.arch,
-        specs.len(),
+        ctx.specs.len(),
         args.batch,
-        shots,
+        ctx.shots,
         report.workers,
         args.shot_threads,
     );
@@ -875,45 +959,36 @@ fn run_closed(
     print_telemetry(&telemetry, trace_digest);
     println!("# results_digest: {digest:016x}");
 
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"closed\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \"address_width\": {},\n  \
-         \"requests\": {count},\n  \"batches\": {},\n  \"specs\": {},\n  \"shots\": {shots},\n  \
-         \"seed\": {},\n  \"shot_threads\": {},\n  \"path_chunks\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"results_digest\": \"{digest:016x}\",\n  \
-         \"virtual_rps\": {virtual_rps:.1},\n  \"wall_rps\": {wall_rps:.1},\n  \
-         \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}},\n  \
-         \"mean_queue_wait_ns\": {mean_queue_wait:.1},\n  \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.4}}},\n  \
-         \"mean_fidelity\": {mean_fidelity:.6},\n  \
-         \"telemetry\": {},\n  \
-         \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        mix_name(args),
-        memory.address_width(),
-        report.batches.len(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        latency[0],
-        latency[1],
-        latency[2],
-        latency[3],
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.evictions,
-        report.cache.hit_rate(),
-        telemetry_json(&telemetry, trace_digest),
-        serve_arch_json(&per_arch),
+    let cache = Json::object([
+        ("hits", report.cache.hits.into()),
+        ("misses", report.cache.misses.into()),
+        ("evictions", report.cache.evictions.into()),
+        ("hit_rate", Json::fixed(report.cache.hit_rate(), 4)),
+    ]);
+    let lead = vec![
+        ("virtual_rps", Json::fixed(virtual_rps, 1)),
+        ("wall_rps", Json::fixed(wall_rps, 1)),
+        ("latency_ns", latency_json(&latency)),
+        ("mean_queue_wait_ns", Json::fixed(mean_queue_wait, 1)),
+        ("cache", cache),
+        ("mean_fidelity", Json::fixed(mean_fidelity, 6)),
+    ];
+    let serving = Loop::Closed {
+        requests: count,
+        batches: report.batches.len(),
+    };
+    write_summary(
+        ctx,
+        Summary {
+            serving,
+            results_digest: digest,
+            lead,
+            telemetry: &telemetry,
+            trace_digest,
+            tail: Vec::new(),
+            per_arch: &per_arch,
+        },
     );
-    write_summary(args.out.clone(), &json);
     if let Some(path) = &args.trace_out {
         let sections = [("closed".to_string(), service.recorder())];
         write_trace(path, "closed", &sections, &telemetry, trace_digest);
@@ -921,112 +996,120 @@ fn run_closed(
 }
 
 /// Open loop: arrivals at fixed offered rates, swept across load
-/// multipliers of the modeled capacity.
-fn run_open(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
-    // The modeled capacity: virtual execution units over the mean
-    // per-request execute cost of the hot specs, each priced from its
-    // architecture's measured resources.
-    let cost = service_config(args, shots).cost;
-    let mean_execute = specs
-        .iter()
-        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(memory), shots))
-        .sum::<u64>() as f64
-        / specs.len() as f64;
-    let capacity_rps = cost.capacity_rps(mean_execute.round() as u64);
-
-    println!(
-        "# serve_bench open: {} x {} + {} arrivals over n={} (arch {}, {} hot specs, {} shots, queue {}, deadline {} ns, capacity {:.0} rps)",
-        requests,
-        workload.name(),
-        args.arrivals,
-        memory.address_width(),
-        args.arch,
-        specs.len(),
-        shots,
-        args.queue,
-        args.deadline,
-        capacity_rps,
-    );
-    print_row(
-        &[
-            "load",
-            "offered",
-            "completed",
-            "shed",
-            "rps",
-            "p50_us",
-            "p99_us",
-            "qwait_us",
-            "hit_rate",
-        ]
-        .map(String::from),
-    );
-    let sweep = OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    };
-    let mut points = Vec::new();
-    let mut digest_bytes: Vec<u8> = Vec::new();
-    let mut trace_digest_bytes: Vec<u8> = Vec::new();
-    let mut merged_telemetry = MetricsRegistry::new();
-    let mut point_runs: Vec<OpenPointRun> = Vec::new();
-    for &load_factor in &args.loads {
-        let run = run_open_point(&sweep, load_factor, release_policy(args));
-        let point = &run.point;
-        print_row(&[
-            format!("{load_factor:.2}"),
-            point.offered.to_string(),
-            point.completed.to_string(),
-            point.shed.to_string(),
-            format!("{:.0}", point.achieved_rps),
-            format!("{:.1}", point.latency_ns[0] / 1e3),
-            format!("{:.1}", point.latency_ns[2] / 1e3),
-            format!("{:.1}", point.mean_queue_wait_ns / 1e3),
-            format!("{:.3}", point.cache_hit_rate),
-        ]);
-        digest_bytes.extend(results_digest(&run.results).to_le_bytes());
-        trace_digest_bytes.extend(run.recorder.trace_digest().to_le_bytes());
-        merged_telemetry.merge_from(&run.telemetry);
-        points.push(run.point.clone());
-        point_runs.push(run);
+/// multipliers of the modeled capacity — into one bare service, or with
+/// `--fleet N` through a sharded [`FleetController`] with deterministic
+/// tenant/SLO tagging.
+fn run_open(ctx: &Ctx<'_>) {
+    let args = ctx.args;
+    let fleet = args.fleet > 0;
+    let capacity_rps = capacity_rps(ctx);
+    if fleet {
+        println!(
+            "# serve_bench fleet: {} shards x {} requests/point, {} tenants, shed {}, replication {}, n={} (arch {}, {} hot specs, {} shots, front {}, capacity {:.0} rps)",
+            args.fleet,
+            ctx.requests,
+            args.tenants,
+            args.shed_policy,
+            args.replication,
+            ctx.memory.address_width(),
+            args.arch,
+            ctx.specs.len(),
+            ctx.shots,
+            args.front_capacity,
+            capacity_rps,
+        );
+    } else {
+        println!(
+            "# serve_bench open: {} x {} + {} arrivals over n={} (arch {}, {} hot specs, {} shots, queue {}, deadline {} ns, capacity {:.0} rps)",
+            ctx.requests,
+            ctx.workload.name(),
+            args.arrivals,
+            ctx.memory.address_width(),
+            args.arch,
+            ctx.specs.len(),
+            ctx.shots,
+            args.queue,
+            args.deadline,
+            capacity_rps,
+        );
     }
-    let digest = fnv1a_64(digest_bytes);
-    // Each operating point runs its own service (its own virtual
-    // clock), so the sweep's trace digest chains the per-point span-log
+    print_sweep_header();
+    let runs: Vec<PointRun> = args
+        .loads
+        .iter()
+        .map(|&load_factor| {
+            let run = if fleet {
+                run_fleet_point(ctx, capacity_rps, load_factor, shed_policy(args))
+            } else {
+                run_open_point(ctx, capacity_rps, load_factor, release_policy(args))
+            };
+            print_point(load_factor, &run.point);
+            run
+        })
+        .collect();
+    let digest = fnv1a_64(runs.iter().flat_map(|r| r.results_digest.to_le_bytes()));
+    // Each operating point runs its own service or fleet (its own
+    // virtual clock), so the sweep's trace digest chains the per-point
     // digests in sweep order rather than merging incomparable clocks.
-    let trace_digest = fnv1a_64(trace_digest_bytes);
-    print_telemetry(&merged_telemetry, trace_digest);
+    let trace_digest = fnv1a_64(runs.iter().flat_map(|r| r.trace_digest.to_le_bytes()));
+    let mut telemetry = MetricsRegistry::new();
+    let mut tally = FleetTally::default();
+    for run in &runs {
+        telemetry.merge_from(&run.telemetry);
+        tally.merge(&run.fleet);
+    }
+    print_telemetry(&telemetry, trace_digest);
     println!("# results_digest: {digest:016x}");
     // The per-architecture slice aggregates every operating point (the
     // sweep itself stays the per-point view); each point keeps its own
     // virtual-clock span so the aggregate throughput stays physical.
-    let runs: Vec<(&[QueryResult], &[BatchReport])> = point_runs
+    let arch_runs: Vec<(&[QueryResult], &[BatchReport])> = runs
         .iter()
         .map(|r| (&r.results[..], &r.batch_reports[..]))
         .collect();
-    let per_arch = arch_breakdown(&runs);
+    let per_arch = arch_breakdown(&arch_runs);
 
-    // Head-to-head release-policy comparison at the swept load nearest
-    // the modeled capacity (load 1.0): below it queues barely form, far
-    // above it every pending group ages past the cap and cache-affine
-    // correctly degenerates to FIFO — the capacity point is where the
-    // policies actually diverge. Both policies serve *identical*
-    // arrivals (`run_open_point` derives the stream purely from the
-    // flags and the load factor), so every delta below is the dispatch
-    // policy's doing.
-    let compare_load = args
+    let (lead, mut tail) = if fleet {
+        fleet_sections(ctx, capacity_rps, &runs, &tally, &telemetry)
+    } else {
+        let compare = policy_compare(ctx, capacity_rps);
+        (Vec::new(), vec![("policy_compare", compare)])
+    };
+    // The sweep follows the mode's head-to-head section.
+    let sweep = runs.iter().map(|run| Json::from(&run.point)).collect();
+    tail.insert(1, ("sweep", Json::Array(sweep)));
+    write_summary(
+        ctx,
+        Summary {
+            serving: Loop::Open { capacity_rps },
+            results_digest: digest,
+            lead,
+            telemetry: &telemetry,
+            trace_digest,
+            tail,
+            per_arch: &per_arch,
+        },
+    );
+    if let Some(path) = &args.trace_out {
+        let sections: Vec<(String, &TelemetryRecorder)> = runs
+            .iter()
+            .zip(&args.loads)
+            .filter_map(|(run, load)| Some((format!("load={load:.2}"), run.recorder.as_ref()?)))
+            .collect();
+        write_trace(path, "open", &sections, &telemetry, trace_digest);
+    }
+}
+
+/// The bare open sweep's `policy_compare` section: a head-to-head
+/// release-policy comparison at the swept load nearest the modeled
+/// capacity (load 1.0). Below it queues barely form, far above it every
+/// pending group ages past the cap and cache-affine correctly
+/// degenerates to FIFO — the capacity point is where the policies
+/// actually diverge. Both policies serve identical arrivals, so every
+/// delta is the dispatch policy's doing.
+fn policy_compare(ctx: &Ctx<'_>, capacity_rps: f64) -> Json {
+    let compare_load = ctx
+        .args
         .loads
         .iter()
         .copied()
@@ -1037,89 +1120,54 @@ fn run_open(
                 .expect("load factors are finite")
         })
         .expect("--load is non-empty");
-    let oldest = run_open_point(&sweep, compare_load, ReleasePolicy::OldestFirst);
-    let affine = run_open_point(&sweep, compare_load, ReleasePolicy::cache_affine());
+    let oldest = run_open_point(ctx, capacity_rps, compare_load, ReleasePolicy::OldestFirst);
+    let affine = run_open_point(
+        ctx,
+        capacity_rps,
+        compare_load,
+        ReleasePolicy::cache_affine(),
+    );
+    let (of, ca) = (&oldest.point, &affine.point);
     print_row(&[
         "policy_p50_us".into(),
         format!(
             "oldest-first {:.1} vs cache-affine {:.1} @ load {compare_load:.2}",
-            oldest.point.latency_ns[0] / 1e3,
-            affine.point.latency_ns[0] / 1e3
+            of.latency_ns[0] / 1e3,
+            ca.latency_ns[0] / 1e3
         ),
     ]);
     print_row(&[
         "policy_mean_compile_us".into(),
         format!(
             "oldest-first {:.1} vs cache-affine {:.1}",
-            oldest.point.mean_compile_ns / 1e3,
-            affine.point.mean_compile_ns / 1e3
+            of.mean_compile_ns / 1e3,
+            ca.mean_compile_ns / 1e3
         ),
     ]);
-    let policy_compare = format!(
-        "{{\n    \"compare_load\": {compare_load:.2},\n    \
-         \"p50_oldest_first_ns\": {:.0},\n    \"p99_oldest_first_ns\": {:.0},\n    \
-         \"mean_compile_oldest_first_ns\": {:.1},\n    \
-         \"mean_queue_wait_oldest_first_ns\": {:.1},\n    \
-         \"digest_oldest_first\": \"{:016x}\",\n    \
-         \"p50_cache_affine_ns\": {:.0},\n    \"p99_cache_affine_ns\": {:.0},\n    \
-         \"mean_compile_cache_affine_ns\": {:.1},\n    \
-         \"mean_queue_wait_cache_affine_ns\": {:.1},\n    \
-         \"digest_cache_affine\": \"{:016x}\",\n    \
-         \"compare_cache_affine_fires\": {},\n    \"compare_age_cap_forced\": {}\n  }}",
-        oldest.point.latency_ns[0],
-        oldest.point.latency_ns[2],
-        oldest.point.mean_compile_ns,
-        oldest.point.mean_queue_wait_ns,
-        results_digest(&oldest.results),
-        affine.point.latency_ns[0],
-        affine.point.latency_ns[2],
-        affine.point.mean_compile_ns,
-        affine.point.mean_queue_wait_ns,
-        results_digest(&affine.results),
-        affine.telemetry.counter(key::POLICY_CACHE_AFFINE_FIRES),
-        affine.telemetry.counter(key::POLICY_AGE_CAP_FORCED),
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"open\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"arrivals\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \
-         \"address_width\": {},\n  \"requests_per_point\": {requests},\n  \"specs\": {},\n  \
-         \"shots\": {shots},\n  \"seed\": {},\n  \"shot_threads\": {},\n  \
-         \"path_chunks\": {},\n  \"queue_capacity\": {},\n  \"deadline_ns\": {},\n  \"batch_limit\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"capacity_rps\": {capacity_rps:.1},\n  \"results_digest\": \"{digest:016x}\",\n  \
-         \"telemetry\": {},\n  \
-         \"policy_compare\": {policy_compare},\n  \
-         \"sweep\": {},\n  \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        args.arrivals,
-        mix_name(args),
-        memory.address_width(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        args.queue,
-        args.deadline,
-        args.batch,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        telemetry_json(&merged_telemetry, trace_digest),
-        serve_sweep_json(&points),
-        serve_arch_json(&per_arch),
-    );
-    write_summary(args.out.clone(), &json);
-    if let Some(path) = &args.trace_out {
-        let sections: Vec<(String, &TelemetryRecorder)> = point_runs
-            .iter()
-            .zip(&args.loads)
-            .map(|(run, load)| (format!("load={load:.2}"), &run.recorder))
-            .collect();
-        write_trace(path, "open", &sections, &merged_telemetry, trace_digest);
+    let mut compare = vec![("compare_load".to_string(), Json::fixed(compare_load, 2))];
+    for (policy, run) in [("oldest_first", &oldest), ("cache_affine", &affine)] {
+        let p = &run.point;
+        compare.extend([
+            (format!("p50_{policy}_ns"), Json::fixed(p.latency_ns[0], 0)),
+            (format!("p99_{policy}_ns"), Json::fixed(p.latency_ns[2], 0)),
+            (
+                format!("mean_compile_{policy}_ns"),
+                Json::fixed(p.mean_compile_ns, 1),
+            ),
+            (
+                format!("mean_queue_wait_{policy}_ns"),
+                Json::fixed(p.mean_queue_wait_ns, 1),
+            ),
+            (format!("digest_{policy}"), hex(run.results_digest)),
+        ]);
     }
+    for (name, counter) in [
+        ("compare_cache_affine_fires", key::POLICY_CACHE_AFFINE_FIRES),
+        ("compare_age_cap_forced", key::POLICY_AGE_CAP_FORCED),
+    ] {
+        compare.push((name.into(), affine.telemetry.counter(counter).into()));
+    }
+    Json::object(compare)
 }
 
 /// The front-door overflow policy selected by `--shed-policy`.
@@ -1188,56 +1236,53 @@ fn fleet_results_digest(results: &[FleetResult]) -> u64 {
     fnv1a_64(bytes)
 }
 
-/// Door-to-completion p99 of the interactive class (0 when the point
-/// completed no interactive requests).
-fn interactive_p99(results: &[FleetResult]) -> f64 {
-    let totals: Vec<f64> = results
-        .iter()
-        .filter(|r| matches!(r.slo, SloClass::Interactive { .. }))
-        .map(|r| r.total_latency() as f64)
-        .collect();
-    percentile(&totals, 99.0)
+/// A fleet operating point's tallies, summed over the sweep for the
+/// summary: door-to-completion latencies (all, and the interactive
+/// class's), and per-tenant, per-SLO-class and per-shard counts.
+#[derive(Default)]
+struct FleetTally {
+    totals: Vec<f64>,
+    interactive: Vec<f64>,
+    /// `tenant → [completed, shed]`.
+    tenants: BTreeMap<u32, [u64; 2]>,
+    /// `class label → [completed, shed, deadline met, deadline missed]`.
+    classes: BTreeMap<&'static str, [u64; 4]>,
+    /// `shard → [completed, cache hits, cache misses]`.
+    shards: BTreeMap<usize, [u64; 3]>,
 }
 
-/// One fleet operating point's full output: the condensed summary point
-/// (latencies are door-to-completion, front wait included), raw fleet
-/// results, the front-door recorder, the merged fleet+shard metrics,
-/// the fleet trace digest, and the per-tenant / per-SLO / per-shard
-/// tallies.
-struct FleetPointRun {
-    point: ServeLoadPoint,
-    results: Vec<FleetResult>,
-    recorder: TelemetryRecorder,
-    telemetry: MetricsRegistry,
-    trace_digest: u64,
-    per_tenant: Vec<(u32, u64, u64)>,
-    per_class: Vec<(&'static str, u64, u64, u64, u64)>,
-    per_shard: Vec<(usize, u64, u64, u64)>,
+impl FleetTally {
+    fn merge(&mut self, other: &FleetTally) {
+        fn add<K: Ord + Copy, const N: usize>(
+            into: &mut BTreeMap<K, [u64; N]>,
+            from: &BTreeMap<K, [u64; N]>,
+        ) {
+            for (&key, counts) in from {
+                let slot = into.entry(key).or_insert([0; N]);
+                slot.iter_mut().zip(counts).for_each(|(a, b)| *a += b);
+            }
+        }
+        self.totals.extend(&other.totals);
+        self.interactive.extend(&other.interactive);
+        add(&mut self.tenants, &other.tenants);
+        add(&mut self.classes, &other.classes);
+        add(&mut self.shards, &other.shards);
+    }
 }
 
-/// Runs one fleet operating point under `policy` and condenses it. Like
-/// [`run_open_point`], the arrival stream, spec assignment, and
-/// tenant/SLO tagging depend only on `(args, load_factor)`, so two shed
-/// policies at the same point serve *byte-identical* offered streams —
-/// the `slo_compare` block relies on this.
-fn run_fleet_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ShedPolicy) -> FleetPointRun {
-    let OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    } = *sweep;
-    let offered_rps = capacity_rps * load_factor;
-    let mean_gap = 1e9 / offered_rps;
-    let arrivals = build_arrivals(args, mean_gap).arrivals(requests);
-    let submissions = assign_specs_with(workload, specs, spec_mix(args), requests);
-
+/// Runs one operating point through the fleet under `policy`. Latencies
+/// run door to completion: the front-door wait counts as queueing.
+fn run_fleet_point(
+    ctx: &Ctx<'_>,
+    capacity_rps: f64,
+    load_factor: f64,
+    policy: ShedPolicy,
+) -> PointRun {
+    let args = ctx.args;
+    let (arrivals, submissions) = offered_stream(ctx, capacity_rps, load_factor);
     let mut fleet = FleetController::with_telemetry(
-        memory.clone(),
-        fleet_config(args, shots).with_shed_policy(policy),
+        ctx.memory.clone(),
+        fleet_config(args, ctx.shots).with_shed_policy(policy),
     );
     for (i, (&arrival, &(address, spec))) in arrivals.iter().zip(&submissions).enumerate() {
         let tenant = tenant_for(i as u64, args.tenants, args.seed);
@@ -1245,272 +1290,124 @@ fn run_fleet_point(sweep: &OpenSweep<'_>, load_factor: f64, policy: ShedPolicy) 
         fleet.submit_at(address, spec, arrival, tenant, slo);
     }
     let results = fleet.run_until_idle();
-
-    let first_arrival = arrivals.first().copied().unwrap_or(0);
-    let last_completed = results
+    let done: Vec<[u64; 5]> = results
         .iter()
-        .map(|r| r.result.completed)
-        .max()
-        .unwrap_or(0);
-    let span = last_completed.saturating_sub(first_arrival).max(1) as f64;
-    let completed = results.len();
-    let totals: Vec<f64> = results.iter().map(|r| r.total_latency() as f64).collect();
-    let max = totals.iter().copied().fold(0.0f64, f64::max);
-    let (hits, misses) = fleet.shards().iter().fold((0u64, 0u64), |(h, m), shard| {
-        let c = shard.cache_stats();
-        (h + c.hits, m + c.misses)
-    });
+        .map(|r| {
+            let l = r.result.latency;
+            let queue_wait = r.front_wait + l.queue_wait;
+            [
+                r.result.completed,
+                queue_wait,
+                l.compile,
+                l.execute,
+                r.total_latency(),
+            ]
+        })
+        .collect();
     let stats = fleet.stats();
-    let point = ServeLoadPoint {
-        offered_rps,
-        load_factor,
-        offered: requests,
-        completed,
-        shed: stats.shed,
-        achieved_rps: completed as f64 * 1e9 / span,
-        latency_ns: [
-            percentile(&totals, 50.0),
-            percentile(&totals, 90.0),
-            percentile(&totals, 99.0),
-            max,
-        ],
-        mean_queue_wait_ns: mean(
-            results
-                .iter()
-                .map(|r| (r.front_wait + r.result.latency.queue_wait) as f64),
-            completed,
-        ),
-        mean_compile_ns: mean(
-            results.iter().map(|r| r.result.latency.compile as f64),
-            completed,
-        ),
-        mean_execute_ns: mean(
-            results.iter().map(|r| r.result.latency.execute as f64),
-            completed,
-        ),
-        cache_hit_rate: if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
+    let is_interactive = |r: &&FleetResult| matches!(r.slo, SloClass::Interactive { .. });
+    let tally = FleetTally {
+        totals: done.iter().map(|d| d[4] as f64).collect(),
+        interactive: results
+            .iter()
+            .filter(is_interactive)
+            .map(|r| r.total_latency() as f64)
+            .collect(),
+        tenants: stats
+            .per_tenant
+            .iter()
+            .map(|(t, s)| (t.0, [s.completed, s.shed]))
+            .collect(),
+        classes: stats
+            .per_class
+            .iter()
+            .map(|(&label, s)| {
+                (
+                    label,
+                    [s.completed, s.shed, s.deadline_met, s.deadline_missed],
+                )
+            })
+            .collect(),
+        shards: fleet
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(sid, shard)| {
+                let on_shard = results.iter().filter(|r| r.shard == sid).count() as u64;
+                let c = shard.cache_stats();
+                (sid, [on_shard, c.hits, c.misses])
+            })
+            .collect(),
     };
-    let per_tenant: Vec<(u32, u64, u64)> = stats
-        .per_tenant
-        .iter()
-        .map(|(t, s)| (t.0, s.completed, s.shed))
-        .collect();
-    let per_class: Vec<(&'static str, u64, u64, u64, u64)> = stats
-        .per_class
-        .iter()
-        .map(|(&label, s)| {
-            (
-                label,
-                s.completed,
-                s.shed,
-                s.deadline_met,
-                s.deadline_missed,
-            )
-        })
-        .collect();
-    let per_shard: Vec<(usize, u64, u64, u64)> = fleet
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(sid, shard)| {
-            let on_shard = results.iter().filter(|r| r.shard == sid).count() as u64;
-            let c = shard.cache_stats();
-            (sid, on_shard, c.hits, c.misses)
-        })
-        .collect();
-
+    let hits: u64 = tally.shards.values().map(|c| c[1]).sum();
+    let lookups: u64 = tally.shards.values().map(|c| c[1] + c[2]).sum();
+    let hit_rate = hits as f64 / lookups.max(1) as f64;
+    let first_arrival = arrivals.first().copied().unwrap_or(0);
+    let point = load_point(
+        ctx,
+        capacity_rps,
+        load_factor,
+        first_arrival,
+        stats.shed,
+        hit_rate,
+        &done,
+    );
     let mut telemetry = fleet.metrics_snapshot();
     for shard in fleet.shards() {
         telemetry.merge_from(shard.recorder().metrics());
     }
     telemetry.merge_from(fleet.recorder().metrics());
-    let trace_digest = fleet.trace_digest();
-    FleetPointRun {
+    PointRun {
         point,
-        recorder: fleet.recorder().clone(),
+        results_digest: fleet_results_digest(&results),
+        trace_digest: fleet.trace_digest(),
+        recorder: args.trace_out.is_some().then(|| fleet.recorder().clone()),
+        results: results.into_iter().map(|r| r.result).collect(),
+        batch_reports: Vec::new(),
         telemetry,
-        trace_digest,
-        per_tenant,
-        per_class,
-        per_shard,
-        results,
+        fleet: tally,
     }
 }
 
-/// The shed tally a point recorded for `label`, 0 when the class never
-/// appeared.
-fn class_shed(per_class: &[(&'static str, u64, u64, u64, u64)], label: &str) -> u64 {
-    per_class
-        .iter()
-        .find(|(l, ..)| *l == label)
-        .map(|&(_, _, shed, _, _)| shed)
-        .unwrap_or(0)
-}
-
-/// Open loop through the fleet front door: the bare open sweep's
-/// arrival machinery, served by a sharded [`FleetController`] with
-/// deterministic tenant/SLO tagging, plus a deadline-priority vs
-/// tail-drop head-to-head on byte-identical arrivals at the highest
-/// swept load.
-fn run_open_fleet(
-    args: &Args,
-    memory: &Memory,
-    workload: &Workload,
-    specs: &[QuerySpec],
-    shots: usize,
-    requests: usize,
-) {
-    // The modeled capacity: the bare per-shard capacity (execution
-    // units over mean execute cost) times the shard count.
-    let cost = service_config(args, shots).cost;
-    let mean_execute = specs
-        .iter()
-        .map(|spec| cost.execute_cost(&spec.arch.instantiate().resources(memory), shots))
-        .sum::<u64>() as f64
-        / specs.len() as f64;
-    let capacity_rps = cost.capacity_rps(mean_execute.round() as u64) * args.fleet as f64;
-
-    println!(
-        "# serve_bench fleet: {} shards x {} requests/point, {} tenants, shed {}, replication {}, n={} (arch {}, {} hot specs, {} shots, front {}, capacity {:.0} rps)",
-        args.fleet,
-        requests,
-        args.tenants,
-        args.shed_policy,
-        args.replication,
-        memory.address_width(),
-        args.arch,
-        specs.len(),
-        shots,
-        args.front_capacity,
-        capacity_rps,
-    );
-    print_row(
-        &[
-            "load",
-            "offered",
-            "completed",
-            "shed",
-            "rps",
-            "p50_us",
-            "p99_us",
-            "qwait_us",
-            "hit_rate",
-        ]
-        .map(String::from),
-    );
-    let sweep = OpenSweep {
-        args,
-        memory,
-        workload,
-        specs,
-        shots,
-        requests,
-        capacity_rps,
-    };
-    let mut points = Vec::new();
-    let mut digest_bytes: Vec<u8> = Vec::new();
-    let mut trace_digest_bytes: Vec<u8> = Vec::new();
-    let mut merged_telemetry = MetricsRegistry::new();
-    let mut all_totals: Vec<f64> = Vec::new();
-    let mut agg_tenant: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-    let mut agg_class: std::collections::BTreeMap<&'static str, (u64, u64, u64, u64)> =
-        Default::default();
-    let mut agg_shard: std::collections::BTreeMap<usize, (u64, u64, u64)> = Default::default();
-    let mut offered_total = 0usize;
-    let mut shed_total = 0u64;
-    let mut arch_runs: Vec<Vec<QueryResult>> = Vec::new();
-    let mut recorders: Vec<(String, TelemetryRecorder)> = Vec::new();
-    for &load_factor in &args.loads {
-        let run = run_fleet_point(&sweep, load_factor, shed_policy(args));
-        let point = &run.point;
-        print_row(&[
-            format!("{load_factor:.2}"),
-            point.offered.to_string(),
-            point.completed.to_string(),
-            point.shed.to_string(),
-            format!("{:.0}", point.achieved_rps),
-            format!("{:.1}", point.latency_ns[0] / 1e3),
-            format!("{:.1}", point.latency_ns[2] / 1e3),
-            format!("{:.1}", point.mean_queue_wait_ns / 1e3),
-            format!("{:.3}", point.cache_hit_rate),
-        ]);
-        digest_bytes.extend(fleet_results_digest(&run.results).to_le_bytes());
-        trace_digest_bytes.extend(run.trace_digest.to_le_bytes());
-        merged_telemetry.merge_from(&run.telemetry);
-        all_totals.extend(run.results.iter().map(|r| r.total_latency() as f64));
-        for &(t, completed, shed) in &run.per_tenant {
-            let e = agg_tenant.entry(t).or_default();
-            e.0 += completed;
-            e.1 += shed;
-        }
-        for &(label, completed, shed, met, missed) in &run.per_class {
-            let e = agg_class.entry(label).or_default();
-            e.0 += completed;
-            e.1 += shed;
-            e.2 += met;
-            e.3 += missed;
-        }
-        for &(sid, completed, hits, misses) in &run.per_shard {
-            let e = agg_shard.entry(sid).or_default();
-            e.0 += completed;
-            e.1 += hits;
-            e.2 += misses;
-        }
-        offered_total += point.offered;
-        shed_total += point.shed;
-        if args.trace_out.is_some() {
-            recorders.push((format!("load={load_factor:.2}"), run.recorder));
-        }
-        arch_runs.push(run.results.iter().map(|r| r.result.clone()).collect());
-        points.push(run.point.clone());
-    }
-    let digest = fnv1a_64(digest_bytes);
-    // As in the bare open sweep, each point runs its own virtual clock,
-    // so the sweep digest chains the per-point fleet trace digests.
-    let trace_digest = fnv1a_64(trace_digest_bytes);
-    let fleet_p50 = percentile(&all_totals, 50.0);
-    let fleet_p99 = percentile(&all_totals, 99.0);
-    let completed_total = all_totals.len();
-    print_telemetry(&merged_telemetry, trace_digest);
-    println!("# results_digest: {digest:016x}");
+/// The fleet sweep's sections: `fleet` (written before `telemetry`),
+/// then `slo_compare`, `per_shard`, `per_tenant` and `per_slo`. The SLO
+/// head-to-head runs at the *highest* swept load — overload is where
+/// the shed policies actually diverge. Both runs serve byte-identical
+/// offered streams, so every delta is the front-door policy's doing.
+fn fleet_sections(
+    ctx: &Ctx<'_>,
+    capacity_rps: f64,
+    runs: &[PointRun],
+    tally: &FleetTally,
+    telemetry: &MetricsRegistry,
+) -> (Sections, Sections) {
+    let args = ctx.args;
+    let fleet_p50 = percentile(&tally.totals, 50.0);
+    let fleet_p99 = percentile(&tally.totals, 99.0);
     print_row(&[
         "fleet_door_to_done_us".into(),
         format!("p50 {:.1}, p99 {:.1}", fleet_p50 / 1e3, fleet_p99 / 1e3),
     ]);
-    for (&t, &(completed, shed)) in &agg_tenant {
-        print_row(&[
-            format!("tenant[{t}]"),
-            format!("{completed} completed, {shed} shed"),
-        ]);
+    for (t, [completed, shed]) in &tally.tenants {
+        let counts = format!("{completed} completed, {shed} shed");
+        print_row(&[format!("tenant[{t}]"), counts]);
     }
-    for (&label, &(completed, shed, met, missed)) in &agg_class {
-        print_row(&[
-            format!("slo[{label}]"),
-            format!(
-                "{completed} completed, {shed} shed, deadline {met}/{}",
-                met + missed
-            ),
-        ]);
+    for (label, [completed, shed, met, missed]) in &tally.classes {
+        let deadline = met + missed;
+        let counts = format!("{completed} completed, {shed} shed, deadline {met}/{deadline}");
+        print_row(&[format!("slo[{label}]"), counts]);
     }
-    let empty_batches: Vec<BatchReport> = Vec::new();
-    let runs: Vec<(&[QueryResult], &[BatchReport])> = arch_runs
-        .iter()
-        .map(|r| (&r[..], &empty_batches[..]))
-        .collect();
-    let per_arch = arch_breakdown(&runs);
 
-    // SLO head-to-head at the *highest* swept load — overload is where
-    // the shed policies actually diverge. Both runs serve byte-identical
-    // offered streams; every delta is the front-door policy's doing.
     let compare_load = args.loads.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let dp = run_fleet_point(&sweep, compare_load, ShedPolicy::DeadlinePriority);
-    let td = run_fleet_point(&sweep, compare_load, ShedPolicy::TailDrop);
-    let dp_p99 = interactive_p99(&dp.results);
-    let td_p99 = interactive_p99(&td.results);
+    let dp = run_fleet_point(
+        ctx,
+        capacity_rps,
+        compare_load,
+        ShedPolicy::DeadlinePriority,
+    );
+    let td = run_fleet_point(ctx, capacity_rps, compare_load, ShedPolicy::TailDrop);
+    let dp_p99 = percentile(&dp.fleet.interactive, 99.0);
+    let td_p99 = percentile(&td.fleet.interactive, 99.0);
     print_row(&[
         "slo_interactive_p99_us".into(),
         format!(
@@ -1519,122 +1416,92 @@ fn run_open_fleet(
             td_p99 / 1e3
         ),
     ]);
-    let slo_compare = format!(
-        "{{\n    \"slo_compare_load\": {compare_load:.2},\n    \
-         \"interactive_p99_deadline_priority_ns\": {dp_p99:.0},\n    \
-         \"interactive_p99_tail_drop_ns\": {td_p99:.0},\n    \
-         \"interactive_shed_deadline_priority\": {},\n    \
-         \"interactive_shed_tail_drop\": {},\n    \
-         \"batch_shed_deadline_priority\": {},\n    \
-         \"batch_shed_tail_drop\": {},\n    \
-         \"best_effort_shed_deadline_priority\": {},\n    \
-         \"best_effort_shed_tail_drop\": {},\n    \
-         \"digest_deadline_priority\": \"{:016x}\",\n    \
-         \"digest_tail_drop\": \"{:016x}\"\n  }}",
-        class_shed(&dp.per_class, "interactive"),
-        class_shed(&td.per_class, "interactive"),
-        class_shed(&dp.per_class, "batch"),
-        class_shed(&td.per_class, "batch"),
-        class_shed(&dp.per_class, "best_effort"),
-        class_shed(&td.per_class, "best_effort"),
-        fleet_results_digest(&dp.results),
-        fleet_results_digest(&td.results),
-    );
-
-    let fleet_section = format!(
-        "{{\n    \"fleet_shards\": {},\n    \"fleet_tenants\": {},\n    \
-         \"fleet_front_capacity\": {},\n    \"fleet_shed_policy\": \"{}\",\n    \
-         \"fleet_replication\": {},\n    \"fleet_pin_planned\": {},\n    \
-         \"fleet_slo_deadline_ns\": {},\n    \
-         \"fleet_offered\": {offered_total},\n    \"fleet_completed\": {completed_total},\n    \
-         \"fleet_shed\": {shed_total},\n    \
-         \"fleet_routed\": {},\n    \"fleet_pinned_routes\": {},\n    \
-         \"fleet_replica_cache_wins\": {},\n    \"fleet_front_depth_high_water\": {},\n    \
-         \"fleet_p50_ns\": {fleet_p50:.0},\n    \"fleet_p99_ns\": {fleet_p99:.0}\n  }}",
-        args.fleet,
-        args.tenants,
-        args.front_capacity,
-        shed_policy(args).label(),
-        args.replication,
-        args.pin_planned,
-        args.slo_deadline,
-        merged_telemetry.counter(key::FLEET_ROUTED),
-        merged_telemetry.counter(key::FLEET_PINNED_ROUTES),
-        merged_telemetry.counter(key::FLEET_REPLICA_CACHE_WINS),
-        merged_telemetry.gauge(key::FLEET_FRONT_DEPTH_HIGH_WATER),
-    );
-    let per_shard_json = agg_shard
+    // Requests of an SLO class shed at the front door.
+    let shed = |run: &PointRun, class| Json::from(run.fleet.classes.get(class).map_or(0, |c| c[1]));
+    let slo_compare = Json::object([
+        ("slo_compare_load", Json::fixed(compare_load, 2)),
+        (
+            "interactive_p99_deadline_priority_ns",
+            Json::fixed(dp_p99, 0),
+        ),
+        ("interactive_p99_tail_drop_ns", Json::fixed(td_p99, 0)),
+        (
+            "interactive_shed_deadline_priority",
+            shed(&dp, "interactive"),
+        ),
+        ("interactive_shed_tail_drop", shed(&td, "interactive")),
+        ("batch_shed_deadline_priority", shed(&dp, "batch")),
+        ("batch_shed_tail_drop", shed(&td, "batch")),
+        (
+            "best_effort_shed_deadline_priority",
+            shed(&dp, "best_effort"),
+        ),
+        ("best_effort_shed_tail_drop", shed(&td, "best_effort")),
+        ("digest_deadline_priority", hex(dp.results_digest)),
+        ("digest_tail_drop", hex(td.results_digest)),
+    ]);
+    let counter = |name: &str| Json::from(telemetry.counter(name));
+    let offered: usize = runs.iter().map(|r| r.point.offered).sum();
+    let shed: u64 = runs.iter().map(|r| r.point.shed).sum();
+    let high_water = telemetry.gauge(key::FLEET_FRONT_DEPTH_HIGH_WATER);
+    let fleet_section = Json::object([
+        ("fleet_shards", args.fleet.into()),
+        ("fleet_tenants", args.tenants.into()),
+        ("fleet_front_capacity", args.front_capacity.into()),
+        ("fleet_shed_policy", shed_policy(args).label().into()),
+        ("fleet_replication", args.replication.into()),
+        ("fleet_pin_planned", args.pin_planned.into()),
+        ("fleet_slo_deadline_ns", args.slo_deadline.into()),
+        ("fleet_offered", offered.into()),
+        ("fleet_completed", tally.totals.len().into()),
+        ("fleet_shed", shed.into()),
+        ("fleet_routed", counter(key::FLEET_ROUTED)),
+        ("fleet_pinned_routes", counter(key::FLEET_PINNED_ROUTES)),
+        (
+            "fleet_replica_cache_wins",
+            counter(key::FLEET_REPLICA_CACHE_WINS),
+        ),
+        ("fleet_front_depth_high_water", high_water.into()),
+        ("fleet_p50_ns", Json::fixed(fleet_p50, 0)),
+        ("fleet_p99_ns", Json::fixed(fleet_p99, 0)),
+    ]);
+    let per_shard = tally
+        .shards
         .iter()
-        .map(|(&sid, &(completed, hits, misses))| {
-            format!(
-                "\n    {{\"shard\": {sid}, \"completed\": {completed}, \
-                 \"cache_hits\": {hits}, \"cache_misses\": {misses}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let per_tenant_json = agg_tenant
+        .map(|(&sid, &[completed, hits, misses])| {
+            Json::object([
+                ("shard", sid.into()),
+                ("completed", completed.into()),
+                ("cache_hits", hits.into()),
+                ("cache_misses", misses.into()),
+            ])
+        });
+    let per_tenant = tally.tenants.iter().map(|(&tenant, &[completed, shed])| {
+        Json::object([
+            ("tenant", tenant.into()),
+            ("completed", completed.into()),
+            ("shed", shed.into()),
+        ])
+    });
+    let per_slo = tally
+        .classes
         .iter()
-        .map(|(&t, &(completed, shed))| {
-            format!("\n    {{\"tenant\": {t}, \"completed\": {completed}, \"shed\": {shed}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let per_slo_json = agg_class
-        .iter()
-        .map(|(&label, &(completed, shed, met, missed))| {
-            format!(
-                "\n    {{\"slo\": \"{label}\", \"completed\": {completed}, \"shed\": {shed}, \
-                 \"deadline_met\": {met}, \"deadline_missed\": {missed}}}"
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-
-    let json = format!(
-        "{{\n  \"schema\": \"qram-bench/serve-summary/v6\",\n  \"mode\": \"open\",\n  \
-         \"arch\": \"{}\",\n  \
-         \"workload\": \"{}\",\n  \"arrivals\": \"{}\",\n  \"spec_mix\": \"{}\",\n  \
-         \"address_width\": {},\n  \"requests_per_point\": {requests},\n  \"specs\": {},\n  \
-         \"shots\": {shots},\n  \"seed\": {},\n  \"shot_threads\": {},\n  \
-         \"path_chunks\": {},\n  \"queue_capacity\": {},\n  \"deadline_ns\": {},\n  \"batch_limit\": {},\n  \
-         \"release_policy\": \"{}\",\n  \"age_cap_ns\": {},\n  \"qubit_budget\": {},\n  \
-         \"capacity_rps\": {capacity_rps:.1},\n  \"results_digest\": \"{digest:016x}\",\n  \
-         \"fleet\": {fleet_section},\n  \
-         \"telemetry\": {},\n  \
-         \"slo_compare\": {slo_compare},\n  \
-         \"sweep\": {},\n  \
-         \"per_shard\": [{per_shard_json}\n  ],\n  \
-         \"per_tenant\": [{per_tenant_json}\n  ],\n  \
-         \"per_slo\": [{per_slo_json}\n  ],\n  \
-         \"per_arch\": {}\n}}\n",
-        args.arch,
-        workload.name(),
-        args.arrivals,
-        mix_name(args),
-        memory.address_width(),
-        specs.len(),
-        args.seed,
-        args.shot_threads,
-        args.path_chunks,
-        args.queue,
-        args.deadline,
-        args.batch,
-        release_policy(args).label(),
-        policy_age_cap(release_policy(args)),
-        budget_field(args),
-        telemetry_json(&merged_telemetry, trace_digest),
-        serve_sweep_json(&points),
-        serve_arch_json(&per_arch),
-    );
-    write_summary(args.out.clone(), &json);
-    if let Some(path) = &args.trace_out {
-        let sections: Vec<(String, &TelemetryRecorder)> = recorders
-            .iter()
-            .map(|(label, recorder)| (label.clone(), recorder))
-            .collect();
-        write_trace(path, "open", &sections, &merged_telemetry, trace_digest);
-    }
+        .map(|(&slo, &[completed, shed, met, missed])| {
+            Json::object([
+                ("slo", slo.into()),
+                ("completed", completed.into()),
+                ("shed", shed.into()),
+                ("deadline_met", met.into()),
+                ("deadline_missed", missed.into()),
+            ])
+        });
+    let tail = vec![
+        ("slo_compare", slo_compare),
+        ("per_shard", Json::Array(per_shard.collect())),
+        ("per_tenant", Json::Array(per_tenant.collect())),
+        ("per_slo", Json::Array(per_slo.collect())),
+    ];
+    (vec![("fleet", fleet_section)], tail)
 }
 
 /// The `qubit_budget` summary field: the CLI's "0 means unlimited"

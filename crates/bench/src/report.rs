@@ -9,10 +9,23 @@
 //! tolerance against the checked-in baseline
 //! (`.github/bench-baseline.json`). The gate is *ratio*-based on purpose —
 //! absolute ns vary wildly across runners, the parallel speedup does not.
+//! It also builds the serve summary's per-point sections and reads a
+//! v6 `BENCH_SERVE.json` back into headlines and the fleet SLO gate.
+//! Every file goes through [`qram_telemetry::Json`]: values are built,
+//! written once, and read back by field lookup.
 //!
 //! See the `bench_report` binary for the CLI wrapping this module.
 
 use std::path::{Path, PathBuf};
+
+use qram_telemetry::Json;
+
+/// Schema of the `BENCH_2.json` summary.
+const BENCH_SUMMARY_SCHEMA: &str = "qram-bench/bench-summary/v3";
+
+/// The one serve-summary schema the readers accept; every older
+/// generation is reported as not recognized.
+pub const SERVE_SUMMARY_SCHEMA: &str = "qram-bench/serve-summary/v6";
 
 /// One benchmark's result as written by the criterion stub.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,44 +38,27 @@ pub struct BenchRecord {
     pub iters: u64,
 }
 
-/// Extracts a string field from a single-level JSON object. Handles the
-/// `\"` and `\\` escapes the criterion stub emits; not a general parser.
-fn json_str_field(json: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\"");
-    let rest = &json[json.find(&marker)? + marker.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => out.push(chars.next()?),
-            '"' => return Some(out),
-            c => out.push(c),
-        }
+impl BenchRecord {
+    /// The record as `{name, mean_ns, iters}`, `mean_ns` at `decimals`
+    /// places. At three places, written compact, it is the criterion
+    /// stub's own result file: the stub's `--baseline` compare finds the
+    /// mean by the literal text `"mean_ns":`.
+    fn json(&self, decimals: usize) -> Json {
+        Json::object([
+            ("name", self.name.as_str().into()),
+            ("mean_ns", Json::fixed(self.mean_ns, decimals)),
+            ("iters", self.iters.into()),
+        ])
     }
-    None
-}
-
-/// Extracts a numeric field from a single-level JSON object.
-fn json_num_field(json: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\"");
-    let rest = &json[json.find(&marker)? + marker.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parses one criterion-stub result file.
-pub fn parse_record(json: &str) -> Option<BenchRecord> {
+pub fn parse_record(text: &str) -> Option<BenchRecord> {
+    let json = Json::parse(text).ok()?;
     Some(BenchRecord {
-        name: json_str_field(json, "name")?,
-        mean_ns: json_num_field(json, "mean_ns")?,
-        iters: json_num_field(json, "iters")? as u64,
+        name: json.get("name")?.as_str()?.to_string(),
+        mean_ns: json.get("mean_ns")?.as_f64()?,
+        iters: json.get("iters")?.as_u64()?,
     })
 }
 
@@ -104,107 +100,71 @@ pub fn load_records(dir: &Path) -> Vec<BenchRecord> {
     records
 }
 
-/// The shot-engine headline numbers extracted from a result set.
+/// A serial-vs-parallel bench pair and its throughput ratio.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShotEngineSummary {
-    /// Mean ns/iter of `shot_engine/serial` (threads = 1).
+pub struct Speedup {
+    /// Mean ns/iter of the serial arm.
     pub serial_ns: f64,
-    /// Mean ns/iter of `shot_engine/sharded` (threads = all cores).
-    pub sharded_ns: f64,
-    /// Throughput ratio `serial_ns / sharded_ns`.
+    /// Mean ns/iter of the parallel arm.
+    pub parallel_ns: f64,
+    /// Throughput ratio `serial_ns / parallel_ns`.
     pub speedup: f64,
 }
 
-/// Extracts the shot-engine serial/sharded pair from `records`.
-pub fn shot_engine_summary(records: &[BenchRecord]) -> Option<ShotEngineSummary> {
-    let mean = |name: &str| {
-        records
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.mean_ns)
-            .filter(|&ns| ns > 0.0)
+/// The `{group}/serial` vs `{group}/{parallel}` pair from `records`.
+/// The two pairs the gates watch are `shot_engine` serial vs `sharded`
+/// (shots sharded over all cores) and `path_engine` serial vs
+/// `chunked` (the `m = 10` path slab in one chunk per core, shot
+/// threads pinned to 1).
+pub fn speedup(records: &[BenchRecord], group: &str, parallel: &str) -> Option<Speedup> {
+    let mean = |arm: &str| {
+        let name = format!("{group}/{arm}");
+        let record = records.iter().find(|r| r.name == name)?;
+        Some(record.mean_ns).filter(|&ns| ns > 0.0)
     };
-    let serial_ns = mean("shot_engine/serial")?;
-    let sharded_ns = mean("shot_engine/sharded")?;
-    Some(ShotEngineSummary {
+    let serial_ns = mean("serial")?;
+    let parallel_ns = mean(parallel)?;
+    Some(Speedup {
         serial_ns,
-        sharded_ns,
-        speedup: serial_ns / sharded_ns,
+        parallel_ns,
+        speedup: serial_ns / parallel_ns,
     })
 }
 
-/// The path-parallel headline numbers extracted from a result set: the
-/// `path_engine` group's wide-address (`m = 10`) workload run with one
-/// path chunk vs one chunk per core, shot threads pinned to 1 in both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathEngineSummary {
-    /// Mean ns/iter of `path_engine/serial` (path_chunks = 1).
-    pub serial_ns: f64,
-    /// Mean ns/iter of `path_engine/chunked` (path_chunks = auto).
-    pub chunked_ns: f64,
-    /// Throughput ratio `serial_ns / chunked_ns`.
-    pub speedup: f64,
-}
-
-/// Extracts the path-engine serial/chunked pair from `records`.
-pub fn path_engine_summary(records: &[BenchRecord]) -> Option<PathEngineSummary> {
-    let mean = |name: &str| {
-        records
-            .iter()
-            .find(|r| r.name == name)
-            .map(|r| r.mean_ns)
-            .filter(|&ns| ns > 0.0)
-    };
-    let serial_ns = mean("path_engine/serial")?;
-    let chunked_ns = mean("path_engine/chunked")?;
-    Some(PathEngineSummary {
-        serial_ns,
-        chunked_ns,
-        speedup: serial_ns / chunked_ns,
-    })
-}
-
-/// Renders the `BENCH_2.json` summary document.
+/// Builds the `BENCH_2.json` summary document.
 ///
 /// Both speedup sections (`shot_engine`, `path_speedup`) are only
-/// authoritative when `threads_available ≥ 2` — on a single-core machine
-/// the parallel arm degenerates to the serial one and the ratios hover
-/// near 1.0. CI's multi-core bench runner is the source of truth.
+/// authoritative when `threads_available ≥ 2`: on a single-core machine
+/// the parallel arm degenerates to the serial one, so their `speedup`
+/// is written as `null` there. CI's multi-core bench runner is the
+/// source of truth.
 pub fn summary_json(
     records: &[BenchRecord],
-    shot_engine: Option<&ShotEngineSummary>,
-    path_engine: Option<&PathEngineSummary>,
+    shot_engine: Option<&Speedup>,
+    path_engine: Option<&Speedup>,
     threads_available: usize,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"qram-bench/bench-summary/v3\",\n");
-    out.push_str(&format!("  \"threads_available\": {threads_available},\n"));
-    match shot_engine {
-        Some(s) => out.push_str(&format!(
-            "  \"shot_engine\": {{\"serial_ns\": {:.1}, \"sharded_ns\": {:.1}, \"speedup\": {:.3}}},\n",
-            s.serial_ns, s.sharded_ns, s.speedup
-        )),
-        None => out.push_str("  \"shot_engine\": null,\n"),
-    }
-    match path_engine {
-        Some(p) => out.push_str(&format!(
-            "  \"path_speedup\": {{\"serial_ns\": {:.1}, \"chunked_ns\": {:.1}, \"speedup\": {:.3}}},\n",
-            p.serial_ns, p.chunked_ns, p.speedup
-        )),
-        None => out.push_str("  \"path_speedup\": null,\n"),
-    }
-    out.push_str("  \"benches\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}}}{comma}\n",
-            r.name.replace('\\', "\\\\").replace('"', "\\\""),
-            r.mean_ns,
-            r.iters
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+) -> Json {
+    let pair = |parallel_key: &str, s: Option<&Speedup>| {
+        let Some(s) = s else { return Json::Null };
+        let speedup = if threads_available < 2 {
+            Json::Null
+        } else {
+            Json::fixed(s.speedup, 3)
+        };
+        Json::object([
+            ("serial_ns", Json::fixed(s.serial_ns, 1)),
+            (parallel_key, Json::fixed(s.parallel_ns, 1)),
+            ("speedup", speedup),
+        ])
+    };
+    let benches = records.iter().map(|r| r.json(1)).collect();
+    Json::object([
+        ("schema", BENCH_SUMMARY_SCHEMA.into()),
+        ("threads_available", threads_available.into()),
+        ("shot_engine", pair("sharded_ns", shot_engine)),
+        ("path_speedup", pair("chunked_ns", path_engine)),
+        ("benches", Json::Array(benches)),
+    ])
 }
 
 /// The `q`-th percentile (`0 ≤ q ≤ 100`) of `values`, by nearest rank on
@@ -253,46 +213,36 @@ pub struct ServeLoadPoint {
     pub cache_hit_rate: f64,
 }
 
-impl ServeLoadPoint {
-    /// Renders the point as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"offered_rps\": {:.1}, \"load_factor\": {:.3}, \"offered\": {}, \
-             \"completed\": {}, \"shed\": {}, \"achieved_rps\": {:.1}, \
-             \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}}, \
-             \"breakdown_ns\": {{\"queue_wait\": {:.1}, \"compile\": {:.1}, \"execute\": {:.1}}}, \
-             \"cache_hit_rate\": {:.4}}}",
-            self.offered_rps,
-            self.load_factor,
-            self.offered,
-            self.completed,
-            self.shed,
-            self.achieved_rps,
-            self.latency_ns[0],
-            self.latency_ns[1],
-            self.latency_ns[2],
-            self.latency_ns[3],
-            self.mean_queue_wait_ns,
-            self.mean_compile_ns,
-            self.mean_execute_ns,
-            self.cache_hit_rate,
-        )
+/// Latency percentiles `[p50, p90, p99, max]` as a summary's
+/// `latency_ns` object, in whole ns.
+pub fn latency_json(latency_ns: &[f64; 4]) -> Json {
+    let [p50, p90, p99, max] = latency_ns.map(|ns| Json::fixed(ns, 0));
+    Json::object([("p50", p50), ("p90", p90), ("p99", p99), ("max", max)])
+}
+
+/// One element of a serve summary's `sweep` array.
+impl From<&ServeLoadPoint> for Json {
+    fn from(p: &ServeLoadPoint) -> Json {
+        let breakdown = Json::object([
+            ("queue_wait", Json::fixed(p.mean_queue_wait_ns, 1)),
+            ("compile", Json::fixed(p.mean_compile_ns, 1)),
+            ("execute", Json::fixed(p.mean_execute_ns, 1)),
+        ]);
+        Json::object([
+            ("offered_rps", Json::fixed(p.offered_rps, 1)),
+            ("load_factor", Json::fixed(p.load_factor, 3)),
+            ("offered", p.offered.into()),
+            ("completed", p.completed.into()),
+            ("shed", p.shed.into()),
+            ("achieved_rps", Json::fixed(p.achieved_rps, 1)),
+            ("latency_ns", latency_json(&p.latency_ns)),
+            ("breakdown_ns", breakdown),
+            ("cache_hit_rate", Json::fixed(p.cache_hit_rate, 4)),
+        ])
     }
 }
 
-/// Renders a throughput-vs-offered-load sweep as an indented JSON array
-/// fragment (for embedding in the `BENCH_SERVE.json` summary).
-pub fn serve_sweep_json(points: &[ServeLoadPoint]) -> String {
-    let mut out = String::from("[\n");
-    for (i, point) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", point.to_json()));
-    }
-    out.push_str("  ]");
-    out
-}
-
-/// Per-architecture slice of a serving run: the schema-v3 breakdown
+/// Per-architecture slice of a serving run: the `per_arch` breakdown
 /// `serve_bench` reports for every architecture family a (possibly
 /// mixed) workload touched.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,169 +275,111 @@ impl ServeArchPoint {
             (self.batches - self.compiled) as f64 / self.batches as f64
         }
     }
+}
 
-    /// Renders the breakdown as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"arch\": \"{}\", \"requests\": {}, \"virtual_rps\": {:.1}, \
-             \"latency_ns\": {{\"p50\": {:.0}, \"p90\": {:.0}, \"p99\": {:.0}, \"max\": {:.0}}}, \
-             \"mean_execute_ns\": {:.1}, \"batches\": {}, \"compiled\": {}, \
-             \"batch_hit_rate\": {:.4}}}",
-            self.arch,
-            self.requests,
-            self.virtual_rps,
-            self.latency_ns[0],
-            self.latency_ns[1],
-            self.latency_ns[2],
-            self.latency_ns[3],
-            self.mean_execute_ns,
-            self.batches,
-            self.compiled,
-            self.batch_hit_rate(),
-        )
+/// One element of a serve summary's `per_arch` array.
+impl From<&ServeArchPoint> for Json {
+    fn from(p: &ServeArchPoint) -> Json {
+        Json::object([
+            ("arch", p.arch.as_str().into()),
+            ("requests", p.requests.into()),
+            ("virtual_rps", Json::fixed(p.virtual_rps, 1)),
+            ("latency_ns", latency_json(&p.latency_ns)),
+            ("mean_execute_ns", Json::fixed(p.mean_execute_ns, 1)),
+            ("batches", p.batches.into()),
+            ("compiled", p.compiled.into()),
+            ("batch_hit_rate", Json::fixed(p.batch_hit_rate(), 4)),
+        ])
     }
 }
 
-/// Renders the per-architecture breakdown as an indented JSON array
-/// fragment (for the schema-v3 `BENCH_SERVE.json` summary).
-pub fn serve_arch_json(points: &[ServeArchPoint]) -> String {
-    let mut out = String::from("[\n");
-    for (i, point) in points.iter().enumerate() {
-        let comma = if i + 1 < points.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", point.to_json()));
-    }
-    out.push_str("  ]");
-    out
+/// `summary` itself when it is a v6 serve summary.
+fn serve_summary(summary: &Json) -> Option<&Json> {
+    (summary.get("schema")?.as_str()? == SERVE_SUMMARY_SCHEMA).then_some(summary)
 }
 
-/// The headline of a `BENCH_SERVE.json` summary, tolerant across schema
-/// generations: v1/v2 summaries (no `arch` / `per_arch` fields) report
-/// their architecture as the implicit `virtual`, v3+ summaries carry it
-/// explicitly. Returns `None` when the document is not a serve summary
-/// at all.
-pub fn serve_summary_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
-    let mode = json_str_field(json, "mode").unwrap_or_else(|| "?".into());
-    let arch = json_str_field(json, "arch").unwrap_or_else(|| "virtual".into());
-    // Per-point first: an open-mode summary's only top-level count is
-    // `requests_per_point` (a bare `"requests"` match would find the
-    // per-architecture breakdown's field instead).
-    let requests = json_num_field(json, "requests_per_point")
-        .or_else(|| json_num_field(json, "requests"))
-        .unwrap_or(0.0);
+/// The number `section.key`, converted from ns to µs.
+fn us(section: &Json, key: &str) -> Option<f64> {
+    Some(section.get(key)?.as_f64()? / 1e3)
+}
+
+/// The headline of a v6 `BENCH_SERVE.json` summary: schema, mode,
+/// architecture and request count (per load point in open mode).
+/// Returns `None` for anything else, older serve summaries included.
+pub fn serve_summary_headline(summary: &Json) -> Option<String> {
+    let summary = serve_summary(summary)?;
+    let mode = summary.get("mode")?.as_str()?;
+    let requests = match mode {
+        "closed" => summary.get("requests")?,
+        _ => summary.get("requests_per_point")?,
+    };
     Some(format!(
-        "{schema}: mode={mode} arch={arch} requests={requests:.0}"
+        "{SERVE_SUMMARY_SCHEMA}: mode={mode} arch={} requests={:.0}",
+        summary.get("arch")?.as_str()?,
+        requests.as_f64()?
     ))
 }
 
-/// The stage-breakdown headline of a v4+ serve summary's `telemetry`
-/// section. Returns `None` for pre-telemetry summaries (v3 and older),
-/// which carry no `stage_*` keys — the caller just omits the line.
-pub fn serve_telemetry_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
-    let queue_wait = json_num_field(json, "stage_queue_wait_p50_ns")?;
-    let compile = json_num_field(json, "stage_compile_p50_ns")?;
-    let execute = json_num_field(json, "stage_execute_p50_ns")?;
-    let total_p99 = json_num_field(json, "stage_total_p99_ns")?;
-    let high_water = json_num_field(json, "queue_depth_high_water").unwrap_or(0.0);
-    let trace_digest = json_str_field(json, "trace_digest").unwrap_or_else(|| "?".into());
+/// The stage-breakdown headline of a v6 serve summary's `telemetry`
+/// section.
+pub fn serve_telemetry_headline(summary: &Json) -> Option<String> {
+    let t = serve_summary(summary)?.get("telemetry")?;
     Some(format!(
         "stages p50 queue_wait {:.1} us / compile {:.1} us / execute {:.1} us, \
-         total p99 {:.1} us, queue high-water {high_water:.0}, trace {trace_digest}",
-        queue_wait / 1e3,
-        compile / 1e3,
-        execute / 1e3,
-        total_p99 / 1e3,
+         total p99 {:.1} us, queue high-water {:.0}, trace {}",
+        us(t, "stage_queue_wait_p50_ns")?,
+        us(t, "stage_compile_p50_ns")?,
+        us(t, "stage_execute_p50_ns")?,
+        us(t, "stage_total_p99_ns")?,
+        t.get("queue_depth_high_water")?.as_f64()?,
+        t.get("trace_digest")?.as_str()?,
     ))
 }
 
-/// The scheduling-policy headline of a v5+ serve summary: the release
+/// The scheduling-policy headline of a v6 serve summary: the release
 /// policy the run served under, the planner's qubit budget when one was
-/// set, and — for open-mode summaries — the head-to-head
-/// `policy_compare` deltas at the capacity operating point. Returns
-/// `None` for v4-and-older summaries, which predate the
-/// `release_policy` field — the caller just omits the line.
-pub fn serve_policy_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
-    let policy = json_str_field(json, "release_policy")?;
+/// set, and — for bare open-mode summaries — the head-to-head
+/// `policy_compare` deltas at the capacity operating point.
+pub fn serve_policy_headline(summary: &Json) -> Option<String> {
+    let summary = serve_summary(summary)?;
+    let policy = summary.get("release_policy")?.as_str()?;
     let mut line = format!("release policy {policy}");
-    if let Some(budget) = json_num_field(json, "qubit_budget") {
-        if budget > 0.0 {
-            line.push_str(&format!(", qubit budget {budget:.0}"));
-        }
+    let budget = summary.get("qubit_budget")?.as_f64()?;
+    if budget > 0.0 {
+        line.push_str(&format!(", qubit budget {budget:.0}"));
     }
-    if let (Some(p50_oldest), Some(p50_affine)) = (
-        json_num_field(json, "p50_oldest_first_ns"),
-        json_num_field(json, "p50_cache_affine_ns"),
-    ) {
-        let compile_oldest = json_num_field(json, "mean_compile_oldest_first_ns").unwrap_or(0.0);
-        let compile_affine = json_num_field(json, "mean_compile_cache_affine_ns").unwrap_or(0.0);
+    if let Some(compare) = summary.get("policy_compare") {
         line.push_str(&format!(
             "; head-to-head at capacity: p50 {:.1} -> {:.1} us, mean compile {:.2} -> {:.2} us",
-            p50_oldest / 1e3,
-            p50_affine / 1e3,
-            compile_oldest / 1e3,
-            compile_affine / 1e3,
+            us(compare, "p50_oldest_first_ns")?,
+            us(compare, "p50_cache_affine_ns")?,
+            us(compare, "mean_compile_oldest_first_ns")?,
+            us(compare, "mean_compile_cache_affine_ns")?,
         ));
     }
     Some(line)
 }
 
-/// The fleet headline of a v6+ serve summary: shard count, front-door
+/// The fleet headline of a v6 serve summary: shard count, front-door
 /// shed policy, the door-to-completion latency percentiles (front-door
-/// wait included), and — when the summary carries the `slo_compare`
-/// head-to-head — the interactive p99 under each shed policy at the
-/// overload point. Returns `None` for bare (non-fleet) runs and
-/// pre-v6 summaries, which carry no `fleet_*` keys — the caller just
-/// omits the line.
-pub fn serve_fleet_headline(json: &str) -> Option<String> {
-    let schema = json_str_field(json, "schema")?;
-    if !schema.starts_with("qram-bench/serve-summary/") {
-        return None;
-    }
-    let shards = json_num_field(json, "fleet_shards")?;
-    let p50 = json_num_field(json, "fleet_p50_ns")?;
-    let p99 = json_num_field(json, "fleet_p99_ns")?;
-    let policy = json_str_field(json, "fleet_shed_policy").unwrap_or_else(|| "?".into());
-    let tenants = json_num_field(json, "fleet_tenants").unwrap_or(0.0);
-    let mut line = format!(
-        "{shards:.0} shards x {tenants:.0} tenants, shed policy {policy}, \
-         door-to-done p50 {:.1} us / p99 {:.1} us",
-        p50 / 1e3,
-        p99 / 1e3,
-    );
-    if let (Some(dp), Some(td)) = (
-        json_num_field(json, "interactive_p99_deadline_priority_ns"),
-        json_num_field(json, "interactive_p99_tail_drop_ns"),
-    ) {
-        line.push_str(&format!(
-            "; interactive p99 at overload: deadline-priority {:.1} vs tail-drop {:.1} us",
-            dp / 1e3,
-            td / 1e3,
-        ));
-    }
-    Some(line)
-}
-
-/// FNV-1a over a byte stream: the results digest `serve_bench` prints so
-/// CI can diff 1-worker vs N-worker runs for bit-equality without
-/// carrying the full result dump.
-pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// wait included), and the interactive p99 under each shed policy at
+/// the overload point (`slo_compare`). Returns `None` for bare
+/// (non-fleet) runs, which carry no `fleet` section.
+pub fn serve_fleet_headline(summary: &Json) -> Option<String> {
+    let summary = serve_summary(summary)?;
+    let fleet = summary.get("fleet")?;
+    let compare = summary.get("slo_compare")?;
+    Some(format!(
+        "{:.0} shards x {:.0} tenants, shed policy {}, door-to-done p50 {:.1} us / p99 {:.1} us; \
+         interactive p99 at overload: deadline-priority {:.1} vs tail-drop {:.1} us",
+        fleet.get("fleet_shards")?.as_f64()?,
+        fleet.get("fleet_tenants")?.as_f64()?,
+        fleet.get("fleet_shed_policy")?.as_str()?,
+        us(fleet, "fleet_p50_ns")?,
+        us(fleet, "fleet_p99_ns")?,
+        us(compare, "interactive_p99_deadline_priority_ns")?,
+        us(compare, "interactive_p99_tail_drop_ns")?,
+    ))
 }
 
 /// One benchmark whose mean regressed against a saved baseline snapshot.
@@ -601,36 +493,32 @@ pub fn write_baseline_snapshot(dir: &Path, records: &[BenchRecord]) -> std::io::
     }
     std::fs::create_dir_all(dir)?;
     for r in records {
-        let json = format!(
-            "{{\"name\":\"{}\",\"mean_ns\":{:.3},\"iters\":{}}}\n",
-            r.name.replace('\\', "\\\\").replace('"', "\\\""),
-            r.mean_ns,
-            r.iters
-        );
-        std::fs::write(dir.join(format!("{}.json", sanitize_label(&r.name))), json)?;
+        let file = dir.join(format!("{}.json", sanitize_label(&r.name)));
+        std::fs::write(file, r.json(3).compact() + "\n")?;
     }
     Ok(())
 }
 
-/// The checked-in regression baseline for the shot engine.
+/// The checked-in regression baseline for both parallel engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Baseline {
     /// Reference serial/sharded speedup on a multi-core runner.
     pub shot_engine_speedup: f64,
     /// Reference serial/chunked path-parallel speedup on a multi-core
-    /// runner. `None` for pre-v3 baselines that predate the path gate —
-    /// the path gate then skips instead of failing.
-    pub path_speedup: Option<f64>,
+    /// runner.
+    pub path_speedup: f64,
     /// Allowed relative regression (0.25 = fail below 75% of reference).
     pub tolerance: f64,
 }
 
-/// Parses `.github/bench-baseline.json`.
-pub fn parse_baseline(json: &str) -> Option<Baseline> {
+/// Parses `.github/bench-baseline.json`; every field is required.
+pub fn parse_baseline(text: &str) -> Option<Baseline> {
+    let json = Json::parse(text).ok()?;
+    let field = |key: &str| json.get(key)?.as_f64();
     Some(Baseline {
-        shot_engine_speedup: json_num_field(json, "shot_engine_speedup")?,
-        path_speedup: json_num_field(json, "path_speedup"),
-        tolerance: json_num_field(json, "tolerance").unwrap_or(0.25),
+        shot_engine_speedup: field("shot_engine_speedup")?,
+        path_speedup: field("path_speedup")?,
+        tolerance: field("tolerance")?,
     })
 }
 
@@ -657,73 +545,40 @@ pub enum GateOutcome {
     Skip(String),
 }
 
-/// Shared ratio check: measured speedup against `reference · (1 − tol)`,
-/// skipping on single-core machines where the parallel arm degenerates
-/// to the serial one.
-fn gate_ratio(
-    speedup: f64,
-    reference: f64,
-    tolerance: f64,
+impl GateOutcome {
+    /// `Pass` when `speedup` reaches `floor`, `Fail` below it.
+    fn judge(speedup: f64, floor: f64) -> GateOutcome {
+        if speedup >= floor {
+            GateOutcome::Pass { speedup, floor }
+        } else {
+            GateOutcome::Fail { speedup, floor }
+        }
+    }
+}
+
+/// Applies a ratio-based regression gate: the `measured` speedup must
+/// stay within the baseline's tolerance of the `reference` it picks out
+/// of the baseline. Skips gracefully with no baseline, no measured pair,
+/// or a single core.
+pub fn apply_gate(
+    measured: Option<&Speedup>,
+    baseline: Option<&Baseline>,
+    reference: fn(&Baseline) -> f64,
     threads_available: usize,
 ) -> GateOutcome {
+    let Some(baseline) = baseline else {
+        return GateOutcome::Skip("no checked-in baseline".into());
+    };
+    let Some(measured) = measured else {
+        return GateOutcome::Skip("no serial/parallel bench results".into());
+    };
     if threads_available < 2 {
         return GateOutcome::Skip(format!(
             "single-core machine ({threads_available} thread available): parallel speedup not observable"
         ));
     }
-    let floor = reference * (1.0 - tolerance);
-    if speedup >= floor {
-        GateOutcome::Pass { speedup, floor }
-    } else {
-        GateOutcome::Fail { speedup, floor }
-    }
-}
-
-/// Applies the ratio-based regression gate for the sharded shot engine.
-pub fn apply_gate(
-    shot_engine: Option<&ShotEngineSummary>,
-    baseline: Option<&Baseline>,
-    threads_available: usize,
-) -> GateOutcome {
-    let Some(baseline) = baseline else {
-        return GateOutcome::Skip("no checked-in baseline".into());
-    };
-    let Some(summary) = shot_engine else {
-        return GateOutcome::Skip("no shot_engine serial/sharded results".into());
-    };
-    gate_ratio(
-        summary.speedup,
-        baseline.shot_engine_speedup,
-        baseline.tolerance,
-        threads_available,
-    )
-}
-
-/// Applies the ratio-based regression gate for the path-parallel engine:
-/// `path_engine/serial` over `path_engine/chunked` must stay within
-/// tolerance of the baseline's `path_speedup`. Skips gracefully when the
-/// baseline predates the path gate, when no path-engine results exist,
-/// or on a single-core machine.
-pub fn apply_path_gate(
-    path_engine: Option<&PathEngineSummary>,
-    baseline: Option<&Baseline>,
-    threads_available: usize,
-) -> GateOutcome {
-    let Some(baseline) = baseline else {
-        return GateOutcome::Skip("no checked-in baseline".into());
-    };
-    let Some(reference) = baseline.path_speedup else {
-        return GateOutcome::Skip("baseline has no path_speedup reference".into());
-    };
-    let Some(summary) = path_engine else {
-        return GateOutcome::Skip("no path_engine serial/chunked results".into());
-    };
-    gate_ratio(
-        summary.speedup,
-        reference,
-        baseline.tolerance,
-        threads_available,
-    )
+    let floor = reference(baseline) * (1.0 - baseline.tolerance);
+    GateOutcome::judge(measured.speedup, floor)
 }
 
 /// Applies the fleet SLO gate over a serve summary's `slo_compare`
@@ -731,19 +586,21 @@ pub fn apply_path_gate(
 /// on interactive p99 at the overload point — the whole reason the
 /// front door exists. The reported "speedup" is
 /// `tail_drop_p99 / deadline_priority_p99` against a floor of 1.0, so
-/// equality (e.g. a sweep that never shed) passes. Skips gracefully on
-/// bare (non-fleet) runs, pre-v6 summaries, and sweeps that completed
-/// no interactive requests.
-pub fn apply_fleet_slo_gate(summary_json: Option<&str>) -> GateOutcome {
-    let Some(json) = summary_json else {
+/// equality (e.g. a sweep that never shed) passes. Skips gracefully
+/// without a summary, on anything but a v6 serve summary, on bare
+/// (non-fleet) runs, and on sweeps that completed no interactive
+/// requests.
+pub fn apply_fleet_slo_gate(summary: Option<&Json>) -> GateOutcome {
+    let Some(summary) = summary else {
         return GateOutcome::Skip("no BENCH_SERVE.json".into());
     };
-    if serve_summary_headline(json).is_none() {
+    let Some(summary) = serve_summary(summary) else {
         return GateOutcome::Skip("not a recognized serve summary".into());
-    }
+    };
+    let p99 = |key: &str| summary.get("slo_compare")?.get(key)?.as_f64();
     let (Some(dp), Some(td)) = (
-        json_num_field(json, "interactive_p99_deadline_priority_ns"),
-        json_num_field(json, "interactive_p99_tail_drop_ns"),
+        p99("interactive_p99_deadline_priority_ns"),
+        p99("interactive_p99_tail_drop_ns"),
     ) else {
         return GateOutcome::Skip(
             "summary has no fleet slo_compare section (bare serve run)".into(),
@@ -752,13 +609,7 @@ pub fn apply_fleet_slo_gate(summary_json: Option<&str>) -> GateOutcome {
     if dp <= 0.0 || td <= 0.0 {
         return GateOutcome::Skip("slo_compare completed no interactive requests".into());
     }
-    let speedup = td / dp;
-    let floor = 1.0;
-    if speedup >= floor {
-        GateOutcome::Pass { speedup, floor }
-    } else {
-        GateOutcome::Fail { speedup, floor }
-    }
+    GateOutcome::judge(td / dp, 1.0)
 }
 
 #[cfg(test)]
@@ -788,114 +639,132 @@ mod tests {
         assert!(parse_record("{}").is_none());
     }
 
+    fn rec(name: &str, mean_ns: f64, iters: u64) -> BenchRecord {
+        let name = name.to_string();
+        BenchRecord {
+            name,
+            mean_ns,
+            iters,
+        }
+    }
+
     fn records() -> Vec<BenchRecord> {
         vec![
-            BenchRecord {
-                name: "shot_engine/serial".into(),
-                mean_ns: 4000.0,
-                iters: 10,
-            },
-            BenchRecord {
-                name: "shot_engine/sharded".into(),
-                mean_ns: 1000.0,
-                iters: 10,
-            },
-            BenchRecord {
-                name: "path_engine/serial".into(),
-                mean_ns: 6000.0,
-                iters: 10,
-            },
-            BenchRecord {
-                name: "path_engine/chunked".into(),
-                mean_ns: 2000.0,
-                iters: 10,
-            },
+            rec("shot_engine/serial", 4000.0, 10),
+            rec("shot_engine/sharded", 1000.0, 10),
+            rec("path_engine/serial", 6000.0, 10),
+            rec("path_engine/chunked", 2000.0, 10),
         ]
     }
 
+    const BASELINE: Baseline = Baseline {
+        shot_engine_speedup: 2.0,
+        path_speedup: 1.6,
+        tolerance: 0.25,
+    };
+
     #[test]
     fn shot_engine_speedup_is_serial_over_sharded() {
-        let s = shot_engine_summary(&records()).unwrap();
-        assert_eq!(s.speedup, 4.0);
-        assert!(shot_engine_summary(&records()[..1]).is_none());
+        let s = speedup(&records(), "shot_engine", "sharded").unwrap();
+        assert_eq!(
+            (s.serial_ns, s.parallel_ns, s.speedup),
+            (4000.0, 1000.0, 4.0)
+        );
+        assert!(speedup(&records()[..1], "shot_engine", "sharded").is_none());
     }
 
     #[test]
     fn path_engine_speedup_is_serial_over_chunked() {
-        let p = path_engine_summary(&records()).unwrap();
+        let p = speedup(&records(), "path_engine", "chunked").unwrap();
         assert_eq!(p.speedup, 3.0);
         // Shot-engine records alone don't produce a path summary.
-        assert!(path_engine_summary(&records()[..2]).is_none());
+        assert!(speedup(&records()[..2], "path_engine", "chunked").is_none());
     }
 
     #[test]
     fn summary_json_is_parseable_by_own_helpers() {
         let recs = records();
-        let s = shot_engine_summary(&recs);
-        let p = path_engine_summary(&recs);
-        let json = summary_json(&recs, s.as_ref(), p.as_ref(), 8);
-        assert_eq!(json_num_field(&json, "threads_available"), Some(8.0));
-        assert_eq!(json_num_field(&json, "speedup"), Some(4.0));
-        assert!(json.contains("\"path_speedup\": {\"serial_ns\": 6000.0"));
-        assert!(json.contains("\"name\": \"shot_engine/serial\""));
+        let s = speedup(&recs, "shot_engine", "sharded");
+        let p = speedup(&recs, "path_engine", "chunked");
+        let json = Json::parse(&summary_json(&recs, s.as_ref(), p.as_ref(), 8).pretty()).unwrap();
+        let text = |key: &str| json.get(key).map(Json::compact);
+        let schema = json.get("schema").and_then(Json::as_str);
+        assert_eq!(schema, Some(BENCH_SUMMARY_SCHEMA));
+        assert_eq!(text("threads_available").as_deref(), Some("8"));
+        let shot = r#"{"serial_ns":4000.0,"sharded_ns":1000.0,"speedup":4.000}"#;
+        assert_eq!(text("shot_engine").as_deref(), Some(shot));
+        let path = r#"{"serial_ns":6000.0,"chunked_ns":2000.0,"speedup":3.000}"#;
+        assert_eq!(text("path_speedup").as_deref(), Some(path));
+        let Some(Json::Array(benches)) = json.get("benches") else {
+            panic!("the summary has no benches array")
+        };
+        let parsed: Vec<_> = benches
+            .iter()
+            .filter_map(|b| parse_record(&b.compact()))
+            .collect();
+        assert_eq!(parsed, recs);
         // Absent sections render as explicit nulls.
-        let empty = summary_json(&[], None, None, 1);
-        assert!(empty.contains("\"shot_engine\": null"));
-        assert!(empty.contains("\"path_speedup\": null"));
+        let empty = summary_json(&[], None, None, 8);
+        assert_eq!(empty.get("shot_engine"), Some(&Json::Null));
+        assert_eq!(empty.get("path_speedup"), Some(&Json::Null));
     }
 
     #[test]
-    fn baseline_parses_with_default_tolerance() {
-        let b = parse_baseline("{\"shot_engine_speedup\": 2.0}").unwrap();
-        assert_eq!(b.shot_engine_speedup, 2.0);
-        assert_eq!(b.path_speedup, None);
-        assert_eq!(b.tolerance, 0.25);
-        let b = parse_baseline(
-            "{\"shot_engine_speedup\": 3.0, \"path_speedup\": 1.6, \"tolerance\": 0.1}",
-        )
-        .unwrap();
-        assert_eq!(b.path_speedup, Some(1.6));
-        assert_eq!(b.tolerance, 0.1);
+    fn speedups_measured_on_one_core_are_null() {
+        let recs = records();
+        let s = speedup(&recs, "shot_engine", "sharded");
+        let p = speedup(&recs, "path_engine", "chunked");
+        let json = summary_json(&recs, s.as_ref(), p.as_ref(), 1);
+        let shot = r#"{"serial_ns":4000.0,"sharded_ns":1000.0,"speedup":null}"#;
+        assert_eq!(
+            json.get("shot_engine").map(Json::compact).as_deref(),
+            Some(shot)
+        );
+        let path = r#"{"serial_ns":6000.0,"chunked_ns":2000.0,"speedup":null}"#;
+        assert_eq!(
+            json.get("path_speedup").map(Json::compact).as_deref(),
+            Some(path)
+        );
+    }
+
+    #[test]
+    fn baseline_parses_strictly() {
+        let full = r#"{"shot_engine_speedup": 2.0, "path_speedup": 1.6, "tolerance": 0.25}"#;
+        assert_eq!(parse_baseline(full), Some(BASELINE));
+        // No field has a default any more.
+        assert!(parse_baseline(r#"{"shot_engine_speedup": 2.0, "path_speedup": 1.6}"#).is_none());
+        assert!(parse_baseline(r#"{"shot_engine_speedup": 2.0, "tolerance": 0.25}"#).is_none());
         assert!(parse_baseline("{}").is_none());
     }
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_below() {
-        let recs = records();
-        let summary = shot_engine_summary(&recs);
-        let baseline = Baseline {
-            shot_engine_speedup: 2.0,
-            path_speedup: None,
-            tolerance: 0.25,
-        };
-        match apply_gate(summary.as_ref(), Some(&baseline), 8) {
-            GateOutcome::Pass { speedup, floor } => {
-                assert_eq!(speedup, 4.0);
-                assert_eq!(floor, 1.5);
-            }
-            other => panic!("expected pass, got {other:?}"),
-        }
+        let summary = speedup(&records(), "shot_engine", "sharded");
+        let outcome = apply_gate(
+            summary.as_ref(),
+            Some(&BASELINE),
+            |b| b.shot_engine_speedup,
+            8,
+        );
+        let (speedup, floor) = (4.0, 1.5);
+        assert_eq!(outcome, GateOutcome::Pass { speedup, floor });
         let tight = Baseline {
             shot_engine_speedup: 8.0,
-            path_speedup: None,
-            tolerance: 0.25,
+            ..BASELINE
         };
         assert!(matches!(
-            apply_gate(summary.as_ref(), Some(&tight), 8),
+            apply_gate(summary.as_ref(), Some(&tight), |b| b.shot_engine_speedup, 8),
             GateOutcome::Fail { .. }
         ));
     }
 
     #[test]
     fn path_gate_mirrors_the_shot_gate() {
-        let recs = records();
-        let summary = path_engine_summary(&recs);
-        let baseline = Baseline {
-            shot_engine_speedup: 2.0,
-            path_speedup: Some(1.6),
-            tolerance: 0.25,
+        let summary = speedup(&records(), "path_engine", "chunked");
+        let gate = |baseline: &Baseline| {
+            apply_gate(summary.as_ref(), Some(baseline), |b| b.path_speedup, 8)
         };
-        match apply_path_gate(summary.as_ref(), Some(&baseline), 8) {
+        match gate(&BASELINE) {
             GateOutcome::Pass { speedup, floor } => {
                 assert_eq!(speedup, 3.0);
                 assert!((floor - 1.2).abs() < 1e-12);
@@ -903,34 +772,10 @@ mod tests {
             other => panic!("expected pass, got {other:?}"),
         }
         let tight = Baseline {
-            path_speedup: Some(8.0),
-            ..baseline
+            path_speedup: 8.0,
+            ..BASELINE
         };
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&tight), 8),
-            GateOutcome::Fail { .. }
-        ));
-        // Skips: pre-v3 baseline (no reference), no results, single core.
-        let legacy = Baseline {
-            path_speedup: None,
-            ..baseline
-        };
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&legacy), 8),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(
-            apply_path_gate(None, Some(&baseline), 8),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), Some(&baseline), 1),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(
-            apply_path_gate(summary.as_ref(), None, 8),
-            GateOutcome::Skip(_)
-        ));
+        assert!(matches!(gate(&tight), GateOutcome::Fail { .. }));
     }
 
     #[test]
@@ -958,13 +803,9 @@ mod tests {
             mean_execute_ns: 300.0,
             cache_hit_rate: 0.9375,
         };
-        let json = serve_sweep_json(&[point.clone(), point]);
-        assert_eq!(json_num_field(&json, "load_factor"), Some(2.0));
-        assert_eq!(json_num_field(&json, "shed"), Some(112.0));
-        assert_eq!(json_num_field(&json, "p99"), Some(9_000.0));
-        assert_eq!(json_num_field(&json, "queue_wait"), Some(700.2));
-        assert_eq!(json.matches("achieved_rps").count(), 2);
-        assert!(serve_sweep_json(&[]).starts_with("[\n"));
+        let json = Json::parse(&Json::from(&point).pretty()).unwrap();
+        let expected = r#"{"offered_rps":1000.0,"load_factor":2.000,"offered":512,"completed":400,"shed":112,"achieved_rps":500.5,"latency_ns":{"p50":1000,"p90":2000,"p99":9000,"max":12000},"breakdown_ns":{"queue_wait":700.2,"compile":12.5,"execute":300.0},"cache_hit_rate":0.9375}"#;
+        assert_eq!(json.compact(), expected);
     }
 
     #[test]
@@ -979,13 +820,9 @@ mod tests {
             compiled: 2,
         };
         assert!((point.batch_hit_rate() - 0.75).abs() < 1e-12);
-        let json = serve_arch_json(std::slice::from_ref(&point));
-        assert_eq!(
-            json_str_field(&json, "arch").as_deref(),
-            Some("bucket_brigade")
-        );
-        assert_eq!(json_num_field(&json, "requests"), Some(128.0));
-        assert_eq!(json_num_field(&json, "batch_hit_rate"), Some(0.75));
+        let json = Json::parse(&Json::from(&point).pretty()).unwrap();
+        let expected = r#"{"arch":"bucket_brigade","requests":128,"virtual_rps":2500.0,"latency_ns":{"p50":1000,"p90":2000,"p99":4000,"max":5000},"mean_execute_ns":750.5,"batches":8,"compiled":2,"batch_hit_rate":0.7500}"#;
+        assert_eq!(json.compact(), expected);
         // No batches → defined hit rate of 0, not NaN.
         let idle = ServeArchPoint {
             batches: 0,
@@ -993,179 +830,147 @@ mod tests {
             ..point
         };
         assert_eq!(idle.batch_hit_rate(), 0.0);
-        assert!(serve_arch_json(&[]).starts_with("[\n"));
+    }
+
+    /// The JSON object `members` with `schema` as its first member.
+    fn summary(schema: &str, members: &str) -> Json {
+        let Ok(Json::Object(members)) = Json::parse(members) else {
+            panic!("a summary fixture is an object")
+        };
+        Json::object(std::iter::once(("schema".to_string(), schema.into())).chain(members))
+    }
+
+    fn v6(members: &str) -> Json {
+        summary(SERVE_SUMMARY_SCHEMA, members)
+    }
+
+    const CLOSED: &str = r#"{"mode": "closed", "arch": "mix", "requests": 256,
+        "requests_per_point": 9, "release_policy": "oldest-first", "qubit_budget": 0}"#;
+
+    fn open_v6() -> Json {
+        v6(
+            r#"{"mode": "open", "arch": "virtual", "requests_per_point": 64,
+            "release_policy": "cache-affine", "qubit_budget": 64,
+            "policy_compare": {"p50_oldest_first_ns": 34303, "p50_cache_affine_ns": 33150,
+            "mean_compile_oldest_first_ns": 4336.5, "mean_compile_cache_affine_ns": 4090.2}}"#,
+        )
+    }
+
+    /// The same closed-mode members under older serve and bench schemas.
+    fn older_schemas() -> impl Iterator<Item = (&'static str, Json)> {
+        ["serve-summary/v5", "serve-summary/v2", "bench-summary/v3"]
+            .into_iter()
+            .map(|schema| (schema, summary(&format!("qram-bench/{schema}"), CLOSED)))
     }
 
     #[test]
-    fn serve_summary_headline_tolerates_old_and_new_schemas() {
-        // v2 (pre-ArchSpec): no `arch` key — reported as virtual.
-        let v2 = "{\"schema\": \"qram-bench/serve-summary/v2\", \"mode\": \"closed\", \
-                  \"requests\": 256}";
+    fn serve_summary_headline_reads_only_v6_summaries() {
         assert_eq!(
-            serve_summary_headline(v2).unwrap(),
-            "qram-bench/serve-summary/v2: mode=closed arch=virtual requests=256"
+            serve_summary_headline(&v6(CLOSED)).unwrap(),
+            "qram-bench/serve-summary/v6: mode=closed arch=mix requests=256"
         );
-        // v3: explicit arch, open mode counts per point.
-        let v3 = "{\"schema\": \"qram-bench/serve-summary/v3\", \"mode\": \"open\", \
-                  \"arch\": \"mix\", \"requests_per_point\": 64}";
+        // Open mode counts requests per load point.
         assert_eq!(
-            serve_summary_headline(v3).unwrap(),
-            "qram-bench/serve-summary/v3: mode=open arch=mix requests=64"
+            serve_summary_headline(&open_v6()).unwrap(),
+            "qram-bench/serve-summary/v6: mode=open arch=virtual requests=64"
         );
-        // Not a serve summary at all.
-        assert!(serve_summary_headline("{\"schema\": \"qram-bench/bench-summary/v2\"}").is_none());
-        assert!(serve_summary_headline("{}").is_none());
+        // Older serve summaries and other documents are not recognized.
+        for (schema, old) in older_schemas() {
+            assert!(serve_summary_headline(&old).is_none(), "{schema}");
+            let gate = apply_fleet_slo_gate(Some(&old));
+            assert!(matches!(gate, GateOutcome::Skip(_)), "{schema}");
+        }
+        assert!(serve_summary_headline(&Json::Null).is_none());
     }
 
     #[test]
-    fn serve_policy_headline_tolerates_v4_and_v5() {
-        // v4: predates `release_policy` — no policy line, but the
-        // summary headline itself still renders.
-        let v4 = "{\"schema\": \"qram-bench/serve-summary/v4\", \"mode\": \"closed\", \
-                  \"arch\": \"virtual\", \"requests\": 256}";
-        assert!(serve_policy_headline(v4).is_none());
-        assert!(serve_summary_headline(v4).is_some());
-
-        // v5 closed: policy alone (no compare block, unlimited budget).
-        let v5_closed = "{\"schema\": \"qram-bench/serve-summary/v5\", \"mode\": \"closed\", \
-                         \"release_policy\": \"oldest-first\", \"qubit_budget\": 0}";
+    fn serve_policy_headline_reads_only_v6_summaries() {
+        // Closed: policy alone (no compare block, unlimited budget).
         assert_eq!(
-            serve_policy_headline(v5_closed).unwrap(),
+            serve_policy_headline(&v6(CLOSED)).unwrap(),
             "release policy oldest-first"
         );
-
-        // v5 open: budget plus the head-to-head deltas.
-        let v5_open = "{\"schema\": \"qram-bench/serve-summary/v5\", \"mode\": \"open\", \
-                       \"release_policy\": \"cache-affine\", \"qubit_budget\": 64, \
-                       \"policy_compare\": {\"compare_load\": 1.00, \
-                       \"p50_oldest_first_ns\": 34303, \"p99_oldest_first_ns\": 60000, \
-                       \"mean_compile_oldest_first_ns\": 4336.5, \
-                       \"p50_cache_affine_ns\": 33150, \"p99_cache_affine_ns\": 59000, \
-                       \"mean_compile_cache_affine_ns\": 4090.2}}";
+        // Open: budget plus the head-to-head deltas.
         assert_eq!(
-            serve_policy_headline(v5_open).unwrap(),
+            serve_policy_headline(&open_v6()).unwrap(),
             "release policy cache-affine, qubit budget 64; head-to-head at capacity: \
              p50 34.3 -> 33.1 us, mean compile 4.34 -> 4.09 us"
         );
-
-        // Not a serve summary at all.
-        assert!(serve_policy_headline("{\"schema\": \"qram-bench/bench-summary/v2\"}").is_none());
+        for (schema, old) in older_schemas() {
+            assert!(serve_policy_headline(&old).is_none(), "{schema}");
+        }
+        assert!(serve_policy_headline(&Json::Null).is_none());
     }
 
     #[test]
     fn serve_fleet_headline_tolerates_bare_and_fleet_summaries() {
-        // Bare (non-fleet) v6 open run: no fleet_* keys, no fleet line.
-        let bare = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
-                    \"release_policy\": \"oldest-first\"}";
-        assert!(serve_fleet_headline(bare).is_none());
-        assert!(serve_summary_headline(bare).is_some());
+        // Bare (non-fleet) v6 open run: no fleet section, no fleet line.
+        let bare = v6(r#"{"mode": "open", "arch": "mix", "requests_per_point": 64}"#);
+        assert!(serve_fleet_headline(&bare).is_none());
+        assert!(serve_summary_headline(&bare).is_some());
 
         // Fleet v6 run with the slo_compare head-to-head.
-        let fleet = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
-                     \"fleet\": {\"fleet_shards\": 4, \"fleet_tenants\": 3, \
-                     \"fleet_shed_policy\": \"deadline-priority\", \
-                     \"fleet_p50_ns\": 11400, \"fleet_p99_ns\": 140700}, \
-                     \"slo_compare\": {\"interactive_p99_deadline_priority_ns\": 206400, \
-                     \"interactive_p99_tail_drop_ns\": 258900}}";
+        let fleet = v6(r#"{"mode": "open",
+            "fleet": {"fleet_shards": 4, "fleet_tenants": 3,
+            "fleet_shed_policy": "deadline-priority", "fleet_p50_ns": 11400, "fleet_p99_ns": 140700},
+            "slo_compare": {"interactive_p99_deadline_priority_ns": 206400,
+            "interactive_p99_tail_drop_ns": 258900}}"#);
         assert_eq!(
-            serve_fleet_headline(fleet).unwrap(),
+            serve_fleet_headline(&fleet).unwrap(),
             "4 shards x 3 tenants, shed policy deadline-priority, \
              door-to-done p50 11.4 us / p99 140.7 us; \
              interactive p99 at overload: deadline-priority 206.4 vs tail-drop 258.9 us"
         );
-
-        // Not a serve summary at all.
-        assert!(serve_fleet_headline("{\"schema\": \"qram-bench/bench-summary/v2\"}").is_none());
     }
 
     #[test]
     fn fleet_slo_gate_passes_ties_fails_regressions_and_skips_bare_runs() {
+        let compare = |dp: u64, td: u64| {
+            let p99 = [
+                ("interactive_p99_deadline_priority_ns", dp.into()),
+                ("interactive_p99_tail_drop_ns", td.into()),
+            ];
+            Json::object([
+                ("schema", SERVE_SUMMARY_SCHEMA.into()),
+                ("slo_compare", Json::object(p99)),
+            ])
+        };
         // Deadline-priority wins: pass, ratio above 1.
-        let win = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
-                   \"interactive_p99_deadline_priority_ns\": 200000, \
-                   \"interactive_p99_tail_drop_ns\": 250000}";
-        match apply_fleet_slo_gate(Some(win)) {
+        match apply_fleet_slo_gate(Some(&compare(200_000, 250_000))) {
             GateOutcome::Pass { speedup, floor } => {
                 assert!(speedup > 1.2 && speedup < 1.3);
                 assert_eq!(floor, 1.0);
             }
             other => panic!("expected pass, got {other:?}"),
         }
-
         // A tie (nothing shed at the compare point) still passes.
-        let tie = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
-                   \"interactive_p99_deadline_priority_ns\": 151467, \
-                   \"interactive_p99_tail_drop_ns\": 151467}";
         assert!(matches!(
-            apply_fleet_slo_gate(Some(tie)),
+            apply_fleet_slo_gate(Some(&compare(151_467, 151_467))),
             GateOutcome::Pass { .. }
         ));
-
         // Deadline-priority losing to tail-drop is a regression.
-        let lose = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\", \
-                    \"interactive_p99_deadline_priority_ns\": 260000, \
-                    \"interactive_p99_tail_drop_ns\": 250000}";
         assert!(matches!(
-            apply_fleet_slo_gate(Some(lose)),
+            apply_fleet_slo_gate(Some(&compare(260_000, 250_000))),
             GateOutcome::Fail { .. }
         ));
-
         // Bare runs, foreign documents, and a missing summary all skip.
-        let bare = "{\"schema\": \"qram-bench/serve-summary/v6\", \"mode\": \"open\"}";
-        assert!(matches!(
-            apply_fleet_slo_gate(Some(bare)),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(
-            apply_fleet_slo_gate(Some("{\"schema\": \"qram-bench/bench-summary/v2\"}")),
-            GateOutcome::Skip(_)
-        ));
-        assert!(matches!(apply_fleet_slo_gate(None), GateOutcome::Skip(_)));
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_order_sensitive() {
-        // Reference vectors for 64-bit FNV-1a.
-        assert_eq!(fnv1a_64([]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(*b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a_64(*b"ab"), fnv1a_64(*b"ba"));
+        let skips =
+            |summary: Option<&Json>| matches!(apply_fleet_slo_gate(summary), GateOutcome::Skip(_));
+        assert!(skips(Some(&v6(r#"{"mode": "open"}"#))));
+        assert!(skips(Some(&Json::Null)) && skips(None));
     }
 
     #[test]
     fn absolute_comparison_flags_only_regressions_beyond_tolerance() {
         let current = vec![
-            BenchRecord {
-                name: "a".into(),
-                mean_ns: 1600.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "b".into(),
-                mean_ns: 1100.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "new_bench".into(),
-                mean_ns: 9999.0,
-                iters: 1,
-            },
+            rec("a", 1600.0, 1),
+            rec("b", 1100.0, 1),
+            rec("new_bench", 9999.0, 1),
         ];
         let baseline = vec![
-            BenchRecord {
-                name: "a".into(),
-                mean_ns: 1000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "b".into(),
-                mean_ns: 1000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "removed".into(),
-                mean_ns: 1.0,
-                iters: 1,
-            },
+            rec("a", 1000.0, 1),
+            rec("b", 1000.0, 1),
+            rec("removed", 1.0, 1),
         ];
         let regs = compare_against_baseline(&current, &baseline, 0.5);
         // `a` regressed 1.6x > 1.5x; `b` (1.1x) is within tolerance;
@@ -1180,39 +985,11 @@ mod tests {
     #[test]
     fn absolute_comparison_sorts_worst_first_and_skips_zero_baselines() {
         let current = vec![
-            BenchRecord {
-                name: "x".into(),
-                mean_ns: 2000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "y".into(),
-                mean_ns: 3000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "z".into(),
-                mean_ns: 5000.0,
-                iters: 1,
-            },
+            rec("x", 2000.0, 1),
+            rec("y", 3000.0, 1),
+            rec("z", 5000.0, 1),
         ];
-        let baseline = vec![
-            BenchRecord {
-                name: "x".into(),
-                mean_ns: 1000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "y".into(),
-                mean_ns: 1000.0,
-                iters: 1,
-            },
-            BenchRecord {
-                name: "z".into(),
-                mean_ns: 0.0,
-                iters: 1,
-            },
-        ];
+        let baseline = vec![rec("x", 1000.0, 1), rec("y", 1000.0, 1), rec("z", 0.0, 1)];
         let regs = compare_against_baseline(&current, &baseline, 0.25);
         assert_eq!(
             regs.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
@@ -1223,38 +1000,14 @@ mod tests {
     #[test]
     fn baseline_merge_ratchets_on_the_minimum() {
         let current = vec![
-            BenchRecord {
-                name: "drifted".into(),
-                mean_ns: 140.0,
-                iters: 5,
-            },
-            BenchRecord {
-                name: "improved".into(),
-                mean_ns: 80.0,
-                iters: 5,
-            },
-            BenchRecord {
-                name: "brand_new".into(),
-                mean_ns: 500.0,
-                iters: 5,
-            },
+            rec("drifted", 140.0, 5),
+            rec("improved", 80.0, 5),
+            rec("brand_new", 500.0, 5),
         ];
         let baseline = vec![
-            BenchRecord {
-                name: "drifted".into(),
-                mean_ns: 100.0,
-                iters: 9,
-            },
-            BenchRecord {
-                name: "improved".into(),
-                mean_ns: 100.0,
-                iters: 9,
-            },
-            BenchRecord {
-                name: "removed".into(),
-                mean_ns: 1.0,
-                iters: 9,
-            },
+            rec("drifted", 100.0, 9),
+            rec("improved", 100.0, 9),
+            rec("removed", 1.0, 9),
         ];
         let merged = merge_baseline_records(&current, &baseline);
         let mean = |name: &str| merged.iter().find(|r| r.name == name).map(|r| r.mean_ns);
@@ -1271,19 +1024,14 @@ mod tests {
     fn snapshot_round_trips_through_load_records() {
         let dir =
             std::env::temp_dir().join(format!("qram-bench-snapshot-test-{}", std::process::id()));
-        let records = vec![
-            BenchRecord {
-                name: "group/bench m=4".into(),
-                mean_ns: 1234.5,
-                iters: 42,
-            },
-            BenchRecord {
-                name: "plain".into(),
-                mean_ns: 7.0,
-                iters: 1,
-            },
-        ];
+        let records = vec![rec("group/bench m=4", 1234.5, 42), rec("plain", 7.0, 1)];
         write_baseline_snapshot(&dir, &records).unwrap();
+        // The criterion stub's `--baseline` compare reads these files
+        // back by the literal text `"mean_ns":` — compact, as it writes.
+        assert_eq!(
+            std::fs::read_to_string(dir.join("plain.json")).unwrap(),
+            "{\"name\":\"plain\",\"mean_ns\":7.000,\"iters\":1}\n"
+        );
         // Overwriting replaces stale files rather than accumulating.
         write_baseline_snapshot(&dir, &records[..1]).unwrap();
         let loaded = load_records(&dir);
@@ -1294,27 +1042,55 @@ mod tests {
 
     #[test]
     fn gate_skips_gracefully() {
-        let recs = records();
-        let summary = shot_engine_summary(&recs);
-        let baseline = Baseline {
-            shot_engine_speedup: 2.0,
-            path_speedup: None,
-            tolerance: 0.25,
+        let summary = speedup(&records(), "shot_engine", "sharded");
+        let skips = |summary: Option<&Speedup>, baseline: Option<&Baseline>, threads| {
+            let outcome = apply_gate(summary, baseline, |b| b.shot_engine_speedup, threads);
+            matches!(outcome, GateOutcome::Skip(_))
         };
-        // No baseline checked in.
-        assert!(matches!(
-            apply_gate(summary.as_ref(), None, 8),
-            GateOutcome::Skip(_)
-        ));
-        // No shot-engine results.
-        assert!(matches!(
-            apply_gate(None, Some(&baseline), 8),
-            GateOutcome::Skip(_)
-        ));
-        // Single-core machine: speedup physically unobservable.
-        assert!(matches!(
-            apply_gate(summary.as_ref(), Some(&baseline), 1),
-            GateOutcome::Skip(_)
-        ));
+        // No checked-in baseline; no results; a single core, where the
+        // speedup is physically unobservable.
+        assert!(skips(summary.as_ref(), None, 8));
+        assert!(skips(None, Some(&BASELINE), 8));
+        assert!(skips(summary.as_ref(), Some(&BASELINE), 1));
+    }
+
+    #[test]
+    fn checked_in_artifacts_parse_and_pin_their_headlines() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |file: &str| std::fs::read_to_string(root.join(file)).unwrap();
+        let serve = Json::parse(&read("BENCH_SERVE.json")).unwrap();
+        let headlines = [
+            serve_summary_headline(&serve),
+            serve_telemetry_headline(&serve),
+            serve_policy_headline(&serve),
+            serve_fleet_headline(&serve),
+        ];
+        let expected = [
+            "qram-bench/serve-summary/v6: mode=open arch=mix requests=350000",
+            "stages p50 queue_wait 135.2 us / compile 0.0 us / execute 5.4 us, total p99 233.5 us, \
+             queue high-water 64, trace 097a9dc738ad283b",
+            "release policy oldest-first",
+            "4 shards x 3 tenants, shed policy deadline-priority, door-to-done p50 148.7 us / \
+             p99 4229.9 us; interactive p99 at overload: deadline-priority 254.9 vs tail-drop 2697.0 us",
+        ];
+        assert_eq!(headlines, expected.map(|line| Some(line.to_string())));
+        match apply_fleet_slo_gate(Some(&serve)) {
+            GateOutcome::Pass { speedup, .. } => assert_eq!(format!("{speedup:.2}"), "10.58"),
+            other => panic!("expected pass, got {other:?}"),
+        }
+
+        // Both generated artifacts are exactly what the writer makes of
+        // their parsed values.
+        for file in ["BENCH_SERVE.json", "BENCH_2.json"] {
+            assert_eq!(Json::parse(&read(file)).unwrap().pretty(), read(file));
+        }
+        let bench = Json::parse(&read("BENCH_2.json")).unwrap();
+        let one_core = bench.get("threads_available").and_then(Json::as_u64) < Some(2);
+        for section in ["shot_engine", "path_speedup"] {
+            let speedup = bench.get(section).and_then(|s| s.get("speedup"));
+            assert_eq!(speedup == Some(&Json::Null), one_core, "{section}");
+        }
+        let baseline = read(".github/bench-baseline.json");
+        assert_eq!(parse_baseline(&baseline), Some(BASELINE));
     }
 }

@@ -3,7 +3,7 @@
 //! nearest-rank `report::percentile` over bucket-floor-quantized
 //! samples. The serve summary quotes latency percentiles from both
 //! paths (raw results via `report::percentile`, telemetry via the
-//! histogram), so a drift between the two would make the v4 summary
+//! histogram), so a drift between the two would make the serve summary
 //! self-inconsistent.
 
 use qram_bench::report::percentile;

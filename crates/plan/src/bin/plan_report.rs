@@ -53,7 +53,7 @@ fn main() {
         }
     }
 
-    let report = frontier_json(width, qubit_budget, CostModel::default(), shots);
+    let report = frontier_json(width, qubit_budget, CostModel::default(), shots).pretty();
     print!("{report}");
     if let Some(path) = out {
         std::fs::write(&path, &report)

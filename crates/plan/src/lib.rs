@@ -33,7 +33,7 @@
 
 use qram_core::{ArchSpec, Memory};
 use qram_service::{Compiler, CostModel, Ticks};
-use qram_telemetry::fnv1a_64;
+use qram_telemetry::{fnv1a_64, Json};
 
 /// Schema identifier stamped into every [`frontier_json`] report.
 pub const FRONTIER_SCHEMA: &str = "qram-plan/frontier/v1";
@@ -195,8 +195,8 @@ pub fn frontier_digest(points: &[PlanPoint]) -> u64 {
     fnv1a_64(canonical.into_bytes())
 }
 
-/// Renders a full planning report as deterministic JSON: the survey
-/// size, the Pareto frontier, the [`planned_families`] pick under
+/// Builds a full planning report as a deterministic JSON value: the
+/// survey size, the Pareto frontier, the [`planned_families`] pick under
 /// `qubit_budget`, and the frontier's FNV-1a digest.
 ///
 /// `qubit_budget == UNLIMITED_BUDGET` serializes as `0`, matching the
@@ -205,46 +205,36 @@ pub fn frontier_digest(points: &[PlanPoint]) -> u64 {
 /// # Panics
 ///
 /// Panics if `n < 2`, like [`survey`].
-pub fn frontier_json(n: usize, qubit_budget: usize, cost: CostModel, shots: usize) -> String {
+pub fn frontier_json(n: usize, qubit_budget: usize, cost: CostModel, shots: usize) -> Json {
     let points = survey(n, cost, shots);
     let frontier = pareto_frontier(&points);
     let planned = planned_families_with(n, qubit_budget, cost, shots);
-    let digest = frontier_digest(&frontier);
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{FRONTIER_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"address_width\": {n},\n"));
+    let planned = planned.iter().map(|spec| spec.name().into()).collect();
+    let digest = format!("{:016x}", frontier_digest(&frontier));
     let budget = if qubit_budget == UNLIMITED_BUDGET {
         0
     } else {
         qubit_budget
     };
-    out.push_str(&format!("  \"qubit_budget\": {budget},\n"));
-    out.push_str(&format!("  \"shots\": {shots},\n"));
-    out.push_str(&format!("  \"candidates\": {},\n", points.len()));
-    out.push_str("  \"frontier\": [\n");
-    for (i, point) in frontier.iter().enumerate() {
-        let comma = if i + 1 == frontier.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"arch\": \"{}\", \"family\": \"{}\", \"qubits\": {}, \"compile_ticks\": {}, \"execute_ticks\": {}}}{comma}\n",
-            point.spec.name(),
-            point.spec.family(),
-            point.qubits,
-            point.compile,
-            point.execute
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"planned\": [");
-    for (i, spec) in planned.iter().enumerate() {
-        let comma = if i + 1 == planned.len() { "" } else { ", " };
-        out.push_str(&format!("\"{}\"{comma}", spec.name()));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"frontier_digest\": \"{digest:016x}\"\n"));
-    out.push_str("}\n");
-    out
+    let rows = frontier.iter().map(|point| {
+        Json::object([
+            ("arch", point.spec.name().into()),
+            ("family", point.spec.family().into()),
+            ("qubits", point.qubits.into()),
+            ("compile_ticks", point.compile.into()),
+            ("execute_ticks", point.execute.into()),
+        ])
+    });
+    Json::object([
+        ("schema", FRONTIER_SCHEMA.into()),
+        ("address_width", n.into()),
+        ("qubit_budget", budget.into()),
+        ("shots", shots.into()),
+        ("candidates", points.len().into()),
+        ("frontier", Json::Array(rows.collect())),
+        ("planned", Json::Array(planned)),
+        ("frontier_digest", digest.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -348,13 +338,19 @@ mod tests {
 
     #[test]
     fn reports_are_bit_identical_across_runs() {
-        let a = frontier_json(4, 128, CostModel::default(), 2);
-        let b = frontier_json(4, 128, CostModel::default(), 2);
+        let a = frontier_json(4, 128, CostModel::default(), 2).pretty();
+        let b = frontier_json(4, 128, CostModel::default(), 2).pretty();
         assert_eq!(a, b);
-        assert!(a.contains(FRONTIER_SCHEMA));
-        assert!(a.contains("\"frontier_digest\""));
-        let digest_a = frontier_digest(&pareto_frontier(&survey(4, CostModel::default(), 2)));
-        assert!(a.contains(&format!("{digest_a:016x}")));
+        let report = Json::parse(&a).unwrap();
+        let text = |key: &str| report.get(key).and_then(Json::as_str);
+        assert_eq!(text("schema"), Some(FRONTIER_SCHEMA));
+        let frontier = pareto_frontier(&survey(4, CostModel::default(), 2));
+        let digest = format!("{:016x}", frontier_digest(&frontier));
+        assert_eq!(text("frontier_digest"), Some(digest.as_str()));
+        let Some(Json::Array(rows)) = report.get("frontier") else {
+            panic!("the report has no frontier array")
+        };
+        assert_eq!(rows.len(), frontier.len());
     }
 
     #[test]

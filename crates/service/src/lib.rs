@@ -35,7 +35,7 @@
 //! * [`Admission`] / [`AdmissionStats`] — non-blocking admission over a
 //!   bounded queue: accepted, [shed](Admission::Shed) by back-pressure,
 //!   or rejected as structurally invalid;
-//! * [`DeadlineBatcher`] / [`QueryBatch`] / [`plan_batches`] — the
+//! * [`DeadlineBatcher`] / [`QueryBatch`] — the
 //!   deadline-aware batching scheduler: a batch fires when it reaches
 //!   the batch limit, when its oldest member's deadline slack runs
 //!   out, or — work conservation, on by default — immediately when the
@@ -108,7 +108,7 @@ pub use qram_verify::{Finding, VerifyError, VerifyLevel};
 pub use request::{
     Latency, QueryRequest, QueryResult, QuerySpec, SloClass, SpecOverrideError, TenantId,
 };
-pub use scheduler::{plan_batches, DeadlineBatcher, QueryBatch, ReleasePolicy};
+pub use scheduler::{DeadlineBatcher, QueryBatch, ReleasePolicy};
 pub use service::{BatchReport, QramService, ServiceConfig, ServiceReport};
 pub use workload::{
     assign_specs, assign_specs_with, mixed_arch_specs, ArrivalProcess, ClosedLoop, SpecMix,

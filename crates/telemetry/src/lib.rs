@@ -18,16 +18,20 @@
 //!   body, monomorphized away) and a [`TelemetryRecorder`] that feeds
 //!   a registry plus a tracer;
 //! * [`host_wall`] — the one audited gateway to host wall-clock time,
-//!   so the determinism lint's allowlist shrinks to this single file.
+//!   so the determinism lint's allowlist shrinks to this single file;
+//! * [`Json`] — the workspace's one JSON value, writer and strict
+//!   parser, which every artifact exporter and reader goes through.
 //!
 //! The crate is deliberately dependency-free (it sits below `qram-sim`
 //! and `qram-service` in the workspace graph) and does all arithmetic
 //! in integers: merging shard-local telemetry in any order yields
 //! bit-identical state.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use trace::{
     AdmissionOutcome, FireReason, RouteReason, SpanEvent, SpanStage, SpanTracer, VerifyTag,
@@ -203,11 +207,6 @@ impl TelemetryRecorder {
     /// Digest of the canonical span log.
     pub fn trace_digest(&self) -> u64 {
         self.tracer.digest()
-    }
-
-    /// Digest of the captured metrics.
-    pub fn metrics_digest(&self) -> u64 {
-        self.metrics.digest()
     }
 }
 

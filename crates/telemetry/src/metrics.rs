@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::fnv1a_64;
+use crate::{fnv1a_64, Json};
 
 /// Values below this are their own bucket (exact ticks).
 const LINEAR_MAX: u64 = 128;
@@ -205,26 +205,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&name, &v)| (name, v))
-    }
-
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.gauges.iter().map(|(&name, &v)| (name, v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&name, h)| (name, h))
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Merges another registry into this one: counters add, gauges take
     /// the max, histograms merge bucket-wise. Exactly associative and
     /// order-insensitive.
@@ -264,47 +244,30 @@ impl MetricsRegistry {
         }
         fnv1a_64(bytes)
     }
+}
 
-    /// Hand-rolled JSON dump (the workspace carries no serde): counters
-    /// and gauges verbatim, histograms as count/percentile summaries.
-    pub fn to_json(&self, indent: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{indent}{{\n"));
-        out.push_str(&format!("{indent}  \"counters\": {{"));
-        let items: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}  \"gauges\": {{"));
-        let items: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}  \"histograms\": {{"));
-        let items: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "\"{name}\": {{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                    h.count(),
-                    h.percentile(50.0),
-                    h.percentile(90.0),
-                    h.percentile(99.0),
-                    h.max()
-                )
-            })
-            .collect();
-        out.push_str(&items.join(", "));
-        out.push_str("}\n");
-        out.push_str(&format!("{indent}}}"));
-        out
+/// The registry dump: counters and gauges verbatim, histograms as
+/// count/percentile summaries, each map in name order.
+impl From<&MetricsRegistry> for Json {
+    fn from(registry: &MetricsRegistry) -> Json {
+        let values = |map: &BTreeMap<&'static str, u64>| {
+            Json::object(map.iter().map(|(&name, &v)| (name, v.into())))
+        };
+        let histograms = registry.histograms.iter().map(|(&name, h)| {
+            let summary = Json::object([
+                ("count", h.count().into()),
+                ("p50", h.percentile(50.0).into()),
+                ("p90", h.percentile(90.0).into()),
+                ("p99", h.percentile(99.0).into()),
+                ("max", h.max().into()),
+            ]);
+            (name, summary)
+        });
+        Json::object([
+            ("counters", values(&registry.counters)),
+            ("gauges", values(&registry.gauges)),
+            ("histograms", Json::object(histograms)),
+        ])
     }
 }
 

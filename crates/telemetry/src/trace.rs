@@ -10,8 +10,7 @@
 //! matrix: the same workload must produce the same trace no matter how
 //! the host parallelized it.
 
-use crate::fnv1a_64;
-use crate::Ticks;
+use crate::{fnv1a_64, Json, Ticks};
 
 /// Request ids at or above this bit are synthetic: terminal admission
 /// spans for shed/rejected arrivals, which never receive a real service
@@ -19,14 +18,18 @@ use crate::Ticks;
 pub const SYNTHETIC_REQUEST_BASE: u64 = 1 << 63;
 
 /// How an arrival left the admission decision.
+///
+/// The discriminants of this and the other payload enums below are the
+/// tags folded into trace digests: variants are appended, never
+/// renumbered, so existing digests stay stable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionOutcome {
     /// Admitted into the pending queue.
-    Accepted,
+    Accepted = 0,
     /// Dropped by the admission controller (queue at capacity).
-    Shed,
+    Shed = 1,
     /// Refused as malformed (spec/address validation failed).
-    Rejected,
+    Rejected = 2,
 }
 
 impl AdmissionOutcome {
@@ -38,32 +41,24 @@ impl AdmissionOutcome {
             AdmissionOutcome::Rejected => "rejected",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            AdmissionOutcome::Accepted => 0,
-            AdmissionOutcome::Shed => 1,
-            AdmissionOutcome::Rejected => 2,
-        }
-    }
 }
 
 /// Why a batch fired when it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FireReason {
     /// The group reached the batch-size limit.
-    Full,
+    Full = 0,
     /// The group's oldest request hit its batching deadline.
-    Deadline,
+    Deadline = 1,
     /// Work conservation: units were idle, so the oldest group fired
     /// early rather than letting capacity go unused.
-    WorkConserving,
+    WorkConserving = 2,
     /// End-of-run drain flushed the remaining groups.
-    Drain,
+    Drain = 3,
     /// Cache-affine work conservation: a free unit was given to a
     /// younger group whose compiled circuit was cache-resident (zero
     /// compile ticks) in preference to the oldest pending group.
-    CacheAffine,
+    CacheAffine = 4,
 }
 
 impl FireReason {
@@ -77,30 +72,18 @@ impl FireReason {
             FireReason::CacheAffine => "cache-affine",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            FireReason::Full => 0,
-            FireReason::Deadline => 1,
-            FireReason::WorkConserving => 2,
-            FireReason::Drain => 3,
-            // Appended, never renumbered: existing trace digests stay
-            // stable.
-            FireReason::CacheAffine => 4,
-        }
-    }
 }
 
 /// Why the fleet router placed a request on the shard it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteReason {
     /// Deterministic consistent hash of the request's spec key.
-    Hash,
+    Hash = 0,
     /// Planner-informed pin: the spec's family is pinned to a shard.
-    Pinned,
+    Pinned = 1,
     /// Replicated hot spec: the winner among the replica set, chosen by
     /// the cache-residency probe (falling back to the lowest shard id).
-    Replica,
+    Replica = 2,
 }
 
 impl RouteReason {
@@ -112,23 +95,15 @@ impl RouteReason {
             RouteReason::Replica => "replica",
         }
     }
-
-    fn tag(self) -> u8 {
-        match self {
-            RouteReason::Hash => 0,
-            RouteReason::Pinned => 1,
-            RouteReason::Replica => 2,
-        }
-    }
 }
 
 /// Which verification level the compile stage ran under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyTag {
     /// Structural checks only.
-    Structural,
+    Structural = 0,
     /// Full semantic (deep) verification.
-    Deep,
+    Deep = 1,
 }
 
 impl VerifyTag {
@@ -137,13 +112,6 @@ impl VerifyTag {
         match self {
             VerifyTag::Structural => "structural",
             VerifyTag::Deep => "deep",
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            VerifyTag::Structural => 0,
-            VerifyTag::Deep => 1,
         }
     }
 }
@@ -234,7 +202,7 @@ impl SpanStage {
                 outcome,
                 queue_depth,
             } => {
-                out.push(outcome.tag());
+                out.push(*outcome as u8);
                 out.extend_from_slice(&queue_depth.to_le_bytes());
             }
             SpanStage::QueueWait { group } => push_str(out, group),
@@ -244,7 +212,7 @@ impl SpanStage {
                 size,
             } => {
                 push_str(out, group);
-                out.push(reason.tag());
+                out.push(*reason as u8);
                 out.extend_from_slice(&size.to_le_bytes());
             }
             SpanStage::Compile {
@@ -254,7 +222,7 @@ impl SpanStage {
             } => {
                 push_str(out, group);
                 out.push(u8::from(*cache_hit));
-                out.push(verify.tag());
+                out.push(*verify as u8);
             }
             SpanStage::Execute { unit, shots } => {
                 out.extend_from_slice(&unit.to_le_bytes());
@@ -262,42 +230,7 @@ impl SpanStage {
             }
             SpanStage::Route { shard, reason } => {
                 out.extend_from_slice(&shard.to_le_bytes());
-                out.push(reason.tag());
-            }
-        }
-    }
-
-    fn payload_json(&self) -> String {
-        match self {
-            SpanStage::Admission {
-                outcome,
-                queue_depth,
-            } => format!(
-                "\"outcome\": \"{}\", \"queue_depth\": {queue_depth}",
-                outcome.label()
-            ),
-            SpanStage::QueueWait { group } => format!("\"group\": \"{group}\""),
-            SpanStage::BatchForm {
-                group,
-                reason,
-                size,
-            } => format!(
-                "\"group\": \"{group}\", \"reason\": \"{}\", \"size\": {size}",
-                reason.label()
-            ),
-            SpanStage::Compile {
-                group,
-                cache_hit,
-                verify,
-            } => format!(
-                "\"group\": \"{group}\", \"cache_hit\": {cache_hit}, \"verify\": \"{}\"",
-                verify.label()
-            ),
-            SpanStage::Execute { unit, shots } => {
-                format!("\"unit\": {unit}, \"shots\": {shots}")
-            }
-            SpanStage::Route { shard, reason } => {
-                format!("\"shard\": {shard}, \"reason\": \"{}\"", reason.label())
+                out.push(*reason as u8);
             }
         }
     }
@@ -329,23 +262,62 @@ impl SpanEvent {
         out.extend_from_slice(&self.request.to_le_bytes());
         self.stage.digest_bytes(out);
     }
+}
 
-    /// One JSON object for the span. Synthetic request ids are masked
-    /// back to the offered-arrival ordinal and marked `"terminal"`.
-    pub fn to_json(&self) -> String {
-        let (request, terminal) = if self.request >= SYNTHETIC_REQUEST_BASE {
-            (self.request - SYNTHETIC_REQUEST_BASE, true)
-        } else {
-            (self.request, false)
-        };
-        let terminal = if terminal { ", \"terminal\": true" } else { "" };
-        format!(
-            "{{\"request\": {request}, \"stage\": \"{}\", \"start\": {}, \"end\": {}, {}{terminal}}}",
-            self.stage.name(),
-            self.start,
-            self.end,
-            self.stage.payload_json()
-        )
+/// One span as a JSON object: id, stage, interval, then the stage's
+/// payload. Synthetic request ids are masked back to the
+/// offered-arrival ordinal and marked `"terminal"`.
+impl From<&SpanEvent> for Json {
+    fn from(event: &SpanEvent) -> Json {
+        let terminal = event.request >= SYNTHETIC_REQUEST_BASE;
+        let request = event.request & !SYNTHETIC_REQUEST_BASE;
+        let mut members: Vec<(&str, Json)> = vec![
+            ("request", request.into()),
+            ("stage", event.stage.name().into()),
+            ("start", event.start.into()),
+            ("end", event.end.into()),
+        ];
+        match &event.stage {
+            SpanStage::Admission {
+                outcome,
+                queue_depth,
+            } => members.extend([
+                ("outcome", outcome.label().into()),
+                ("queue_depth", (*queue_depth).into()),
+            ]),
+            SpanStage::QueueWait { group } => members.push(("group", group.as_str().into())),
+            SpanStage::BatchForm {
+                group,
+                reason,
+                size,
+            } => members.extend([
+                ("group", group.as_str().into()),
+                ("reason", reason.label().into()),
+                ("size", (*size).into()),
+            ]),
+            SpanStage::Compile {
+                group,
+                cache_hit,
+                verify,
+            } => members.extend([
+                ("group", group.as_str().into()),
+                ("cache_hit", (*cache_hit).into()),
+                ("verify", verify.label().into()),
+            ]),
+            SpanStage::Execute { unit, shots } => {
+                members.extend([("unit", (*unit).into()), ("shots", (*shots).into())]);
+            }
+            SpanStage::Route { shard, reason } => {
+                members.extend([
+                    ("shard", (*shard).into()),
+                    ("reason", reason.label().into()),
+                ]);
+            }
+        }
+        if terminal {
+            members.push(("terminal", true.into()));
+        }
+        Json::object(members)
     }
 }
 
@@ -383,11 +355,6 @@ impl SpanTracer {
         self.events.is_empty()
     }
 
-    /// Recorded spans in append order.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
-    }
-
     /// Spans sorted into the canonical `(start, request, stage, end)`
     /// order used for export and digesting.
     pub fn canonical(&self) -> Vec<SpanEvent> {
@@ -404,15 +371,12 @@ impl SpanTracer {
         }
         fnv1a_64(bytes)
     }
+}
 
-    /// The canonical log as a JSON array (one span object per line).
-    pub fn to_json(&self, indent: &str) -> String {
-        let spans: Vec<String> = self
-            .canonical()
-            .iter()
-            .map(|e| format!("{indent}  {}", e.to_json()))
-            .collect();
-        format!("{indent}[\n{}\n{indent}]", spans.join(",\n"))
+/// The canonical log as a JSON array of span objects.
+impl From<&SpanTracer> for Json {
+    fn from(tracer: &SpanTracer) -> Json {
+        Json::Array(tracer.canonical().iter().map(Json::from).collect())
     }
 }
 
@@ -470,10 +434,9 @@ mod tests {
                 queue_depth: 9,
             },
         });
-        let json = t.to_json("");
-        assert!(json.contains("\"request\": 3"), "{json}");
-        assert!(json.contains("\"terminal\": true"), "{json}");
-        assert!(json.contains("\"outcome\": \"shed\""), "{json}");
+        let log = Json::parse(&Json::from(&t).pretty()).unwrap();
+        let span = r#"{"request":3,"stage":"admission","start":7,"end":7,"outcome":"shed","queue_depth":9,"terminal":true}"#;
+        assert_eq!(log.compact(), format!("[{span}]"));
     }
 
     #[test]
@@ -529,9 +492,9 @@ mod tests {
         let base = route(0, RouteReason::Hash);
         assert_ne!(base.digest(), route(1, RouteReason::Hash).digest());
         assert_ne!(base.digest(), route(0, RouteReason::Pinned).digest());
-        let json = route(3, RouteReason::Replica).to_json("");
-        assert!(json.contains("\"stage\": \"route\""), "{json}");
-        assert!(json.contains("\"shard\": 3"), "{json}");
-        assert!(json.contains("\"reason\": \"replica\""), "{json}");
+        let log = Json::parse(&Json::from(&route(3, RouteReason::Replica)).pretty()).unwrap();
+        let span =
+            r#"{"request":4,"stage":"route","start":9,"end":9,"shard":3,"reason":"replica"}"#;
+        assert_eq!(log.compact(), format!("[{span}]"));
     }
 }

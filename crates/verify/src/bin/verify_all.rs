@@ -8,23 +8,13 @@
 //! allowlist. Any finding in either pass exits nonzero — the
 //! `-D warnings` of circuit verification.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
-use qram_verify::{lint_workspace, verify_query, Allowlist, Finding, LintReport, VerifyLevel};
-
-/// The workspace root: the current directory when invoked from it (the
-/// CI case), otherwise two levels above this crate's manifest.
-fn workspace_root() -> PathBuf {
-    let cwd = PathBuf::from(".");
-    if cwd.join("Cargo.toml").exists() && cwd.join("crates").exists() {
-        return cwd;
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .to_path_buf()
-}
+use qram_telemetry::Json;
+use qram_verify::{
+    lint_workspace, verify_query, workspace_root, Allowlist, Finding, LintReport, VerifyLevel,
+};
 
 /// Every spec the circuit pass certifies: every legal `(k, m)` split of
 /// every family at n = 3..6 (the full `family_candidates` space, not
@@ -72,21 +62,6 @@ fn memories(n: usize) -> [Memory; 2] {
     ]
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let root = workspace_root();
 
@@ -123,35 +98,24 @@ fn main() -> ExitCode {
         }
     };
 
-    // Findings report (hand-rolled JSON; the workspace has no serde).
-    let mut json = String::from("{\n  \"circuit_pass\": {\n");
-    json.push_str(&format!("    \"artifacts_checked\": {specs_checked},\n"));
-    json.push_str("    \"findings\": [");
-    for (i, (spec, finding)) in circuit_findings.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n      {{\"spec\": \"{}\", \"finding\": \"{}\"}}",
-            json_escape(spec),
-            json_escape(&finding.to_string())
-        ));
-    }
-    json.push_str("]\n  },\n  \"lint_pass\": {\n");
-    json.push_str(&format!("    \"files_scanned\": {},\n", lint.files_scanned));
-    json.push_str(&format!("    \"allowlisted\": {},\n", lint.suppressed));
-    json.push_str("    \"findings\": [");
-    for (i, finding) in lint.findings.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n      \"{}\"",
-            json_escape(&finding.to_string())
-        ));
-    }
-    json.push_str("]\n  }\n}\n");
-    if let Err(e) = std::fs::write(root.join("VERIFY.json"), &json) {
+    let circuit_json = circuit_findings.iter().map(|(spec, finding)| {
+        Json::object([
+            ("spec", spec.as_str().into()),
+            ("finding", finding.to_string().into()),
+        ])
+    });
+    let circuit_pass = Json::object([
+        ("artifacts_checked", specs_checked.into()),
+        ("findings", Json::Array(circuit_json.collect())),
+    ]);
+    let lint_json = lint.findings.iter().map(|f| f.to_string().into());
+    let lint_pass = Json::object([
+        ("files_scanned", lint.files_scanned.into()),
+        ("allowlisted", lint.suppressed.into()),
+        ("findings", Json::Array(lint_json.collect())),
+    ]);
+    let report = Json::object([("circuit_pass", circuit_pass), ("lint_pass", lint_pass)]);
+    if let Err(e) = std::fs::write(root.join("VERIFY.json"), report.pretty()) {
         eprintln!("verify_all: cannot write VERIFY.json: {e}");
         return ExitCode::FAILURE;
     }

@@ -4,22 +4,9 @@
 //! finding. The `verify_all` binary runs this pass plus the circuit
 //! analyzer and writes the JSON report.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use qram_verify::{lint_workspace, Allowlist};
-
-/// The workspace root: the current directory when invoked from it (the
-/// CI case), otherwise two levels above this crate's manifest.
-fn workspace_root() -> PathBuf {
-    let cwd = PathBuf::from(".");
-    if cwd.join("Cargo.toml").exists() && cwd.join("crates").exists() {
-        return cwd;
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .to_path_buf()
-}
+use qram_verify::{lint_workspace, workspace_root, Allowlist};
 
 fn main() -> ExitCode {
     let root = workspace_root();

@@ -51,4 +51,4 @@ pub use analyzer::{
     certify_resources, check_ancillas, check_gate_set, check_gates, recount, verify_query, Finding,
     VerifyError, VerifyLevel,
 };
-pub use lint::{lint_file, lint_workspace, Allowlist, LintFinding, LintReport};
+pub use lint::{lint_file, lint_workspace, workspace_root, Allowlist, LintFinding, LintReport};

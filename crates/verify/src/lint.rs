@@ -323,6 +323,17 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// The workspace root the CLI drivers lint: the current directory when
+/// invoked from it (the CI case), otherwise two levels above this
+/// crate's manifest.
+pub fn workspace_root() -> PathBuf {
+    let cwd = PathBuf::from(".");
+    if cwd.join("Cargo.toml").exists() && cwd.join("crates").exists() {
+        return cwd;
+    }
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// Scans every `.rs` file under `root` (minus skipped directories) and
 /// filters findings through `allow`.
 ///
