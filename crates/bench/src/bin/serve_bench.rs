@@ -1284,10 +1284,11 @@ fn run_fleet_point(
         ctx.memory.clone(),
         fleet_config(args, ctx.shots).with_shed_policy(policy),
     );
+    let mut sheds = Vec::new();
     for (i, (&arrival, &(address, spec))) in arrivals.iter().zip(&submissions).enumerate() {
         let tenant = tenant_for(i as u64, args.tenants, args.seed);
         let slo = slo_for(i as u64, args.slo_deadline);
-        fleet.submit_at(address, spec, arrival, tenant, slo);
+        sheds.extend(fleet.submit_at(address, spec, arrival, tenant, slo).shed);
     }
     let results = fleet.run_until_idle();
     let done: Vec<[u64; 5]> = results
@@ -1304,29 +1305,13 @@ fn run_fleet_point(
             ]
         })
         .collect();
-    let stats = fleet.stats();
     let is_interactive = |r: &&FleetResult| matches!(r.slo, SloClass::Interactive { .. });
-    let tally = FleetTally {
+    let mut tally = FleetTally {
         totals: done.iter().map(|d| d[4] as f64).collect(),
         interactive: results
             .iter()
             .filter(is_interactive)
             .map(|r| r.total_latency() as f64)
-            .collect(),
-        tenants: stats
-            .per_tenant
-            .iter()
-            .map(|(t, s)| (t.0, [s.completed, s.shed]))
-            .collect(),
-        classes: stats
-            .per_class
-            .iter()
-            .map(|(&label, s)| {
-                (
-                    label,
-                    [s.completed, s.shed, s.deadline_met, s.deadline_missed],
-                )
-            })
             .collect(),
         shards: fleet
             .shards()
@@ -1338,7 +1323,22 @@ fn run_fleet_point(
                 (sid, [on_shard, c.hits, c.misses])
             })
             .collect(),
+        ..FleetTally::default()
     };
+    for r in &results {
+        tally.tenants.entry(r.tenant.0).or_default()[0] += 1;
+        let class = tally.classes.entry(r.slo.label()).or_default();
+        class[0] += 1;
+        match r.deadline_met() {
+            Some(true) => class[2] += 1,
+            Some(false) => class[3] += 1,
+            None => {}
+        }
+    }
+    for victim in &sheds {
+        tally.tenants.entry(victim.tenant.0).or_default()[1] += 1;
+        tally.classes.entry(victim.slo.label()).or_default()[1] += 1;
+    }
     let hits: u64 = tally.shards.values().map(|c| c[1]).sum();
     let lookups: u64 = tally.shards.values().map(|c| c[1] + c[2]).sum();
     let hit_rate = hits as f64 / lookups.max(1) as f64;
@@ -1348,7 +1348,7 @@ fn run_fleet_point(
         capacity_rps,
         load_factor,
         first_arrival,
-        stats.shed,
+        sheds.len() as u64,
         hit_rate,
         &done,
     );

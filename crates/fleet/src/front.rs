@@ -3,17 +3,18 @@
 //! A bare [`qram_service::QramService`] has a single global bounded
 //! admission queue: under overload the newest arrival is dropped,
 //! whatever its class. The fleet front door replaces that with
-//! per-tenant FIFO sub-queues drained by deterministic weighted
-//! round-robin (see [`crate::FleetController`]), and an overflow policy
-//! that can pick its victim by *retention value* instead of arrival
-//! order: [`ShedPolicy::DeadlinePriority`] first trims zombies whose
-//! deadline has already passed, then drops batch work, then
-//! best-effort, and keeps live interactive requests for last.
+//! per-tenant FIFO sub-queues drained round-robin (see
+//! [`crate::FleetController`]: each pass forwards at most one head per
+//! tenant in ascending id, and every pass starts again at the lowest
+//! id), and an overflow policy that can pick its victim by *retention
+//! value* instead of arrival order: [`ShedPolicy::DeadlinePriority`]
+//! first trims zombies whose deadline has already passed, then drops
+//! batch work, then best-effort, and keeps live interactive requests
+//! for last.
 //!
 //! Everything here reads only virtual-time state — queue contents,
 //! arrival instants, per-request SLO tags — so every decision is
-//! bit-reproducible across host-parallelism knobs and shard-poll
-//! interleavings.
+//! bit-reproducible across host-parallelism knobs.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -139,7 +140,7 @@ impl FrontDoor {
     }
 
     /// Tenants with a non-empty sub-queue, in ascending id order — the
-    /// deterministic round-robin rotation.
+    /// order of one round-robin pass.
     pub(crate) fn tenants(&self) -> Vec<TenantId> {
         self.queues
             .iter()

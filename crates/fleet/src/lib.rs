@@ -5,23 +5,25 @@
 //! each with its own device profile, compile cache, and cost
 //! calibration — behind a single front door. Requests arrive tagged
 //! with a [`TenantId`] and an [`SloClass`]; the front door parks them
-//! in per-tenant sub-queues, drains them by deterministic weighted
-//! round-robin, and places each on a shard via the consistent-hash
+//! in per-tenant sub-queues and drains them round-robin: each pass
+//! visits tenants in ascending id and forwards at most one head each,
+//! and the next pass starts again at the lowest id. The consistent-hash
 //! [`Router`] (planner pins + rendezvous replicas + cache-affine
-//! tie-breaking). When the door overflows, the [`ShedPolicy`] picks
-//! the victim — tail-drop or SLO-aware deadline priority.
+//! tie-breaking) places each forwarded request on a shard. When the
+//! door overflows, the [`ShedPolicy`] picks the victim — tail-drop or
+//! SLO-aware deadline priority.
 //!
 //! # Determinism contract
 //!
 //! The fleet interleaves shard virtual clocks by *event time*, not by
 //! host scheduling: [`FleetController::advance_to`] repeatedly finds
 //! the earliest pending event across all shards, polls exactly the
-//! shards due at that instant, orders their completions by shard id,
-//! and only then dispatches parked work into the freed room. Every
-//! routing, queueing, and shedding decision reads virtual-time state
-//! alone, so per-request results, span traces, and metrics are
-//! bit-identical for any worker count, shot-thread count, path-chunk
-//! count, and shard-poll iteration order.
+//! shards due at that instant in ascending id (so completions are
+//! harvested in shard order), and only then dispatches parked work
+//! into the freed room. Every routing, queueing, and shedding decision
+//! reads virtual-time state alone, so per-request results, span
+//! traces, and metrics are bit-identical for any worker count,
+//! shot-thread count, and path-chunk count.
 //!
 //! A single-shard fleet with an unbounded front door degenerates to
 //! the bare service: same admissions at the same instants, same
@@ -45,32 +47,15 @@ use qram_telemetry::{
     TelemetryRecorder, SYNTHETIC_REQUEST_BASE,
 };
 
-/// The order [`FleetController`] iterates shards when several are due
-/// at the same event instant. Results are re-ordered by shard id after
-/// harvesting, so this knob must not — and provably does not — affect
-/// any output (pinned by the fleet determinism tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardPollOrder {
-    /// Poll due shards in ascending id order (the default).
-    #[default]
-    Ascending,
-    /// Poll due shards in descending id order.
-    Descending,
-}
-
 /// Fleet topology and front-door policy.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of shards.
     pub shards: usize,
     /// Base per-shard service configuration; shard `i` runs it with
-    /// `seed + i` unless overridden (shard 0 keeps the base verbatim,
-    /// so a 1-shard fleet matches a bare service bit-for-bit).
+    /// `seed + i` (shard 0 keeps the base verbatim, so a 1-shard fleet
+    /// matches a bare service bit-for-bit).
     pub shard_base: ServiceConfig,
-    /// Explicit per-shard configurations for heterogeneous fleets;
-    /// entry `i` (when present) replaces the derived config of shard
-    /// `i`.
-    pub shard_overrides: Vec<ServiceConfig>,
     /// Requests the front door may hold beyond what shards have
     /// absorbed; an arrival that would exceed this triggers the shed
     /// policy. `0` means never park more than the overflow arrival
@@ -85,11 +70,6 @@ pub struct FleetConfig {
     pub pin_planned: bool,
     /// Qubit budget handed to the planner when `pin_planned` is set.
     pub qubit_budget: usize,
-    /// Iteration order over same-instant shards (output-invisible).
-    pub poll_order: ShardPollOrder,
-    /// Weighted-round-robin credits per tenant per round; tenants
-    /// absent here get weight 1.
-    pub tenant_weights: Vec<(TenantId, u32)>,
 }
 
 impl Default for FleetConfig {
@@ -97,14 +77,11 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 1,
             shard_base: ServiceConfig::default(),
-            shard_overrides: Vec::new(),
             front_capacity: 1024,
             shed_policy: ShedPolicy::default(),
             replication: 2,
             pin_planned: false,
             qubit_budget: qram_plan::UNLIMITED_BUDGET,
-            poll_order: ShardPollOrder::default(),
-            tenant_weights: Vec::new(),
         }
     }
 }
@@ -147,36 +124,9 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the same-instant shard iteration order.
-    pub fn with_poll_order(mut self, order: ShardPollOrder) -> Self {
-        self.poll_order = order;
-        self
-    }
-
-    /// Sets `tenant`'s weighted-round-robin credits per round.
-    pub fn with_tenant_weight(mut self, tenant: TenantId, weight: u32) -> Self {
-        self.tenant_weights.retain(|(t, _)| *t != tenant);
-        self.tenant_weights.push((tenant, weight));
-        self
-    }
-
-    /// WRR credits for `tenant` (1 when unconfigured; a configured 0
-    /// is clamped to 1 so no tenant starves).
-    pub fn weight(&self, tenant: TenantId) -> u32 {
-        self.tenant_weights
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, w)| (*w).max(1))
-            .unwrap_or(1)
-    }
-
-    /// The effective service configuration of shard `sid`: the
-    /// explicit override when present, else the base re-seeded with
-    /// `seed + sid` (shard 0 keeps the base seed).
+    /// The service configuration of shard `sid`: the base re-seeded
+    /// with `seed + sid` (shard 0 keeps the base seed).
     pub fn shard_config(&self, sid: usize) -> ServiceConfig {
-        if let Some(cfg) = self.shard_overrides.get(sid) {
-            return *cfg;
-        }
         self.shard_base.with_seed(self.shard_base.seed + sid as u64)
     }
 }
@@ -244,30 +194,10 @@ impl FleetResult {
     }
 }
 
-/// Completion/shed tallies for one tenant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Requests completed for the tenant.
-    pub completed: u64,
-    /// Requests shed at the front door for the tenant.
-    pub shed: u64,
-}
-
-/// Completion/shed/deadline tallies for one SLO class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Requests completed in the class.
-    pub completed: u64,
-    /// Requests shed at the front door in the class.
-    pub shed: u64,
-    /// Completed interactive requests that met their deadline.
-    pub deadline_met: u64,
-    /// Completed interactive requests that missed their deadline.
-    pub deadline_missed: u64,
-}
-
-/// Aggregate front-door accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Aggregate front-door accounting, computed on demand from the
+/// controller's sequence counter, its `fleet.*` counters and the
+/// shards' served counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetStats {
     /// Requests offered to the front door.
     pub offered: u64,
@@ -277,30 +207,6 @@ pub struct FleetStats {
     pub completed: u64,
     /// Requests shed at the front door.
     pub shed: u64,
-    /// Per-tenant tallies.
-    pub per_tenant: BTreeMap<TenantId, TenantStats>,
-    /// Per-SLO-class tallies, keyed by [`SloClass::label`].
-    pub per_class: BTreeMap<&'static str, ClassStats>,
-}
-
-impl FleetStats {
-    fn note_shed(&mut self, tenant: TenantId, slo: SloClass) {
-        self.shed += 1;
-        self.per_tenant.entry(tenant).or_default().shed += 1;
-        self.per_class.entry(slo.label()).or_default().shed += 1;
-    }
-
-    fn note_completion(&mut self, r: &FleetResult) {
-        self.completed += 1;
-        self.per_tenant.entry(r.tenant).or_default().completed += 1;
-        let class = self.per_class.entry(r.slo.label()).or_default();
-        class.completed += 1;
-        match r.deadline_met() {
-            Some(true) => class.deadline_met += 1,
-            Some(false) => class.deadline_missed += 1,
-            None => {}
-        }
-    }
 }
 
 /// Fleet-level bookkeeping for one forwarded request, keyed by
@@ -331,7 +237,6 @@ pub struct FleetController<R: Recorder = NoopRecorder> {
     next_seq: u64,
     meta: BTreeMap<(usize, u64), RequestMeta>,
     completed: Vec<FleetResult>,
-    stats: FleetStats,
 }
 
 impl FleetController<NoopRecorder> {
@@ -375,7 +280,6 @@ impl<R: Recorder> FleetController<R> {
             next_seq: 0,
             meta: BTreeMap::new(),
             completed: Vec::new(),
-            stats: FleetStats::default(),
         }
     }
 
@@ -409,9 +313,16 @@ impl<R: Recorder> FleetController<R> {
         self.front.depth()
     }
 
-    /// Aggregate front-door accounting so far.
-    pub fn stats(&self) -> &FleetStats {
-        &self.stats
+    /// Aggregate front-door accounting so far: offers counted by the
+    /// sequence number, dispatches and sheds by the `fleet.routed` and
+    /// `fleet.shed` counters, completions by what the shards returned.
+    pub fn stats(&self) -> FleetStats {
+        FleetStats {
+            offered: self.next_seq,
+            dispatched: self.metrics.counter(key::FLEET_ROUTED),
+            completed: self.shards.iter().map(|shard| shard.served()).sum(),
+            shed: self.metrics.counter(key::FLEET_SHED),
+        }
     }
 
     /// Fleet front-door metrics merged with every shard's metrics.
@@ -424,9 +335,11 @@ impl<R: Recorder> FleetController<R> {
     }
 
     /// Offers one request to the fleet at `arrival` on the virtual
-    /// clock, advancing the fleet to that instant first. The request
-    /// is forwarded immediately when its routed shard has room,
-    /// otherwise parked at the front door; if parking overflows
+    /// clock, advancing the fleet to that instant first; an `arrival`
+    /// earlier than [`now`](FleetController::now) is clamped to it
+    /// (virtual time never rewinds). The request is forwarded
+    /// immediately when its routed shard has room, otherwise parked at
+    /// the front door; if parking overflows
     /// [`FleetConfig::front_capacity`], the shed policy drops a victim
     /// (possibly this offer).
     ///
@@ -454,10 +367,10 @@ impl<R: Recorder> FleetController<R> {
             "address {address} out of range for {} cells",
             self.cells
         );
+        let arrival = arrival.max(self.now);
         self.advance_to(arrival);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.offered += 1;
         self.front.push(Pending {
             seq,
             address,
@@ -474,7 +387,7 @@ impl<R: Recorder> FleetController<R> {
                 .front
                 .shed_victim(self.config.shed_policy, self.now)
                 .expect("overflowing front door is non-empty");
-            self.record_shed(&victim);
+            self.record_shed();
             Some(ShedDrop {
                 seq: victim.seq,
                 tenant: victim.tenant,
@@ -511,8 +424,9 @@ impl<R: Recorder> FleetController<R> {
 
     /// Runs the fleet to quiescence: drains the front door through
     /// shard events, then drains every shard (flushing partially-full
-    /// batches exactly like the bare service's `run_until_idle`).
-    /// Returns every remaining completed result.
+    /// batches exactly like the bare service's `run_until_idle`) and
+    /// moves the fleet clock to the latest shard clock. Returns every
+    /// remaining completed result.
     ///
     /// # Panics
     ///
@@ -527,10 +441,10 @@ impl<R: Recorder> FleetController<R> {
             self.process_tick(tick);
         }
         for sid in 0..self.shards.len() {
-            let results = self.shards[sid].run_until_idle();
-            for result in results {
+            for result in self.shards[sid].run_until_idle() {
                 self.collect(sid, result);
             }
+            self.now = self.now.max(self.shards[sid].now());
         }
         self.take_completed()
     }
@@ -554,53 +468,41 @@ impl<R: Recorder> FleetController<R> {
         }
     }
 
-    /// Polls every shard due at `tick` (in the configured — and
-    /// output-invisible — iteration order), harvests their completions
-    /// re-ordered by shard id, then dispatches parked work into
-    /// whatever room the tick freed.
+    /// Polls every shard due at `tick` in ascending id, harvesting
+    /// each one's completions as it goes, then dispatches parked work
+    /// into whatever room the tick freed.
     fn process_tick(&mut self, tick: Ticks) {
-        let order: Vec<usize> = match self.config.poll_order {
-            ShardPollOrder::Ascending => (0..self.shards.len()).collect(),
-            ShardPollOrder::Descending => (0..self.shards.len()).rev().collect(),
-        };
-        let mut harvested: Vec<(usize, Vec<QueryResult>)> = Vec::new();
-        for sid in order {
+        for sid in 0..self.shards.len() {
             if self.shards[sid].next_event().is_some_and(|e| e <= tick) {
-                harvested.push((sid, self.shards[sid].poll(tick)));
-            }
-        }
-        harvested.sort_by_key(|(sid, _)| *sid);
-        for (sid, results) in harvested {
-            for result in results {
-                self.collect(sid, result);
+                for result in self.shards[sid].poll(tick) {
+                    self.collect(sid, result);
+                }
             }
         }
         self.now = self.now.max(tick);
         self.dispatch();
     }
 
-    /// Weighted-round-robin drain of the front door: each round visits
-    /// non-empty tenants in ascending id order, forwarding up to the
-    /// tenant's weight in consecutive head requests; rounds repeat
+    /// Round-robin drain of the front door: each pass visits non-empty
+    /// tenants in ascending id order and forwards at most one head
+    /// request each; passes repeat, starting again at the lowest id,
     /// until one dispatches nothing (every head is routed to a full
     /// shard, or the door is empty).
     fn dispatch(&mut self) {
         loop {
-            let mut dispatched_this_round = false;
+            let mut dispatched_this_pass = false;
             for tenant in self.front.tenants() {
-                for _ in 0..self.config.weight(tenant) {
-                    let Some(head) = self.front.head(tenant) else {
-                        break;
-                    };
-                    let Some(decision) = self.router.route(&head.spec, &self.shards) else {
-                        break;
-                    };
-                    let pending = self.front.pop(tenant).expect("head exists");
-                    self.forward(pending, decision);
-                    dispatched_this_round = true;
-                }
+                let Some(head) = self.front.head(tenant) else {
+                    continue;
+                };
+                let Some(decision) = self.router.route(&head.spec, &self.shards) else {
+                    continue;
+                };
+                let pending = self.front.pop(tenant).expect("head exists");
+                self.forward(pending, decision);
+                dispatched_this_pass = true;
             }
-            if !dispatched_this_round {
+            if !dispatched_this_pass {
                 return;
             }
         }
@@ -644,7 +546,6 @@ impl<R: Recorder> FleetController<R> {
                 forwarded: forward_at,
             },
         );
-        self.stats.dispatched += 1;
     }
 
     /// Joins a shard completion with its fleet-level metadata.
@@ -653,24 +554,21 @@ impl<R: Recorder> FleetController<R> {
             .meta
             .remove(&(sid, result.id))
             .expect("completion for a request the fleet forwarded");
-        let fleet_result = FleetResult {
+        self.completed.push(FleetResult {
             seq: meta.seq,
             shard: sid,
             tenant: meta.tenant,
             slo: meta.slo,
             front_wait: meta.forwarded - meta.fleet_arrival,
             result,
-        };
-        self.stats.note_completion(&fleet_result);
-        self.completed.push(fleet_result);
+        });
     }
 
-    /// Accounts one front-door shed: counter, per-tenant/per-class
-    /// tallies, and a synthetic terminal span mirroring the bare
-    /// service's shed accounting.
-    fn record_shed(&mut self, victim: &Pending) {
-        let ordinal = self.stats.shed;
-        self.stats.note_shed(victim.tenant, victim.slo);
+    /// Accounts one front-door shed: the `fleet.shed` counter and a
+    /// synthetic terminal span mirroring the bare service's shed
+    /// accounting.
+    fn record_shed(&mut self) {
+        let ordinal = self.metrics.counter(key::FLEET_SHED);
         self.metrics.add(key::FLEET_SHED, 1);
         if self.recorder.enabled() {
             self.recorder.span(SpanEvent {
@@ -741,44 +639,21 @@ mod tests {
         assert_eq!(r.front_wait, 0);
         assert_eq!(r.fleet_arrival(), 100);
         assert!(r.result.value, "memory bit 3 is set (3 % 3 == 0)");
-        assert_eq!(fleet.stats().completed, 1);
-        assert_eq!(fleet.stats().per_tenant[&TenantId(1)].completed, 1);
-    }
-
-    #[test]
-    fn tenant_assignment_is_deterministic_across_poll_orders() {
-        let specs = qram_service::mixed_arch_specs(3);
-        let run = |order: ShardPollOrder| {
-            let mut fleet = FleetController::new(
-                memory(3),
-                base_config(3).with_poll_order(order).with_replication(2),
-            );
-            for i in 0..200u64 {
-                let spec = specs[(i % specs.len() as u64) as usize];
-                fleet.submit_at(
-                    i % 8,
-                    spec,
-                    i * 500,
-                    TenantId((i % 3) as u32),
-                    SloClass::BestEffort,
-                );
-            }
-            let results = fleet.run_until_idle();
-            results
-                .iter()
-                .map(|r| (r.seq, r.shard, r.tenant, r.result.completed))
-                .collect::<Vec<_>>()
-        };
         assert_eq!(
-            run(ShardPollOrder::Ascending),
-            run(ShardPollOrder::Descending)
+            fleet.stats(),
+            FleetStats {
+                offered: 1,
+                dispatched: 1,
+                completed: 1,
+                shed: 0,
+            }
         );
     }
 
     #[test]
     fn equal_weight_tenants_complete_within_one_round_of_each_other() {
         // Saturate a tiny fleet so the front door arbitrates, then
-        // check WRR kept equal-weight tenants balanced.
+        // check round-robin kept the tenants balanced.
         let config = base_config(1)
             .with_shard_base(
                 ServiceConfig::default()
@@ -804,7 +679,7 @@ mod tests {
         assert_eq!(a + b, 300);
         assert!(
             a.abs_diff(b) <= fleet.config().shard_base.batch_limit,
-            "equal-weight tenants diverged: {a} vs {b}"
+            "round-robin tenants diverged: {a} vs {b}"
         );
     }
 
@@ -859,8 +734,15 @@ mod tests {
             },
         );
         assert!(urgent.admitted);
-        assert_eq!(urgent.shed.unwrap().seq, parked.seq);
-        assert_eq!(fleet.stats().per_class["batch"].shed, 1);
+        assert_eq!(
+            urgent.shed,
+            Some(ShedDrop {
+                seq: parked.seq,
+                tenant: TenantId(0),
+                slo: SloClass::Batch,
+            })
+        );
+        assert_eq!(fleet.stats().shed, 1);
     }
 
     #[test]

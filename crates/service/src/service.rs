@@ -376,7 +376,6 @@ pub struct QramService<R: Recorder = NoopRecorder> {
     timeline: VirtualTimeline,
     now: Ticks,
     next_id: u64,
-    served: u64,
     /// Always-on service counters (`admission.*`, `service.*`): the
     /// source of truth behind the [`AdmissionStats`] and
     /// [`batch_reports_dropped`](QramService::batch_reports_dropped)
@@ -437,7 +436,6 @@ impl<R: Recorder> QramService<R> {
             timeline: VirtualTimeline::new(config.cost.units),
             now: 0,
             next_id: 0,
-            served: 0,
             metrics: MetricsRegistry::new(),
             recorder,
             in_flight: BinaryHeap::new(),
@@ -487,9 +485,11 @@ impl<R: Recorder> QramService<R> {
         self.batcher.pending() + self.in_flight.len()
     }
 
-    /// Total requests returned to callers over the service's lifetime.
+    /// Total requests returned to callers over the service's lifetime:
+    /// every completion counted by `service.completed` except those
+    /// still waiting in the ready queue.
     pub fn served(&self) -> u64 {
-        self.served
+        self.metrics.counter(key::SERVICE_COMPLETED) - self.ready.len() as u64
     }
 
     /// Lifetime circuit-cache counters.
@@ -744,10 +744,7 @@ impl<R: Recorder> QramService<R> {
     /// per-batch accounting — the closed-loop counterpart of
     /// [`poll`](QramService::poll).
     pub fn drain(&mut self) -> ServiceReport {
-        let batches = self.batcher.flush();
-        self.fire_batches(batches, self.now, FireReason::Drain);
-        self.advance_to(self.timeline.idle_at().max(self.now));
-        let mut results = self.take_ready();
+        let mut results = self.run_until_idle();
         results.sort_by_key(|r| r.id);
         ServiceReport {
             workers: self.config.resolved_workers(results.len()),
@@ -758,11 +755,9 @@ impl<R: Recorder> QramService<R> {
         }
     }
 
-    /// Hands the ready queue to the caller and counts it as served.
+    /// Hands the ready queue to the caller.
     fn take_ready(&mut self) -> Vec<QueryResult> {
-        let results: Vec<QueryResult> = self.ready.drain(..).collect();
-        self.served += results.len() as u64;
-        results
+        self.ready.drain(..).collect()
     }
 
     /// While work-conserving with pending work and a free execution

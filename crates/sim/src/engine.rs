@@ -301,26 +301,6 @@ pub fn run_shots_stats(
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
 
-/// [`run_shots_stats`] that feeds the counters straight into a
-/// telemetry [`Recorder`](qram_telemetry::Recorder) — the engine-side
-/// end of the instrumentation thread running through the service.
-///
-/// # Errors
-///
-/// Same contract as [`run_shots`]; nothing is recorded on error.
-pub fn run_shots_recorded(
-    gates: &[Gate],
-    input: &PathState,
-    keep: Option<&[Qubit]>,
-    config: &ShotConfig,
-    sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
-    recorder: &mut impl qram_telemetry::Recorder,
-) -> Result<FidelityEstimate, SimError> {
-    let (estimate, stats) = run_shots_stats(gates, input, keep, config, sample_plan)?;
-    stats.record_into(recorder);
-    Ok(estimate)
-}
-
 /// Runs one shard's contiguous shot range, writing fidelities into `out`.
 ///
 /// Each noisy shot replays the circuit over `path_chunks` parallel path
@@ -599,15 +579,9 @@ mod tests {
         let (c, input) = test_circuit();
         let mut recorder = qram_telemetry::TelemetryRecorder::new();
         let config = ShotConfig::new(32).with_threads(2);
-        let est = run_shots_recorded(
-            c.gates(),
-            &input,
-            None,
-            &config,
-            &pseudo_random_plan,
-            &mut recorder,
-        )
-        .unwrap();
+        let (est, stats) =
+            run_shots_stats(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
+        stats.record_into(&mut recorder);
         assert_eq!(est.shots, 32);
         let metrics = recorder.metrics();
         assert_eq!(metrics.counter(qram_telemetry::key::SIM_SHOTS), 32);

@@ -221,16 +221,6 @@ pub fn run_with_faults_chunked(
     })
 }
 
-/// Runs `gates` without noise over `chunks` parallel path ranges; see
-/// [`run_with_faults_chunked`].
-///
-/// # Errors
-///
-/// Same conditions as [`run`].
-pub fn run_chunked(gates: &[Gate], state: &mut PathState, chunks: usize) -> Result<(), SimError> {
-    run_with_faults_chunked(gates, state, &FaultPlan::new(), chunks)
-}
-
 /// Executes the full gate/fault sequence over one slab view. `faults`
 /// must already be location-sorted ([`FaultPlan::sorted`]).
 fn run_plan_on(
@@ -619,7 +609,7 @@ mod tests {
         let mut serial = input.clone();
         run(&gates, &mut serial).unwrap();
         let mut chunked = input.clone();
-        run_chunked(&gates, &mut chunked, 4).unwrap();
+        run_with_faults_chunked(&gates, &mut chunked, &FaultPlan::new(), 4).unwrap();
         let a: Vec<_> = chunked.iter().collect();
         let b: Vec<_> = serial.iter().collect();
         assert_eq!(a, b);

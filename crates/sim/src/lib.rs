@@ -22,9 +22,9 @@
 //!   contiguous packed-bit and amplitude arrays, one entry per path.
 //! * [`run`] / [`run_with_faults`] — circuit execution with optional
 //!   Pauli fault injection at arbitrary circuit locations.
-//! * [`run_chunked`] / [`run_with_faults_chunked`] — the same execution
-//!   parallelized over disjoint path ranges of the slab, bit-identical
-//!   to the serial run for any chunk count.
+//! * [`run_with_faults_chunked`] — the same execution parallelized over
+//!   disjoint path ranges of the slab, bit-identical to the serial run
+//!   for any chunk count.
 //! * [`monte_carlo_fidelity`] / [`run_shots`] — the paper's shot harness:
 //!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns, executed
 //!   on a sharded parallel engine whose estimates are bit-identical for
@@ -59,10 +59,8 @@ mod state;
 
 pub use amplitude::Amplitude;
 pub use bitstring::BitString;
-pub use engine::{run_shots, run_shots_recorded, run_shots_stats, ShotConfig, ShotStats};
-pub use executor::{
-    run, run_chunked, run_with_faults, run_with_faults_chunked, Fault, FaultPlan, Pauli,
-};
+pub use engine::{run_shots, run_shots_stats, ShotConfig, ShotStats};
+pub use executor::{run, run_with_faults, run_with_faults_chunked, Fault, FaultPlan, Pauli};
 pub use shots::{
     monte_carlo_fidelity, monte_carlo_fidelity_with, monte_carlo_reduced_fidelity,
     monte_carlo_reduced_fidelity_with, FidelityEstimate,

@@ -37,10 +37,10 @@
 //!   door. Requests carry tenant and SLO-class tags; placement is
 //!   consistent-hash routing with planner-informed family pinning,
 //!   rendezvous replication, and cache-affine tie-breaking; the door
-//!   runs per-tenant weighted fair queueing and SLO-aware shedding
+//!   drains per-tenant queues round-robin and sheds SLO-aware
 //!   (deadline-priority vs tail-drop). Fleet outputs are bit-identical
-//!   across every host-parallelism knob and shard-poll interleaving,
-//!   and a 1-shard fleet degenerates to the bare service.
+//!   across every host-parallelism knob, and a 1-shard fleet
+//!   degenerates to the bare service.
 //! * [`telemetry`] — deterministic observability: a span tracer keyed
 //!   by request id recording virtual-time intervals for every pipeline
 //!   stage, a metrics registry of counters / gauges / log-linear

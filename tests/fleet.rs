@@ -1,13 +1,17 @@
 //! Fleet acceptance tests: the determinism contract, the 1-shard
-//! degeneracy to a bare service, and the SLO-aware shedding behavior
-//! under overload.
+//! degeneracy to a bare service, the fleet clock, the conservation law
+//! on the `stats()` view, and the SLO-aware shedding behavior under
+//! overload.
+
+use std::collections::BTreeMap;
 
 use qram::core::Memory;
-use qram::fleet::{FleetConfig, FleetController, FleetResult, ShardPollOrder, ShedPolicy};
+use qram::fleet::{FleetConfig, FleetController, FleetResult, ShedDrop, ShedPolicy};
 use qram::service::{
     mixed_arch_specs, QramService, QuerySpec, ServiceConfig, SloClass, TelemetryRecorder, TenantId,
     Ticks,
 };
+use qram::telemetry::SpanStage;
 
 fn memory(n: usize) -> Memory {
     Memory::from_bits((0..1usize << n).map(|i| (i * 5) % 7 < 3))
@@ -94,23 +98,6 @@ fn fleet_outputs_are_bit_identical_across_parallelism_knobs() {
         assert_eq!(reference.1, run.1, "trace digest diverged");
         assert_eq!(reference.2, run.2, "metrics digest diverged");
     }
-}
-
-#[test]
-fn fleet_outputs_are_invisible_to_shard_poll_order() {
-    let stream = arrivals(400, 4_000, 0x9011);
-    let config = |order| {
-        FleetConfig::default()
-            .with_shards(4)
-            .with_shard_base(shard_base(2, 1, 1))
-            .with_replication(2)
-            .with_poll_order(order)
-    };
-    let asc = run_fleet(config(ShardPollOrder::Ascending), &stream);
-    let desc = run_fleet(config(ShardPollOrder::Descending), &stream);
-    assert_eq!(asc.0, desc.0);
-    assert_eq!(asc.1, desc.1);
-    assert_eq!(asc.2, desc.2);
 }
 
 /// A 1-shard fleet with a zero-capacity front door makes exactly the
@@ -209,6 +196,50 @@ fn one_shard_fleet_matches_bare_service_shed_decisions_at_overload() {
     }
 }
 
+/// `run_until_idle` leaves the fleet clock at or past every shard's, so
+/// a later offer stamped earlier is clamped to that instant: it does
+/// not wait at the door, and its route span does not start before any
+/// shard could admit it.
+#[test]
+fn offers_after_run_until_idle_are_clamped_to_the_fleet_clock() {
+    let config = FleetConfig::default()
+        .with_shards(2)
+        .with_shard_base(ServiceConfig::default().with_shots(0));
+    let mut fleet = FleetController::with_telemetry(memory(3), config);
+    let spec = QuerySpec::new(1, 2);
+    fleet.submit_at(3, spec, 100, TenantId(0), SloClass::Batch);
+    assert_eq!(fleet.run_until_idle().len(), 1);
+    assert!(
+        fleet.shards().iter().any(|shard| shard.now() > 100),
+        "premise: serving took virtual time"
+    );
+    let now = fleet.now();
+    for shard in fleet.shards() {
+        assert!(
+            now >= shard.now(),
+            "fleet clock {now} behind shard clock {}",
+            shard.now()
+        );
+    }
+
+    let late = fleet.submit_at(5, spec, 100, TenantId(1), SloClass::Batch);
+    let results = fleet.run_until_idle();
+    assert_eq!(results.len(), 1);
+    let r = &results[0];
+    assert_eq!(r.seq, late.seq);
+    assert_eq!(r.front_wait, 0);
+    assert_eq!(r.fleet_arrival(), r.result.arrival);
+    assert_eq!(r.result.arrival, now);
+    let route = fleet
+        .recorder()
+        .tracer()
+        .canonical()
+        .into_iter()
+        .find(|e| e.request == late.seq && matches!(e.stage, SpanStage::Route { .. }))
+        .expect("the late offer was routed");
+    assert_eq!((route.start, route.end), (now, now));
+}
+
 /// Nearest-rank percentile over door-to-completion latencies.
 fn percentile(sorted: &[Ticks], q: f64) -> Ticks {
     assert!(!sorted.is_empty());
@@ -216,11 +247,15 @@ fn percentile(sorted: &[Ticks], q: f64) -> Ticks {
     sorted[rank - 1]
 }
 
-/// Runs the canonical overload stream under one shed policy and
-/// returns (completed results, per-class shed counts as
-/// (interactive, batch, best_effort)).
-fn run_overloaded(policy: ShedPolicy) -> (Vec<FleetResult>, (u64, u64, u64)) {
-    let stream = arrivals(1_500, 400, 0x0510); // far past fleet capacity
+/// The canonical overload stream: far past the capacity of the
+/// 2-shard fleet [`run_overloaded`] builds.
+fn overload_stream() -> Vec<Arrival> {
+    arrivals(1_500, 400, 0x0510)
+}
+
+/// Runs [`overload_stream`] under one shed policy and returns the idle
+/// fleet, its completed results and every shed `submit_at` reported.
+fn run_overloaded(policy: ShedPolicy) -> (FleetController, Vec<FleetResult>, Vec<ShedDrop>) {
     let config = FleetConfig::default()
         .with_shards(2)
         .with_shard_base(
@@ -233,21 +268,74 @@ fn run_overloaded(policy: ShedPolicy) -> (Vec<FleetResult>, (u64, u64, u64)) {
         .with_shed_policy(policy)
         .with_replication(2);
     let mut fleet = FleetController::new(memory(3), config);
-    for &(address, spec, at, tenant, slo) in &stream {
-        fleet.submit_at(address, spec, at, tenant, slo);
+    let mut sheds = Vec::new();
+    for (address, spec, at, tenant, slo) in overload_stream() {
+        sheds.extend(fleet.submit_at(address, spec, at, tenant, slo).shed);
     }
     let results = fleet.run_until_idle();
-    let shed = |label: &str| fleet.stats().per_class.get(label).map_or(0, |c| c.shed);
-    (
-        results,
-        (shed("interactive"), shed("batch"), shed("best_effort")),
-    )
+    (fleet, results, sheds)
+}
+
+/// Requests of SLO class `label` among `sheds`.
+fn shed_in_class(sheds: &[ShedDrop], label: &str) -> usize {
+    sheds.iter().filter(|d| d.slo.label() == label).count()
+}
+
+/// The conservation law on the `stats()` view: every offer is completed
+/// or shed exactly once, every dispatch completes, and the view agrees
+/// with the results and sheds the caller saw — in total, per tenant
+/// and per SLO class.
+#[test]
+fn fleet_stats_conserve_every_offer_at_overload() {
+    let stream = overload_stream();
+    for policy in [ShedPolicy::DeadlinePriority, ShedPolicy::TailDrop] {
+        let (fleet, results, sheds) = run_overloaded(policy);
+        let stats = fleet.stats();
+        assert!(stats.shed > 0, "premise: the stream overloads the fleet");
+        assert_eq!(stats.offered, stream.len() as u64);
+        assert_eq!(stats.offered, stats.completed + stats.shed, "{policy:?}");
+        assert_eq!(stats.dispatched, stats.completed, "{policy:?}");
+        assert_eq!(stats.completed, results.len() as u64, "{policy:?}");
+        assert_eq!(stats.shed, sheds.len() as u64, "{policy:?}");
+
+        let mut seqs: Vec<u64> = results.iter().map(|r| r.seq).collect();
+        seqs.extend(sheds.iter().map(|d| d.seq));
+        seqs.sort_unstable();
+        assert!(seqs.iter().copied().eq(0..stats.offered), "{policy:?}");
+
+        // `[offered, completed, shed]` per tenant and per class.
+        let mut tenants: BTreeMap<TenantId, [u64; 3]> = BTreeMap::new();
+        let mut classes: BTreeMap<&str, [u64; 3]> = BTreeMap::new();
+        for &(_, _, _, tenant, slo) in &stream {
+            tenants.entry(tenant).or_default()[0] += 1;
+            classes.entry(slo.label()).or_default()[0] += 1;
+        }
+        for r in &results {
+            tenants.entry(r.tenant).or_default()[1] += 1;
+            classes.entry(r.slo.label()).or_default()[1] += 1;
+        }
+        for d in &sheds {
+            tenants.entry(d.tenant).or_default()[2] += 1;
+            classes.entry(d.slo.label()).or_default()[2] += 1;
+        }
+        for tallies in [
+            tenants.values().collect::<Vec<_>>(),
+            classes.values().collect(),
+        ] {
+            for [offered, completed, shed] in &tallies {
+                assert_eq!(offered, &(completed + shed), "{policy:?}");
+            }
+            let sum = |i: usize| tallies.iter().map(|t| t[i]).sum::<u64>();
+            assert_eq!(sum(1), stats.completed, "{policy:?}");
+            assert_eq!(sum(2), stats.shed, "{policy:?}");
+        }
+    }
 }
 
 #[test]
 fn deadline_priority_beats_tail_drop_on_interactive_p99_at_overload() {
-    let (dp_results, dp_shed) = run_overloaded(ShedPolicy::DeadlinePriority);
-    let (td_results, td_shed) = run_overloaded(ShedPolicy::TailDrop);
+    let (_, dp_results, dp_sheds) = run_overloaded(ShedPolicy::DeadlinePriority);
+    let (_, td_results, td_sheds) = run_overloaded(ShedPolicy::TailDrop);
 
     let interactive_latencies = |results: &[FleetResult]| {
         let mut v: Vec<Ticks> = results
@@ -272,7 +360,9 @@ fn deadline_priority_beats_tail_drop_on_interactive_p99_at_overload() {
     // Deadline-priority sheds the low classes first: batch bears the
     // brunt, and the only interactive sheds are zombies whose deadline
     // had already passed (worthless to complete).
-    let (dp_interactive, dp_batch, dp_best_effort) = dp_shed;
+    let dp_interactive = shed_in_class(&dp_sheds, "interactive");
+    let dp_batch = shed_in_class(&dp_sheds, "batch");
+    let dp_best_effort = shed_in_class(&dp_sheds, "best_effort");
     assert!(dp_batch + dp_best_effort > 0, "premise: overload sheds");
     assert!(
         dp_batch > dp_interactive,
@@ -280,7 +370,7 @@ fn deadline_priority_beats_tail_drop_on_interactive_p99_at_overload() {
     );
     // Tail-drop is class-blind: under a 1-in-4 interactive mix it
     // inevitably drops interactive work too.
-    let (td_interactive, _, _) = td_shed;
+    let td_interactive = shed_in_class(&td_sheds, "interactive");
     assert!(
         td_interactive > 0,
         "premise: tail-drop should be shedding interactive arrivals"
@@ -290,25 +380,9 @@ fn deadline_priority_beats_tail_drop_on_interactive_p99_at_overload() {
 #[test]
 #[ignore]
 fn probe_capacity() {
-    let stream = arrivals(1_500, 400, 0x510);
-    let config = FleetConfig::default()
-        .with_shards(2)
-        .with_shard_base(
-            ServiceConfig::default()
-                .with_shots(0)
-                .with_workers(1)
-                .with_queue_capacity(4),
-        )
-        .with_front_capacity(48)
-        .with_shed_policy(ShedPolicy::TailDrop)
-        .with_replication(2);
-    let mut fleet = FleetController::new(memory(3), config);
-    for &(address, spec, at, tenant, slo) in &stream {
-        fleet.submit_at(address, spec, at, tenant, slo);
-    }
-    let results = fleet.run_until_idle();
+    let (fleet, results, _) = run_overloaded(ShedPolicy::TailDrop);
     let makespan = results.iter().map(|r| r.result.completed).max().unwrap();
-    let last_arrival = stream.last().unwrap().2;
+    let last_arrival = overload_stream().last().unwrap().2;
     println!(
         "completed={} shed={} makespan={} last_arrival={} mean_service_gap={}",
         results.len(),
