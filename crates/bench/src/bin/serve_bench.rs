@@ -82,10 +82,8 @@
 //! * `--shed-policy NAME` — front-door overflow policy: `tail-drop` or
 //!   `deadline-priority` (default — trim zombies, then batch, then
 //!   best-effort, keep live interactive work last);
-//! * `--replication N` — rendezvous replica candidates per unpinned
-//!   spec (default 2, clamped to the fleet size);
-//! * `--pin-planned` — pin the capacity planner's family split to
-//!   dedicated shards round-robin (uses `--qubit-budget`);
+//! * `--replication N` — rendezvous replica candidates per spec
+//!   (default 2, clamped to the fleet size);
 //! * `--slo-deadline T` — interactive-class deadline in virtual ns
 //!   (default 60000);
 //! * `--out FILE` — summary path (default `<repo root>/BENCH_SERVE.json`);
@@ -146,7 +144,6 @@ struct Args {
     front_capacity: usize,
     shed_policy: String,
     replication: usize,
-    pin_planned: bool,
     slo_deadline: Ticks,
     out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
@@ -180,7 +177,6 @@ fn parse_args() -> Args {
         front_capacity: 1024,
         shed_policy: "deadline-priority".into(),
         replication: 2,
-        pin_planned: false,
         slo_deadline: 60_000,
         out: None,
         trace_out: None,
@@ -230,7 +226,6 @@ fn parse_args() -> Args {
             "--front-capacity" => parsed.front_capacity = number(&flag, &value()),
             "--shed-policy" => parsed.shed_policy = value(),
             "--replication" => parsed.replication = number(&flag, &value()),
-            "--pin-planned" => parsed.pin_planned = true,
             "--slo-deadline" => parsed.slo_deadline = number(&flag, &value()),
             "--out" => parsed.out = Some(PathBuf::from(value())),
             "--trace-out" => parsed.trace_out = Some(PathBuf::from(value())),
@@ -242,7 +237,7 @@ fn parse_args() -> Args {
                  --theta X, --batch N, --cache N, --queue N, --deadline T, \
                  --release-policy oldest-first|cache-affine, --qubit-budget Q, \
                  --fleet N, --tenants T, --front-capacity N, \
-                 --shed-policy tail-drop|deadline-priority, --replication N, --pin-planned, \
+                 --shed-policy tail-drop|deadline-priority, --replication N, \
                  --slo-deadline T, --out FILE, --trace-out FILE)"
             ),
         }
@@ -1183,16 +1178,12 @@ fn shed_policy(args: &Args) -> ShedPolicy {
 /// running the bare service configuration, fronted by a
 /// `--front-capacity` door under `--shed-policy`.
 fn fleet_config(args: &Args, shots: usize) -> FleetConfig {
-    let mut config = FleetConfig::default()
+    FleetConfig::default()
         .with_shards(args.fleet)
         .with_shard_base(service_config(args, shots))
         .with_front_capacity(args.front_capacity)
         .with_shed_policy(shed_policy(args))
-        .with_replication(args.replication);
-    if args.pin_planned {
-        config = config.with_planned_pins(args.qubit_budget);
-    }
-    config
+        .with_replication(args.replication)
 }
 
 /// Deterministic tenant for the `index`-th offer: an FNV mix of the
@@ -1450,13 +1441,11 @@ fn fleet_sections(
         ("fleet_front_capacity", args.front_capacity.into()),
         ("fleet_shed_policy", shed_policy(args).label().into()),
         ("fleet_replication", args.replication.into()),
-        ("fleet_pin_planned", args.pin_planned.into()),
         ("fleet_slo_deadline_ns", args.slo_deadline.into()),
         ("fleet_offered", offered.into()),
         ("fleet_completed", tally.totals.len().into()),
         ("fleet_shed", shed.into()),
         ("fleet_routed", counter(key::FLEET_ROUTED)),
-        ("fleet_pinned_routes", counter(key::FLEET_PINNED_ROUTES)),
         (
             "fleet_replica_cache_wins",
             counter(key::FLEET_REPLICA_CACHE_WINS),

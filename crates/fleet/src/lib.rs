@@ -8,10 +8,10 @@
 //! in per-tenant sub-queues and drains them round-robin: each pass
 //! visits tenants in ascending id and forwards at most one head each,
 //! and the next pass starts again at the lowest id. The consistent-hash
-//! [`Router`] (planner pins + rendezvous replicas + cache-affine
-//! tie-breaking) places each forwarded request on a shard. When the
-//! door overflows, the [`ShedPolicy`] picks the victim — tail-drop or
-//! SLO-aware deadline priority.
+//! [`Router`] (rendezvous replicas + cache-affine tie-breaking) places
+//! each forwarded request on a shard. When the door overflows, the
+//! [`ShedPolicy`] picks the victim — tail-drop or SLO-aware deadline
+//! priority.
 //!
 //! # Determinism contract
 //!
@@ -43,8 +43,8 @@ use qram_service::{
     Admission, QramService, QueryResult, QuerySpec, ServiceConfig, SloClass, TenantId, Ticks,
 };
 use qram_telemetry::{
-    fnv1a_64, key, AdmissionOutcome, MetricsRegistry, NoopRecorder, Recorder, SpanEvent, SpanStage,
-    TelemetryRecorder, SYNTHETIC_REQUEST_BASE,
+    fnv1a_64, key, AdmissionOutcome, MetricsRegistry, NoopRecorder, Recorder, RouteReason,
+    SpanEvent, SpanStage, TelemetryRecorder, SYNTHETIC_REQUEST_BASE,
 };
 
 /// Fleet topology and front-door policy.
@@ -63,13 +63,8 @@ pub struct FleetConfig {
     pub front_capacity: usize,
     /// Victim selection at front-door overflow.
     pub shed_policy: ShedPolicy,
-    /// Rendezvous replication factor for unpinned specs (clamped to
-    /// `1..=shards`).
+    /// Rendezvous replication factor (clamped to `1..=shards`).
     pub replication: usize,
-    /// Pin the capacity planner's family split to dedicated shards.
-    pub pin_planned: bool,
-    /// Qubit budget handed to the planner when `pin_planned` is set.
-    pub qubit_budget: usize,
 }
 
 impl Default for FleetConfig {
@@ -80,8 +75,6 @@ impl Default for FleetConfig {
             front_capacity: 1024,
             shed_policy: ShedPolicy::default(),
             replication: 2,
-            pin_planned: false,
-            qubit_budget: qram_plan::UNLIMITED_BUDGET,
         }
     }
 }
@@ -114,13 +107,6 @@ impl FleetConfig {
     /// Sets the rendezvous replication factor.
     pub fn with_replication(mut self, replication: usize) -> Self {
         self.replication = replication;
-        self
-    }
-
-    /// Enables planner-informed family pinning under `qubit_budget`.
-    pub fn with_planned_pins(mut self, qubit_budget: usize) -> Self {
-        self.pin_planned = true;
-        self.qubit_budget = qubit_budget;
         self
     }
 
@@ -263,10 +249,7 @@ impl<R: Recorder> FleetController<R> {
                 QramService::with_recorder(memory.clone(), config.shard_config(sid), mk(sid))
             })
             .collect();
-        let mut router = Router::new(config.shards, config.replication);
-        if config.pin_planned {
-            router = router.with_planned_pins(memory.address_width(), config.qubit_budget);
-        }
+        let router = Router::new(config.shards, config.replication);
         FleetController {
             recorder: mk(config.shards),
             metrics: MetricsRegistry::default(),
@@ -513,12 +496,8 @@ impl<R: Recorder> FleetController<R> {
     fn forward(&mut self, p: Pending, decision: RouteDecision) {
         let forward_at = p.arrival.max(self.now);
         self.metrics.add(key::FLEET_ROUTED, 1);
-        match decision.reason {
-            qram_telemetry::RouteReason::Pinned => self.metrics.add(key::FLEET_PINNED_ROUTES, 1),
-            qram_telemetry::RouteReason::Replica => {
-                self.metrics.add(key::FLEET_REPLICA_CACHE_WINS, 1)
-            }
-            qram_telemetry::RouteReason::Hash => {}
+        if decision.reason == RouteReason::Replica {
+            self.metrics.add(key::FLEET_REPLICA_CACHE_WINS, 1);
         }
         if self.recorder.enabled() {
             self.recorder.span(SpanEvent {
@@ -601,11 +580,6 @@ impl FleetController<TelemetryRecorder> {
         }
         bytes.extend_from_slice(&self.recorder.trace_digest().to_le_bytes());
         fnv1a_64(bytes)
-    }
-
-    /// Digest over the merged fleet + shard metrics snapshot.
-    pub fn metrics_digest(&self) -> u64 {
-        self.metrics_snapshot().digest()
     }
 }
 

@@ -4,15 +4,10 @@
 //! the shards' *virtual-time* state, so the same arrival stream always
 //! lands on the same shards regardless of host parallelism:
 //!
-//! 1. **Planner pins** — when enabled, the capacity planner's family
-//!    split ([`qram_plan::planned_families`]) pins each planned family
-//!    to a dedicated shard round-robin; pinned specs wait at the front
-//!    door for *their* shard rather than spilling elsewhere (keeping
-//!    each pinned shard's compile cache hot for its family).
-//! 2. **Rendezvous replicas** — every other spec gets a rendezvous
+//! 1. **Rendezvous replicas** — every spec gets a rendezvous
 //!    (highest-random-weight) candidate list of `replication` distinct
 //!    shards; the same spec always produces the same ordered list.
-//! 3. **Cache-affine tie-breaking** — among candidates with queue
+//! 2. **Cache-affine tie-breaking** — among candidates with queue
 //!    room, a shard whose [`qram_service::QramService::cache_contains`]
 //!    probe already holds the compiled circuit wins over the primary
 //!    (a [`RouteReason::Replica`] placement); otherwise the first
@@ -31,13 +26,12 @@ pub struct RouteDecision {
     pub reason: RouteReason,
 }
 
-/// Deterministic consistent-hash router with planner pins and
-/// cache-affine replica selection.
+/// Deterministic consistent-hash router with cache-affine replica
+/// selection.
 #[derive(Debug, Clone)]
 pub struct Router {
     shards: usize,
     replication: usize,
-    pins: Vec<(QuerySpec, usize)>,
 }
 
 /// Canonical routing key for a spec: FNV-1a over its debug rendering,
@@ -47,32 +41,14 @@ fn spec_key(spec: &QuerySpec) -> u64 {
 }
 
 impl Router {
-    /// A router over `shards` shards replicating each unpinned spec
-    /// across `replication` rendezvous candidates (clamped to
-    /// `1..=shards`), with no planner pins.
+    /// A router over `shards` shards replicating each spec across
+    /// `replication` rendezvous candidates (clamped to `1..=shards`).
     pub fn new(shards: usize, replication: usize) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
         Router {
             shards,
             replication: replication.clamp(1, shards),
-            pins: Vec::new(),
         }
-    }
-
-    /// Pins the capacity planner's family split for width `n` under
-    /// `qubit_budget` to dedicated shards, round-robin in plan order.
-    pub fn with_planned_pins(mut self, n: usize, qubit_budget: usize) -> Self {
-        self.pins = qram_plan::planned_families(n, qubit_budget)
-            .into_iter()
-            .enumerate()
-            .map(|(i, arch)| (QuerySpec::of(arch), i % self.shards))
-            .collect();
-        self
-    }
-
-    /// The planner pins in effect, as `(spec, shard)` pairs.
-    pub fn pins(&self) -> &[(QuerySpec, usize)] {
-        &self.pins
     }
 
     /// The ordered rendezvous candidate list for `spec`: shards scored
@@ -96,12 +72,10 @@ impl Router {
     }
 
     /// Places `spec` on a shard with queue room, or `None` when every
-    /// eligible shard is full (the request waits at the front door).
+    /// candidate shard is full (the request waits at the front door).
     ///
-    /// Pinned specs are strict: only their pinned shard is eligible.
-    /// Unpinned specs prefer a rendezvous candidate whose cache already
-    /// holds the compiled circuit; otherwise the first candidate with
-    /// room.
+    /// A rendezvous candidate whose cache already holds the compiled
+    /// circuit wins; otherwise the first candidate with room.
     pub fn route<R: Recorder>(
         &self,
         spec: &QuerySpec,
@@ -109,14 +83,6 @@ impl Router {
     ) -> Option<RouteDecision> {
         debug_assert_eq!(shards.len(), self.shards);
         let room = |sid: usize| shards[sid].in_system() < shards[sid].config().queue_capacity;
-
-        if let Some(&(_, pinned)) = self.pins.iter().find(|(p, _)| p == spec) {
-            return room(pinned).then_some(RouteDecision {
-                shard: pinned,
-                reason: RouteReason::Pinned,
-            });
-        }
-
         let candidates = self.replica_set(spec);
         let primary = candidates.iter().copied().find(|&sid| room(sid));
         let cached = candidates
@@ -141,7 +107,6 @@ impl Router {
 mod tests {
     use super::*;
     use qram_core::ArchSpec;
-    use qram_plan::UNLIMITED_BUDGET;
 
     #[test]
     fn replica_sets_are_deterministic_and_distinct() {
@@ -176,34 +141,6 @@ mod tests {
             hit.iter().filter(|&&h| h).count() >= 2,
             "the family mix should not all hash to one shard: {hit:?}"
         );
-    }
-
-    #[test]
-    fn planned_pins_cover_the_plan_round_robin() {
-        let router = Router::new(2, 1).with_planned_pins(4, UNLIMITED_BUDGET);
-        let pins = router.pins();
-        assert_eq!(
-            pins.len(),
-            qram_plan::planned_families(4, UNLIMITED_BUDGET).len()
-        );
-        for (i, (spec, shard)) in pins.iter().enumerate() {
-            assert_eq!(*shard, i % 2);
-            assert_eq!(spec.arch.address_width(), 4);
-        }
-    }
-
-    #[test]
-    fn pinned_spec_routes_to_its_pinned_shard() {
-        let router = Router::new(2, 2).with_planned_pins(3, UNLIMITED_BUDGET);
-        let (spec, pinned) = router.pins()[1];
-        let memory = qram_core::Memory::from_bits((0..8).map(|i| i % 2 == 0));
-        let shards = vec![
-            QramService::new(memory.clone(), Default::default()),
-            QramService::new(memory, Default::default()),
-        ];
-        let decision = router.route(&spec, &shards).unwrap();
-        assert_eq!(decision.shard, pinned);
-        assert_eq!(decision.reason, RouteReason::Pinned);
     }
 
     #[test]

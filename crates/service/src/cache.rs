@@ -84,18 +84,9 @@ impl CircuitCache {
     }
 
     /// The compiled query for `spec`, compiling via `compile` on a miss
-    /// and evicting the least-recently-used entry when over capacity.
-    pub fn get_or_insert_with(
-        &mut self,
-        spec: QuerySpec,
-        compile: impl FnOnce() -> CompiledQuery,
-    ) -> Arc<CompiledQuery> {
-        self.fetch(spec, compile).0
-    }
-
-    /// Like [`get_or_insert_with`](CircuitCache::get_or_insert_with),
-    /// additionally reporting whether the lookup hit — which is what the
-    /// virtual clock charges the compile cost on.
+    /// and evicting the least-recently-used entry when over capacity,
+    /// together with whether the lookup hit — which is what the virtual
+    /// clock charges the compile cost on.
     pub fn fetch(
         &mut self,
         spec: QuerySpec,
@@ -198,10 +189,10 @@ mod tests {
         let mut cache = CircuitCache::new(2);
         let a = QuerySpec::new(0, 1);
         let b = QuerySpec::new(0, 2);
-        cache.get_or_insert_with(a, || compile(a));
-        cache.get_or_insert_with(a, || compile(a));
-        cache.get_or_insert_with(b, || compile(b));
-        cache.get_or_insert_with(a, || compile(a));
+        cache.fetch(a, || compile(a));
+        cache.fetch(a, || compile(a));
+        cache.fetch(b, || compile(b));
+        cache.fetch(a, || compile(a));
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
@@ -216,15 +207,15 @@ mod tests {
         let a = QuerySpec::new(0, 1);
         let b = QuerySpec::new(0, 2);
         let c = QuerySpec::new(1, 1);
-        cache.get_or_insert_with(a, || compile(a));
-        cache.get_or_insert_with(b, || compile(b));
-        cache.get_or_insert_with(a, || compile(a)); // refresh a: b is now LRU
-        cache.get_or_insert_with(c, || compile(c)); // evicts b
+        cache.fetch(a, || compile(a));
+        cache.fetch(b, || compile(b));
+        cache.fetch(a, || compile(a)); // refresh a: b is now LRU
+        cache.fetch(c, || compile(c)); // evicts b
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.keys(), vec![a, c]);
         // b must recompile (miss), a must not.
-        cache.get_or_insert_with(a, || unreachable!("a was refreshed, not evicted"));
-        cache.get_or_insert_with(b, || compile(b));
+        cache.fetch(a, || unreachable!("a was refreshed, not evicted"));
+        cache.fetch(b, || compile(b));
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -235,7 +226,7 @@ mod tests {
         let specs: Vec<QuerySpec> = crate::mixed_arch_specs(3);
         let mut cache = CircuitCache::new(specs.len());
         for &spec in &specs {
-            cache.get_or_insert_with(spec, || compile(spec));
+            cache.fetch(spec, || compile(spec));
         }
         // Second pass: all hits, nothing recompiles.
         for &spec in &specs {
@@ -254,8 +245,8 @@ mod tests {
     fn miss_compiles_exactly_once_and_shares_the_arc() {
         let mut cache = CircuitCache::new(1);
         let spec = QuerySpec::new(0, 1);
-        let first = cache.get_or_insert_with(spec, || compile(spec));
-        let second = cache.get_or_insert_with(spec, || unreachable!("second lookup must hit"));
+        let (first, _) = cache.fetch(spec, || compile(spec));
+        let (second, _) = cache.fetch(spec, || unreachable!("second lookup must hit"));
         assert!(Arc::ptr_eq(&first, &second));
     }
 
@@ -299,7 +290,7 @@ mod tests {
     fn repeated_same_key_inserts_never_evict_or_recompile() {
         let mut cache = CircuitCache::new(1);
         let spec = QuerySpec::new(0, 1);
-        let first = cache.get_or_insert_with(spec, || compile(spec));
+        let (first, _) = cache.fetch(spec, || compile(spec));
         for _ in 0..10 {
             let (again, hit) = cache.fetch(spec, || unreachable!("resident key must hit"));
             assert!(hit);
@@ -352,8 +343,8 @@ mod tests {
         let a = QuerySpec::new(0, 1);
         let b = QuerySpec::new(0, 2);
         let c = QuerySpec::new(1, 1);
-        cache.get_or_insert_with(a, || compile(a));
-        cache.get_or_insert_with(b, || compile(b));
+        cache.fetch(a, || compile(a));
+        cache.fetch(b, || compile(b));
         assert!(cache.contains(&a) && cache.contains(&b));
         assert!(!cache.contains(&c));
         // Probing `a` ten times must not refresh it: `a` is still the
@@ -363,7 +354,7 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.lookups, stats.hits), (2, 0), "probes are free");
-        cache.get_or_insert_with(c, || compile(c));
+        cache.fetch(c, || compile(c));
         assert!(!cache.contains(&a), "a stayed LRU despite the probes");
         assert_eq!(cache.keys(), vec![b, c]);
     }
@@ -380,7 +371,7 @@ mod tests {
         // after every single lookup.
         for i in [0usize, 0, 1, 2, 1, 0, 2, 2, 1, 0] {
             let spec = specs[i];
-            cache.get_or_insert_with(spec, || compile(spec));
+            cache.fetch(spec, || compile(spec));
             let stats = cache.stats();
             assert_eq!(stats.lookups, stats.hits + stats.misses);
             assert!(stats.evictions <= stats.misses);

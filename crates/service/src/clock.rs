@@ -136,12 +136,12 @@ impl CostModel {
 /// The modeled device's execution-unit timeline: `units` parallel slots,
 /// each remembering when it next falls idle.
 ///
-/// [`assign`](VirtualTimeline::assign) list-schedules one request onto
-/// the earliest-free slot (lowest index on ties) — the deterministic
-/// schedule a greedy work-stealing dispatcher converges to when all
-/// items are ready in a fixed order. Slots persist across batches, so
-/// back-to-back batches queue behind each other exactly as they would on
-/// a busy device.
+/// [`assign_slot`](VirtualTimeline::assign_slot) list-schedules one
+/// request onto the earliest-free slot (lowest index on ties) — the
+/// deterministic schedule a greedy work-stealing dispatcher converges
+/// to when all items are ready in a fixed order. Slots persist across
+/// batches, so back-to-back batches queue behind each other exactly as
+/// they would on a busy device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualTimeline {
     busy_until: Vec<Ticks>,
@@ -166,16 +166,9 @@ impl VirtualTimeline {
     }
 
     /// Schedules one `cost`-tick item that becomes ready at `ready`;
-    /// returns its `(start, end)` on the virtual clock.
-    pub fn assign(&mut self, ready: Ticks, cost: Ticks) -> (Ticks, Ticks) {
-        let (_, start, end) = self.assign_slot(ready, cost);
-        (start, end)
-    }
-
-    /// Like [`assign`](VirtualTimeline::assign), additionally reporting
-    /// which unit the item was scheduled on — the execute span's unit
-    /// assignment. Deterministic: earliest-free slot, lowest index on
-    /// ties.
+    /// returns the unit it was scheduled on (the execute span's unit
+    /// assignment) and its `(start, end)` on the virtual clock.
+    /// Deterministic: earliest-free slot, lowest index on ties.
     pub fn assign_slot(&mut self, ready: Ticks, cost: Ticks) -> (usize, Ticks, Ticks) {
         let slot = self
             .busy_until
@@ -248,12 +241,13 @@ mod tests {
     #[test]
     fn timeline_prefers_earliest_free_slot() {
         let mut timeline = VirtualTimeline::new(2);
-        assert_eq!(timeline.assign(0, 10), (0, 10)); // slot 0
-        assert_eq!(timeline.assign(0, 4), (0, 4)); // slot 1
-                                                   // Slot 1 frees first; the next item queues behind it.
-        assert_eq!(timeline.assign(0, 5), (4, 9));
-        // A late-ready item starts at its ready time on the idle slot.
-        assert_eq!(timeline.assign(20, 1), (20, 21));
+        assert_eq!(timeline.assign_slot(0, 10), (0, 0, 10));
+        assert_eq!(timeline.assign_slot(0, 4), (1, 0, 4));
+        // Slot 1 frees first; the next item queues behind it.
+        assert_eq!(timeline.assign_slot(0, 5), (1, 4, 9));
+        // A late-ready item starts at its ready time on the
+        // earliest-free slot.
+        assert_eq!(timeline.assign_slot(20, 1), (1, 20, 21));
         assert_eq!(timeline.idle_at(), 21);
     }
 
@@ -261,10 +255,10 @@ mod tests {
     fn next_free_is_the_earliest_slot() {
         let mut timeline = VirtualTimeline::new(2);
         assert_eq!(timeline.next_free(), 0);
-        timeline.assign(0, 10);
+        timeline.assign_slot(0, 10);
         // One slot busy until 10, the other still free.
         assert_eq!(timeline.next_free(), 0);
-        timeline.assign(0, 4);
+        timeline.assign_slot(0, 4);
         assert_eq!(timeline.next_free(), 4);
         assert_eq!(timeline.idle_at(), 10);
     }
@@ -272,8 +266,8 @@ mod tests {
     #[test]
     fn single_unit_serializes() {
         let mut timeline = VirtualTimeline::new(1);
-        assert_eq!(timeline.assign(0, 10), (0, 10));
-        assert_eq!(timeline.assign(0, 10), (10, 20));
+        assert_eq!(timeline.assign_slot(0, 10), (0, 0, 10));
+        assert_eq!(timeline.assign_slot(0, 10), (0, 10, 20));
         assert_eq!(timeline.units(), 1);
     }
 

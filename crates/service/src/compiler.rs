@@ -85,11 +85,6 @@ impl Compiler {
         Compiler { cost, shots }
     }
 
-    /// The cost model estimates derive from.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Runs the full pipeline for `spec` over `memory`.
     ///
     /// # Panics

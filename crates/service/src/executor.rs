@@ -49,21 +49,16 @@ pub(crate) struct PreparedRequest {
 /// the stats ride back to the coordinating thread so telemetry
 /// recording never happens off it.
 ///
-/// Noiseless items (`shots == 0`, one classical readout each) always
-/// run inline: open-loop serving dispatches per firing event, and
-/// spawning a thread scope per microsecond-scale batch would cost more
-/// than the work itself. This is purely a scheduling choice — the
-/// bit-identity contract holds either way.
+/// The service passes the count `ServiceConfig::resolved_workers`
+/// resolves (one inline worker when serving noiseless); which worker
+/// runs an item is purely a scheduling choice — the bit-identity
+/// contract holds for any count.
 pub(crate) fn dispatch(
     prepared: &[PreparedRequest],
     workers: usize,
     config: &ServiceConfig,
 ) -> Vec<(QueryResult, ShotStats)> {
-    let workers = if config.shots == 0 {
-        1
-    } else {
-        workers.clamp(1, prepared.len().max(1))
-    };
+    let workers = workers.clamp(1, prepared.len().max(1));
     if workers == 1 {
         return prepared
             .iter()

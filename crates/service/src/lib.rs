@@ -38,7 +38,7 @@
 //! * [`DeadlineBatcher`] / [`QueryBatch`] — the
 //!   deadline-aware batching scheduler: a batch fires when it reaches
 //!   the batch limit, when its oldest member's deadline slack runs
-//!   out, or — work conservation, on by default — immediately when the
+//!   out, or — work conservation, always on — immediately when the
 //!   modeled device has a free execution unit. *Which* pending group a
 //!   freed unit serves is policy-driven ([`ReleasePolicy`]): strict
 //!   FIFO by default, or cache-affine dispatch preferring the oldest
@@ -57,12 +57,11 @@
 //!   sharded shot engine ([`qram_sim::run_shots`]) with deterministic
 //!   per-request seeds — results are **bit-identical for any worker
 //!   count**, latency breakdowns included;
-//! * [`Workload`] / [`ArrivalProcess`] / [`SpecMix`] / [`ClosedLoop`] —
-//!   deterministic traffic generators: address patterns (uniform,
-//!   zipfian, scan, Grover), open-loop arrival processes (Poisson,
-//!   bursty MMPP), spec assignment (round-robin or zipf-skewed over
-//!   circuit shapes, including mixed-architecture sets), and a
-//!   closed-feedback client population issuing dependent arrivals.
+//! * [`Workload`] / [`ArrivalProcess`] / [`SpecMix`] — deterministic
+//!   traffic generators: address patterns (uniform, zipfian, scan,
+//!   Grover), open-loop arrival processes (Poisson, bursty MMPP), and
+//!   spec assignment (round-robin or zipf-skewed over circuit shapes,
+//!   including mixed-architecture sets).
 //!
 //! # Example
 //!
@@ -111,6 +110,5 @@ pub use request::{
 pub use scheduler::{DeadlineBatcher, QueryBatch, ReleasePolicy};
 pub use service::{BatchReport, QramService, ServiceConfig, ServiceReport};
 pub use workload::{
-    assign_specs, assign_specs_with, mixed_arch_specs, ArrivalProcess, ClosedLoop, SpecMix,
-    Workload,
+    assign_specs, assign_specs_with, mixed_arch_specs, ArrivalProcess, SpecMix, Workload,
 };

@@ -11,10 +11,10 @@
 //! [`DeadlineBatcher`] makes the trade explicit: a pending group fires
 //! when it reaches the batch limit (amortization won) **or** when its
 //! oldest member's deadline slack is exhausted (latency bound hit) —
-//! whichever comes first. A work-conserving service additionally calls
+//! whichever comes first. The service additionally calls
 //! [`DeadlineBatcher::fire_oldest`] whenever the modeled device has a
-//! free execution unit: with capacity idle, waiting out a deadline buys
-//! no amortization. Grouping is stable: specs hold first-arrival
+//! free execution unit (work conservation, always on): with capacity
+//! idle, waiting out a deadline buys no amortization. Grouping is stable: specs hold first-arrival
 //! order and requests keep their admission order within a spec, which
 //! makes the firing sequence (and therefore cache accounting) a pure
 //! function of the admitted request sequence and the clock instants at

@@ -91,23 +91,14 @@ pub struct ServiceConfig {
     pub noise: NoiseModel,
     /// Bound on in-system requests (pending + executing) for the
     /// non-blocking admission path; offers beyond it are
-    /// [shed](Admission::Shed). The closed-loop [`submit`]
-    /// (QramService::submit) path models a blocking client and is
-    /// exempt.
+    /// [shed](Admission::Shed). The closed-loop
+    /// [`submit`](QramService::submit) path models a blocking client
+    /// and is exempt.
     pub queue_capacity: usize,
     /// Deadline slack in virtual ns: a pending batch fires at the latest
     /// `deadline` ticks after its oldest member arrived, even if under
     /// the batch limit.
     pub deadline: Ticks,
-    /// Work conservation (on by default): fire the oldest underfull
-    /// batch immediately whenever the virtual timeline has a free
-    /// execution unit — with capacity idle, holding requests for the
-    /// deadline buys no amortization and costs pure latency. Applies to
-    /// the event-driven paths ([`QramService::try_submit_at`] /
-    /// [`QramService::poll`]); the closed-loop
-    /// [`submit`](QramService::submit) path admits without advancing
-    /// the clock and is batched as before.
-    pub work_conserving: bool,
     /// Which pending group a work-conserving release hands a freed
     /// execution unit: strict FIFO over groups
     /// ([`ReleasePolicy::OldestFirst`], the default — the historical
@@ -142,7 +133,6 @@ impl Default for ServiceConfig {
             noise: NoiseModel::per_gate(PauliChannel::depolarizing(BASE_ERROR_RATE)),
             queue_capacity: 256,
             deadline: 20_000,
-            work_conserving: true,
             release_policy: ReleasePolicy::OldestFirst,
             cost: CostModel::default(),
             deep_verify: false,
@@ -181,12 +171,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Overrides the noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Overrides the per-request shot-engine thread count.
     pub fn with_shot_threads(mut self, threads: usize) -> Self {
         self.shot_threads = threads;
@@ -212,12 +196,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables work-conserving batch firing.
-    pub fn with_work_conserving(mut self, on: bool) -> Self {
-        self.work_conserving = on;
-        self
-    }
-
     /// Overrides the work-conserving release policy.
     pub fn with_release_policy(mut self, policy: ReleasePolicy) -> Self {
         self.release_policy = policy;
@@ -237,7 +215,15 @@ impl ServiceConfig {
     }
 
     /// The effective executor worker count for `items` work items.
+    ///
+    /// Noiseless serving (`shots == 0`, one classical readout per item)
+    /// always resolves to one inline worker: dispatch runs per firing
+    /// event, and spawning a thread scope per microsecond-scale batch
+    /// would cost more than the work itself.
     fn resolved_workers(&self, items: usize) -> usize {
+        if self.shots == 0 {
+            return 1;
+        }
         let hardware = if self.workers > 0 {
             self.workers
         } else {
@@ -520,40 +506,23 @@ impl<R: Recorder> QramService<R> {
         self.metrics.counter(key::BATCH_REPORTS_DROPPED)
     }
 
-    /// The earliest instant a [`poll`](QramService::poll) returns a new
-    /// result (`None` when nothing is executing or ready) — the next
-    /// event a closed-feedback client should advance to. Results whose
-    /// virtual completion has already passed (harvested internally by
-    /// an admission's clock advance) report the current instant.
-    pub fn next_completion(&self) -> Option<Ticks> {
-        if self.ready.is_empty() {
-            self.in_flight.peek().map(|f| f.result.completed)
-        } else {
-            Some(self.now)
-        }
-    }
-
-    /// The earliest instant a pending batch fires on deadline slack
-    /// (`None` when nothing is pending) — with
-    /// [`next_completion`](QramService::next_completion), everything a
-    /// closed-feedback driver needs to advance the clock event by event.
-    pub fn next_batch_deadline(&self) -> Option<Ticks> {
-        self.batcher.next_deadline()
-    }
-
     /// The earliest future instant anything happens on this service's
-    /// virtual clock — the min of
-    /// [`next_completion`](QramService::next_completion) and
-    /// [`next_batch_deadline`](QramService::next_batch_deadline).
+    /// virtual clock: the next completion a [`poll`](QramService::poll)
+    /// returns, or the next batch deadline, whichever comes first.
+    /// Results already harvested into the ready queue (by an
+    /// admission's clock advance) report the current instant.
     /// Work-conserving releases need no separate entry: a unit frees
     /// exactly at a completion instant, so polling to the returned
     /// instant observes them too. `None` when the pipeline is idle.
     pub fn next_event(&self) -> Option<Ticks> {
-        match (self.next_completion(), self.next_batch_deadline()) {
+        let completion = if self.ready.is_empty() {
+            self.in_flight.peek().map(|f| f.result.completed)
+        } else {
+            Some(self.now)
+        };
+        match (completion, self.batcher.next_deadline()) {
             (Some(c), Some(d)) => Some(c.min(d)),
-            (Some(c), None) => Some(c),
-            (None, Some(d)) => Some(d),
-            (None, None) => None,
+            (c, d) => c.or(d),
         }
     }
 
@@ -760,14 +729,11 @@ impl<R: Recorder> QramService<R> {
         self.ready.drain(..).collect()
     }
 
-    /// While work-conserving with pending work and a free execution
-    /// unit at the current instant, fires the pending group the release
-    /// policy selects.
+    /// While work is pending and an execution unit is free at the
+    /// current instant, fires the pending group the release policy
+    /// selects.
     fn conserve_now(&mut self) {
-        while self.config.work_conserving
-            && self.batcher.pending() > 0
-            && self.timeline.next_free() <= self.now
-        {
+        while self.batcher.pending() > 0 && self.timeline.next_free() <= self.now {
             let (batch, reason) = self.release_pending().expect("pending group exists");
             self.fire_batches(vec![batch], self.now, reason);
         }
@@ -826,7 +792,7 @@ impl<R: Recorder> QramService<R> {
     fn advance_to(&mut self, t: Ticks) {
         loop {
             let deadline = self.batcher.next_deadline().filter(|&d| d <= t);
-            let conserve = (self.config.work_conserving && self.batcher.pending() > 0)
+            let conserve = (self.batcher.pending() > 0)
                 .then(|| self.timeline.next_free().max(self.now))
                 .filter(|&w| w <= t);
             let conserving = match (deadline, conserve) {
@@ -1132,6 +1098,20 @@ mod tests {
     }
 
     #[test]
+    fn noiseless_drain_reports_one_inline_worker() {
+        // Noiseless items run inline on one thread whatever the worker
+        // count, and the report says so.
+        let config = noiseless_config().with_workers(4);
+        let mut service = QramService::new(memory(3), config);
+        for address in 0..8u64 {
+            service.submit(address, QuerySpec::new(1, 2));
+        }
+        let report = service.drain();
+        assert_eq!(report.results.len(), 8);
+        assert_eq!(report.workers, 1);
+    }
+
+    #[test]
     fn cache_is_reused_across_drains() {
         let mut service = QramService::new(memory(3), noiseless_config());
         let spec = QuerySpec::new(1, 2);
@@ -1175,24 +1155,29 @@ mod tests {
 
     #[test]
     fn deadline_fires_underfull_batches_as_the_clock_advances() {
-        // Work conservation off: this pins the pure deadline mechanism.
-        let config = noiseless_config()
-            .with_work_conserving(false)
-            .with_deadline(100)
-            .with_batch_limit(8);
+        let config = noiseless_config().with_deadline(100).with_batch_limit(8);
         let mut service = QramService::new(memory(3), config);
         let spec = QuerySpec::new(1, 2);
+        // Two blockers take both default execution units at t = 0, so
+        // only the deadline can fire the later requests.
+        for address in [5, 6] {
+            assert!(service.try_submit_at(address, spec, 0).is_accepted());
+        }
+        assert_eq!(service.pending(), 0, "the blockers fired on arrival");
+        service.take_batch_reports();
         assert!(service.try_submit_at(1, spec, 10).is_accepted());
         assert!(service.try_submit_at(2, spec, 30).is_accepted());
-        // Before the oldest member's deadline (10 + 100) nothing fires.
+        // The oldest pending member's deadline: 10 + 100.
+        assert_eq!(service.batcher.next_deadline(), Some(110));
+        // Before it nothing fires.
         assert!(service.poll(109).is_empty());
         assert_eq!(service.pending(), 2);
         // At the deadline the underfull batch fires; results complete
         // after compile + execute on the virtual clock.
         let results = service.poll(1_000_000);
-        assert_eq!(results.len(), 2);
+        assert_eq!(results.len(), 4);
         assert_eq!(service.pending(), 0);
-        for result in &results {
+        for result in results.iter().filter(|r| r.id >= 2) {
             assert!(result.latency.queue_wait > 0, "waited for the deadline");
             assert_eq!(result.completed - result.arrival, result.latency.total());
         }
@@ -1274,19 +1259,31 @@ mod tests {
 
     #[test]
     fn max_deadline_slack_never_fires_early() {
-        // Ticks::MAX slack = batch-limit-only firing; arrivals at
-        // nonzero instants must not overflow into immediate deadlines.
+        // Ticks::MAX slack = no deadline firing; arrivals at nonzero
+        // instants must not overflow into immediate deadlines.
         let config = noiseless_config()
-            .with_work_conserving(false)
             .with_deadline(Ticks::MAX)
             .with_batch_limit(4);
         let mut service = QramService::new(memory(3), config);
         let spec = QuerySpec::new(1, 2);
-        assert!(service.try_submit_at(1, spec, 5_000).is_accepted());
-        assert!(service.poll(1_000_000_000).is_empty());
+        // Two blockers take both default execution units at t = 0.
+        for address in [5, 6] {
+            assert!(service.try_submit_at(address, spec, 0).is_accepted());
+        }
+        let unit_free = service.timeline.next_free();
+        assert!(unit_free > 500, "premise: the units are busy at 500");
+        assert!(service.try_submit_at(1, spec, 500).is_accepted());
+        assert_eq!(service.batcher.next_deadline(), Some(Ticks::MAX));
+        // The request stays pending until a unit frees.
+        let mut results = service.poll(unit_free - 1);
         assert_eq!(service.pending(), 1);
+        results.extend(service.poll(unit_free));
+        assert_eq!(service.pending(), 0);
         let report = service.drain();
-        assert_eq!(report.results.len(), 1);
+        results.extend(report.results);
+        assert_eq!(results.len(), 3);
+        let last = report.batches.last().expect("the pending request fired");
+        assert_eq!((last.fired_at, last.requests), (unit_free, 1));
     }
 
     #[test]

@@ -29,16 +29,12 @@
 //! Streams are pure functions of their parameters (seeded [`StdRng`]),
 //! so a workload names a reproducible experiment.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qram_core::ArchSpec;
 
-use crate::{
-    Admission, QramService, QueryRequest, QueryResult, QuerySpec, SloClass, TenantId, Ticks,
-};
+use crate::{QuerySpec, Ticks};
 
 /// A deterministic address-stream generator over a `2^address_width`-cell
 /// memory.
@@ -359,165 +355,6 @@ pub fn mixed_arch_specs(n: usize) -> Vec<QuerySpec> {
     .collect()
 }
 
-/// A closed-feedback client population: each client submits its next
-/// query only after polling the previous one's result — the dependency
-/// structure of a Grover search, whose oracle issues one QRAM query per
-/// iteration and cannot start iteration `i + 1` before iteration `i`
-/// returns.
-///
-/// Unlike an open-loop [`ArrivalProcess`], the offered load here adapts
-/// to the service's speed: a slow service *slows the clients down*
-/// instead of building an unbounded queue, which is exactly the
-/// self-throttling behavior closed-loop benchmarks (and real dependent
-/// workloads) exhibit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClosedLoop {
-    /// Concurrent clients (outstanding queries never exceed this).
-    pub clients: usize,
-    /// Queries each client issues before retiring.
-    pub queries_per_client: usize,
-    /// Virtual ns a client "thinks" between polling one result and
-    /// submitting its next query (0 = immediate resubmission).
-    pub think_time: Ticks,
-}
-
-impl ClosedLoop {
-    /// Drives `service` with this client population over the
-    /// `(address, spec)` stream (global query index `q` is served by
-    /// client `q % clients`, preserving per-client order), entirely
-    /// through the event-driven [`QramService::try_submit_at`] /
-    /// [`QramService::poll`] interface. Returns every result in virtual
-    /// completion order.
-    ///
-    /// Deterministic: the submission schedule is a pure function of the
-    /// stream and the service's virtual-clock behavior, so results are
-    /// bit-identical for any real worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients == 0`, if the stream is shorter than
-    /// `clients * queries_per_client`, or if the service's bounded
-    /// queue is smaller than `clients` (a closed loop never has more
-    /// than `clients` queries in the system, so admission must not
-    /// shed).
-    pub fn run(&self, service: &mut QramService, stream: &[(u64, QuerySpec)]) -> Vec<QueryResult> {
-        assert!(self.clients > 0, "closed loop needs at least one client");
-        let total = self.clients * self.queries_per_client;
-        assert!(
-            stream.len() >= total,
-            "stream holds {} submissions, need {total}",
-            stream.len()
-        );
-        assert!(
-            service.config().queue_capacity >= self.clients,
-            "queue capacity {} cannot hold {} closed-loop clients",
-            service.config().queue_capacity,
-            self.clients
-        );
-        // Per-client cursor into its own slice of the stream, plus the
-        // instant it next submits (None while waiting or retired).
-        let mut issued = vec![0usize; self.clients];
-        let mut submit_at: Vec<Option<Ticks>> = vec![Some(0); self.clients];
-        let mut waiting: HashMap<u64, usize> = HashMap::new();
-        let mut results: Vec<QueryResult> = Vec::with_capacity(total);
-
-        while results.len() < total {
-            // The earliest client ready to submit (lowest index ties)
-            // and the service's next internal event.
-            let next_submit = submit_at
-                .iter()
-                .enumerate()
-                .filter_map(|(c, t)| t.map(|t| (t, c)))
-                .min();
-            let service_event = match (service.next_completion(), service.next_batch_deadline()) {
-                (Some(c), Some(d)) => Some(c.min(d)),
-                (c, d) => c.or(d),
-            };
-            match next_submit {
-                // A service event precedes the next submission: poll up
-                // to it so completions wake their clients in event
-                // order (a woken client resubmits at `completed +
-                // think ≥ event`, never in the past).
-                Some((ts, _)) if service_event.is_some_and(|e| e < ts) => {
-                    for done in service.poll(service_event.expect("checked above")) {
-                        self.harvest(done, &mut submit_at, &mut waiting, &issued, &mut results);
-                    }
-                }
-                Some((ts, client)) => {
-                    let q = issued[client];
-                    let (address, spec) = stream[client + q * self.clients];
-                    match service.try_submit_at(address, spec, ts) {
-                        Admission::Accepted(id) => {
-                            submit_at[client] = None;
-                            issued[client] = q + 1;
-                            waiting.insert(id, client);
-                        }
-                        Admission::Shed { queue_depth } => unreachable!(
-                            "closed loop shed at depth {queue_depth} with {} clients",
-                            self.clients
-                        ),
-                        Admission::Rejected(reason) => {
-                            panic!("closed-loop stream rejected: {reason}")
-                        }
-                    }
-                }
-                None => match service_event {
-                    Some(e) => {
-                        for done in service.poll(e) {
-                            self.harvest(done, &mut submit_at, &mut waiting, &issued, &mut results);
-                        }
-                    }
-                    None => {
-                        // No future event can surface the in-flight
-                        // work through polling alone (e.g. deadline
-                        // firing disabled); flush what remains.
-                        for done in service.run_until_idle() {
-                            self.harvest(done, &mut submit_at, &mut waiting, &issued, &mut results);
-                        }
-                    }
-                },
-            }
-        }
-        results
-    }
-
-    /// Records one completed result and wakes its client.
-    fn harvest(
-        &self,
-        done: QueryResult,
-        submit_at: &mut [Option<Ticks>],
-        waiting: &mut HashMap<u64, usize>,
-        issued: &[usize],
-        results: &mut Vec<QueryResult>,
-    ) {
-        let client = waiting
-            .remove(&done.id)
-            .expect("every closed-loop result answers a waiting client");
-        if issued[client] < self.queries_per_client {
-            submit_at[client] = Some(done.completed + self.think_time);
-        }
-        results.push(done);
-    }
-}
-
-/// Like [`assign_specs`], but materializes full [`QueryRequest`]s with
-/// ids `0..count` arriving at tick 0 — for driving the scheduler
-/// directly in tests without a service instance.
-pub fn requests(workload: &Workload, specs: &[QuerySpec], count: usize) -> Vec<QueryRequest> {
-    assign_specs(workload, specs, count)
-        .into_iter()
-        .enumerate()
-        .map(|(id, (address, spec))| QueryRequest {
-            id: id as u64,
-            address,
-            spec,
-            arrival: 0,
-            tenant: TenantId::default(),
-            slo: SloClass::default(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,12 +448,12 @@ mod tests {
     fn specs_are_assigned_round_robin() {
         let w = Workload::SequentialScan { address_width: 3 };
         let specs = [QuerySpec::new(1, 2), QuerySpec::new(2, 1)];
-        let reqs = requests(&w, &specs, 5);
-        assert_eq!(reqs.len(), 5);
-        assert_eq!(reqs[0].spec, specs[0]);
-        assert_eq!(reqs[1].spec, specs[1]);
-        assert_eq!(reqs[2].spec, specs[0]);
-        assert_eq!(reqs[4].id, 4);
+        let assigned = assign_specs(&w, &specs, 5);
+        assert_eq!(assigned.len(), 5);
+        assert_eq!(assigned[0], (0, specs[0]));
+        assert_eq!(assigned[1], (1, specs[1]));
+        assert_eq!(assigned[2], (2, specs[0]));
+        assert_eq!(assigned[4], (4, specs[0]));
     }
 
     #[test]
@@ -738,112 +575,6 @@ mod tests {
             specs.iter().map(|s| s.arch.family()).collect();
         assert_eq!(families.len(), 5);
         assert!(specs.iter().all(|s| s.address_width() == 3));
-    }
-
-    #[test]
-    fn closed_loop_serializes_each_clients_queries() {
-        use crate::{QramService, ServiceConfig};
-        use qram_core::Memory;
-
-        let memory = Memory::from_bits((0..8).map(|i| i % 3 == 0));
-        let config = ServiceConfig::default()
-            .with_shots(0)
-            .with_workers(1)
-            .with_deadline(2_000);
-        let loop_model = ClosedLoop {
-            clients: 3,
-            queries_per_client: 4,
-            think_time: 100,
-        };
-        let stream = assign_specs(
-            &Workload::SequentialScan { address_width: 3 },
-            &[QuerySpec::new(1, 2)],
-            12,
-        );
-        let mut service = QramService::new(memory.clone(), config);
-        let results = loop_model.run(&mut service, &stream);
-        assert_eq!(results.len(), 12);
-        // Ground truth holds and nothing was shed: dependent arrivals
-        // self-throttle below the bounded queue.
-        assert_eq!(service.admission_stats().shed, 0);
-        for r in &results {
-            assert_eq!(r.value, memory.get(r.address as usize));
-        }
-        // Dependence pin: a client's next query arrives only after its
-        // previous one completed (plus think time). Requests are issued
-        // round-robin, so consecutive ids of one client differ by the
-        // client count... not necessarily — ids follow submission
-        // order. Instead check per-address-stream order: each client's
-        // completions are strictly increasing in arrival, and every
-        // arrival is >= the previous completion + think of *some*
-        // earlier result (the one that woke the client).
-        let mut by_id = results.clone();
-        by_id.sort_by_key(|r| r.id);
-        for r in &by_id {
-            if r.arrival > 0 {
-                assert!(
-                    by_id
-                        .iter()
-                        .any(|prev| prev.completed + loop_model.think_time == r.arrival),
-                    "arrival {} has no waking completion",
-                    r.arrival
-                );
-            }
-        }
-        // In-system load never exceeded the client population.
-        assert!(service.admission_stats().accepted == 12);
-    }
-
-    #[test]
-    fn closed_loop_is_deterministic_across_worker_counts() {
-        use crate::{QramService, ServiceConfig};
-        use qram_core::Memory;
-
-        let memory = Memory::from_bits((0..16).map(|i| i % 5 == 1));
-        let stream = assign_specs_with(
-            &Workload::Zipfian {
-                address_width: 4,
-                theta: 0.9,
-                seed: 19,
-            },
-            &[QuerySpec::new(1, 3), QuerySpec::new(2, 2)],
-            SpecMix::RoundRobin,
-            24,
-        );
-        let run = |workers: usize| {
-            let config = ServiceConfig::default()
-                .with_shots(6)
-                .with_seed(23)
-                .with_workers(workers);
-            let mut service = QramService::new(memory.clone(), config);
-            ClosedLoop {
-                clients: 4,
-                queries_per_client: 6,
-                think_time: 50,
-            }
-            .run(&mut service, &stream)
-        };
-        let serial = run(1);
-        assert_eq!(serial.len(), 24);
-        assert_eq!(serial, run(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot hold")]
-    fn closed_loop_rejects_undersized_queues() {
-        use crate::{QramService, ServiceConfig};
-        use qram_core::Memory;
-        let config = ServiceConfig::default()
-            .with_shots(0)
-            .with_queue_capacity(2);
-        let mut service = QramService::new(Memory::ones(3), config);
-        let stream = vec![(0u64, QuerySpec::new(1, 2)); 8];
-        let _ = ClosedLoop {
-            clients: 4,
-            queries_per_client: 2,
-            think_time: 0,
-        }
-        .run(&mut service, &stream);
     }
 
     #[test]

@@ -42,9 +42,7 @@ use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::{
-    run_with_faults, run_with_faults_chunked, FaultPlan, FidelityEstimate, PathState, SimError,
-};
+use crate::{run_with_faults_chunked, FaultPlan, FidelityEstimate, PathState, SimError};
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -333,11 +331,7 @@ fn run_shard(
         stats.faults += plan.len() as u64;
         stats.gate_applications += gates.len() as u64;
         scratch.clone_from(input);
-        if path_chunks > 1 {
-            run_with_faults_chunked(gates, &mut scratch, &plan, path_chunks)?;
-        } else {
-            run_with_faults(gates, &mut scratch, &plan)?;
-        }
+        run_with_faults_chunked(gates, &mut scratch, &plan, path_chunks)?;
         *slot = match keep {
             None => ideal.fidelity(&scratch),
             Some(keep) => ideal.reduced_fidelity(&scratch, keep),

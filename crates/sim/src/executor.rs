@@ -351,8 +351,7 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
             });
         }
         Gate::Mcx { controls, target } => {
-            let cs = controls.clone();
-            let t = target.index();
+            let (cs, t) = (controls.as_slice(), target.index());
             view.permute_paths(|bits| {
                 if cs.iter().all(|c| ctrl_active(bits, c)) {
                     bits.flip(t);

@@ -120,8 +120,6 @@ pub mod key {
     pub const FLEET_ROUTED: &str = "fleet.routed";
     /// Counter: requests shed at the fleet front door.
     pub const FLEET_SHED: &str = "fleet.shed";
-    /// Counter: routes decided by a planner-informed family pin.
-    pub const FLEET_PINNED_ROUTES: &str = "fleet.pinned_routes";
     /// Counter: replica routes whose tie-break was decided by the
     /// cache-residency probe (rather than the lowest-shard fallback).
     pub const FLEET_REPLICA_CACHE_WINS: &str = "fleet.replica_cache_wins";

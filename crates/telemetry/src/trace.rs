@@ -74,13 +74,13 @@ impl FireReason {
     }
 }
 
-/// Why the fleet router placed a request on the shard it did.
+/// Why the fleet router placed a request on the shard it did. The
+/// explicit discriminants are digested into every route span, so they
+/// never change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteReason {
     /// Deterministic consistent hash of the request's spec key.
     Hash = 0,
-    /// Planner-informed pin: the spec's family is pinned to a shard.
-    Pinned = 1,
     /// Replicated hot spec: the winner among the replica set, chosen by
     /// the cache-residency probe (falling back to the lowest shard id).
     Replica = 2,
@@ -91,7 +91,6 @@ impl RouteReason {
     pub fn label(self) -> &'static str {
         match self {
             RouteReason::Hash => "hash",
-            RouteReason::Pinned => "pinned",
             RouteReason::Replica => "replica",
         }
     }
@@ -491,7 +490,7 @@ mod tests {
         };
         let base = route(0, RouteReason::Hash);
         assert_ne!(base.digest(), route(1, RouteReason::Hash).digest());
-        assert_ne!(base.digest(), route(0, RouteReason::Pinned).digest());
+        assert_ne!(base.digest(), route(0, RouteReason::Replica).digest());
         let log = Json::parse(&Json::from(&route(3, RouteReason::Replica)).pretty()).unwrap();
         let span =
             r#"{"request":4,"stage":"route","start":9,"end":9,"shard":3,"reason":"replica"}"#;

@@ -29,16 +29,15 @@
 //!   (`spec → circuit → resources → cost`) behind an LRU cache, a
 //!   deterministic work-stealing executor with honest
 //!   resource-calibrated latency breakdowns, and workload generators
-//!   (Poisson/bursty arrivals, zipf-skewed addresses and specs,
-//!   closed-feedback clients).
+//!   (Poisson/bursty arrivals, zipf-skewed addresses and specs).
 //! * [`fleet`] — fleet-scale serving: a deterministic virtual-time
 //!   controller over N independent service shards (each with its own
 //!   device profile, cache, and cost calibration) behind one front
 //!   door. Requests carry tenant and SLO-class tags; placement is
-//!   consistent-hash routing with planner-informed family pinning,
-//!   rendezvous replication, and cache-affine tie-breaking; the door
-//!   drains per-tenant queues round-robin and sheds SLO-aware
-//!   (deadline-priority vs tail-drop). Fleet outputs are bit-identical
+//!   consistent-hash routing with rendezvous replication and
+//!   cache-affine tie-breaking; the door drains per-tenant queues
+//!   round-robin and sheds SLO-aware (deadline-priority vs
+//!   tail-drop). Fleet outputs are bit-identical
 //!   across every host-parallelism knob, and a 1-shard fleet
 //!   degenerates to the bare service.
 //! * [`telemetry`] — deterministic observability: a span tracer keyed

@@ -11,7 +11,7 @@ use qram::service::{
     mixed_arch_specs, QramService, QuerySpec, ServiceConfig, SloClass, TelemetryRecorder, TenantId,
     Ticks,
 };
-use qram::telemetry::SpanStage;
+use qram::telemetry::{key, RouteReason, SpanStage};
 
 fn memory(n: usize) -> Memory {
     Memory::from_bits((0..1usize << n).map(|i| (i * 5) % 7 < 3))
@@ -70,7 +70,11 @@ fn run_fleet(config: FleetConfig, stream: &[Arrival]) -> (Vec<FleetResult>, u64,
         results.extend(fleet.poll(at));
     }
     results.extend(fleet.run_until_idle());
-    (results, fleet.trace_digest(), fleet.metrics_digest())
+    (
+        results,
+        fleet.trace_digest(),
+        fleet.metrics_snapshot().digest(),
+    )
 }
 
 #[test]
@@ -330,6 +334,50 @@ fn fleet_stats_conserve_every_offer_at_overload() {
             assert_eq!(sum(2), stats.shed, "{policy:?}");
         }
     }
+}
+
+/// Every route span carries one of the router's two reasons, and the
+/// span counts agree with the `fleet.routed` and
+/// `fleet.replica_cache_wins` counters.
+#[test]
+fn route_spans_agree_with_the_fleet_routing_counters() {
+    let config = FleetConfig::default()
+        .with_shards(4)
+        .with_shard_base(
+            ServiceConfig::default()
+                .with_shots(0)
+                .with_workers(1)
+                .with_queue_capacity(4)
+                .with_cache_capacity(2),
+        )
+        .with_front_capacity(48)
+        .with_replication(2);
+    let mut fleet = FleetController::with_telemetry(memory(3), config);
+    for (address, spec, at, tenant, slo) in overload_stream() {
+        fleet.submit_at(address, spec, at, tenant, slo);
+    }
+    fleet.run_until_idle();
+    let reasons: Vec<RouteReason> = fleet
+        .recorder()
+        .tracer()
+        .canonical()
+        .into_iter()
+        .filter_map(|e| match e.stage {
+            SpanStage::Route { reason, .. } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    assert!(reasons
+        .iter()
+        .all(|r| matches!(r, RouteReason::Hash | RouteReason::Replica)));
+    let metrics = fleet.metrics_snapshot();
+    assert_eq!(reasons.len() as u64, metrics.counter(key::FLEET_ROUTED));
+    let replica = reasons
+        .iter()
+        .filter(|&&r| r == RouteReason::Replica)
+        .count() as u64;
+    assert_eq!(replica, metrics.counter(key::FLEET_REPLICA_CACHE_WINS));
+    assert!(replica > 0, "premise: some routes are replica cache wins");
 }
 
 #[test]
