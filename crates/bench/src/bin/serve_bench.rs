@@ -26,16 +26,9 @@
 //! * `--seed N` — service master seed (per-request streams derive from it);
 //! * `--threads N` — real executor workers (`0` = all cores). A pure
 //!   throughput knob: results — latency breakdowns included — are
-//!   bit-identical for any value (the printed `results_digest` proves it);
-//! * `--shot-threads N` — threads the shot engine uses *inside* one
-//!   request (default 1). Multiplies with `--threads`; keep at 1 unless
-//!   requests are few and shot counts large, since per-request
-//!   work-stealing already fills the workers;
-//! * `--path-chunks N` — path-slab chunks the simulator splits each
-//!   shot's path set into (default 1; `0` = auto). Multiplies with both
-//!   thread knobs; keep at 1 unless circuits are wide (`--width` 8+).
-//!   Like the thread knobs it is a pure throughput knob — results are
-//!   bit-identical for any value;
+//!   bit-identical for any value (the printed `results_digest` proves it).
+//!   It is the only host-parallelism knob: a request's shots run as
+//!   lanes of one circuit walk;
 //! * `--mode closed|open` — closed-loop drain (default) or open-loop
 //!   arrival-process sweep;
 //! * `--workload NAME` — `uniform`, `zipfian` (default), `scan`, `grover`;
@@ -61,11 +54,10 @@
 //!   `cache-affine` (prefer the oldest *cache-resident* group — zero
 //!   compile ticks — bounded by the policy's age cap so no group
 //!   starves). A scheduling knob on the virtual clock: results remain
-//!   bit-identical across `--threads`/`--shot-threads`/`--path-chunks`
-//!   for either policy. Open mode additionally emits a
-//!   `policy_compare` block running *both* policies head-to-head on
-//!   identical arrivals at the swept load nearest the modeled capacity
-//!   (schema v6);
+//!   bit-identical across `--threads` for either policy. Open mode
+//!   additionally emits a `policy_compare` block running *both*
+//!   policies head-to-head on identical arrivals at the swept load
+//!   nearest the modeled capacity (schema v6);
 //! * `--qubit-budget Q` — physical qubit budget handed to the capacity
 //!   planner for `--arch mix` (0 = unconstrained, the default);
 //! * `--fleet N` — open-loop only: serve through a
@@ -97,9 +89,9 @@
 //! reported separately (closed mode's `wall_rps` spans `submit_all`
 //! and the drain). Every run records through a
 //! `qram_telemetry::TelemetryRecorder`; the `trace_digest` and
-//! `telemetry_digest` are bit-identical across `--threads`,
-//! `--shot-threads` and `--path-chunks` (CI diffs them). Every mode's
-//! summary is one `serve-summary/v6` [`Json`] value written once.
+//! `telemetry_digest` are bit-identical across `--threads` (CI diffs
+//! them). Every mode's summary is one `serve-summary/v6` [`Json`] value
+//! written once.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -123,8 +115,6 @@ struct Args {
     shots: Option<usize>,
     seed: u64,
     threads: usize,
-    shot_threads: usize,
-    path_chunks: usize,
     mode: String,
     workload: String,
     arrivals: String,
@@ -156,8 +146,6 @@ fn parse_args() -> Args {
         shots: None,
         seed: 2023,
         threads: 0,
-        shot_threads: 1,
-        path_chunks: 1,
         mode: "closed".into(),
         workload: "zipfian".into(),
         arrivals: "poisson".into(),
@@ -193,8 +181,6 @@ fn parse_args() -> Args {
             "--shots" => parsed.shots = Some(number(&flag, &value())),
             "--seed" => parsed.seed = number(&flag, &value()),
             "--threads" => parsed.threads = number(&flag, &value()),
-            "--shot-threads" => parsed.shot_threads = number(&flag, &value()),
-            "--path-chunks" => parsed.path_chunks = number(&flag, &value()),
             "--mode" => parsed.mode = value(),
             "--workload" => parsed.workload = value(),
             "--arrivals" => parsed.arrivals = value(),
@@ -231,8 +217,7 @@ fn parse_args() -> Args {
             "--trace-out" => parsed.trace_out = Some(PathBuf::from(value())),
             other => panic!(
                 "unknown flag `{other}` (expected --full, --arch NAME, --shots N, --seed N, \
-                 --threads N, --shot-threads N, --path-chunks N, --mode closed|open, \
-                 --workload NAME, \
+                 --threads N, --mode closed|open, --workload NAME, \
                  --arrivals NAME, --load LIST, --spec-skew X, --requests N, --width N, \
                  --theta X, --batch N, --cache N, --queue N, --deadline T, \
                  --release-policy oldest-first|cache-affine, --qubit-budget Q, \
@@ -369,8 +354,6 @@ fn service_config(args: &Args, shots: usize) -> ServiceConfig {
         .with_shots(shots)
         .with_seed(args.seed)
         .with_batch_limit(args.batch)
-        .with_shot_threads(args.shot_threads)
-        .with_path_chunks(args.path_chunks)
         .with_cache_capacity(args.cache)
         .with_queue_capacity(args.queue)
         .with_deadline(args.deadline)
@@ -743,8 +726,6 @@ fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
         ("specs", Some(ctx.specs.len().into())),
         ("shots", Some(ctx.shots.into())),
         ("seed", Some(args.seed.into())),
-        ("shot_threads", Some(args.shot_threads.into())),
-        ("path_chunks", Some(args.path_chunks.into())),
         ("queue_capacity", open(args.queue.into())),
         ("deadline_ns", open(args.deadline.into())),
         ("batch_limit", open(args.batch.into())),
@@ -904,7 +885,7 @@ fn run_closed(ctx: &Ctx<'_>) {
     let per_arch = arch_breakdown(&[(&report.results[..], &report.batches[..])]);
 
     println!(
-        "# serve_bench closed: {} x {} over n={} (arch {}, {} hot specs, batch <= {}, {} shots, {} workers x {} shot-threads)",
+        "# serve_bench closed: {} x {} over n={} (arch {}, {} hot specs, batch <= {}, {} shots, {} workers)",
         count,
         ctx.workload.name(),
         ctx.memory.address_width(),
@@ -913,7 +894,6 @@ fn run_closed(ctx: &Ctx<'_>) {
         args.batch,
         ctx.shots,
         report.workers,
-        args.shot_threads,
     );
     print_row(&["metric", "value"].map(String::from));
     print_row(&["requests".into(), count.to_string()]);

@@ -215,25 +215,44 @@ impl Gate {
         }
     }
 
-    /// Every qubit the gate touches (controls first, then targets).
-    pub fn qubits(&self) -> Vec<Qubit> {
+    /// Visits every qubit the gate touches without allocating: controls
+    /// first, then targets. This is the one definition of a gate's
+    /// operand order; fault samplers' trial tables are laid out in it.
+    pub fn for_each_qubit(&self, mut f: impl FnMut(Qubit)) {
         match self {
-            Gate::X(q) | Gate::Y(q) | Gate::Z(q) | Gate::H(q) | Gate::ClX(q) => vec![*q],
+            Gate::X(q) | Gate::Y(q) | Gate::Z(q) | Gate::H(q) | Gate::ClX(q) => f(*q),
             Gate::Cx { control, target } | Gate::ClCx { control, target } => {
-                vec![control.qubit, *target]
+                f(control.qubit);
+                f(*target);
             }
             Gate::Ccx { controls, target } => {
-                vec![controls[0].qubit, controls[1].qubit, *target]
+                f(controls[0].qubit);
+                f(controls[1].qubit);
+                f(*target);
             }
             Gate::Mcx { controls, target } => {
-                let mut qs: Vec<Qubit> = controls.iter().map(|c| c.qubit).collect();
-                qs.push(*target);
-                qs
+                controls.iter().for_each(|c| f(c.qubit));
+                f(*target);
             }
-            Gate::Swap(a, b) | Gate::ClSwap(a, b) => vec![*a, *b],
-            Gate::Cswap { control, a, b } => vec![control.qubit, *a, *b],
-            Gate::Barrier => Vec::new(),
+            Gate::Swap(a, b) | Gate::ClSwap(a, b) => {
+                f(*a);
+                f(*b);
+            }
+            Gate::Cswap { control, a, b } => {
+                f(control.qubit);
+                f(*a);
+                f(*b);
+            }
+            Gate::Barrier => {}
         }
+    }
+
+    /// Every qubit the gate touches, in [`Gate::for_each_qubit`] order
+    /// (controls first, then targets).
+    pub fn qubits(&self) -> Vec<Qubit> {
+        let mut qs = Vec::with_capacity(self.arity());
+        self.for_each_qubit(|q| qs.push(q));
+        qs
     }
 
     /// Number of qubits the gate touches.

@@ -22,8 +22,7 @@
 //! harvested in shard order), and only then dispatches parked work
 //! into the freed room. Every routing, queueing, and shedding decision
 //! reads virtual-time state alone, so per-request results, span
-//! traces, and metrics are bit-identical for any worker count,
-//! shot-thread count, and path-chunk count.
+//! traces, and metrics are bit-identical for any worker count.
 //!
 //! A single-shard fleet with an unbounded front door degenerates to
 //! the bare service: same admissions at the same instants, same

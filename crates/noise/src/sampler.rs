@@ -99,15 +99,13 @@ impl FaultSampler {
         seed: u64,
     ) -> Self {
         let scale = 1.0 / er.0;
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(support_size(circuit));
         for (i, gate) in circuit.gates().iter().enumerate() {
             if gate.is_barrier() {
                 continue;
             }
             let channel = device.channel_for_arity(gate.arity()).scaled(scale);
-            for q in gate.qubits() {
-                entries.push((i + 1, q, channel));
-            }
+            gate.for_each_qubit(|q| entries.push((i + 1, q, channel)));
         }
         FaultSampler {
             trials: Trials::PerTrial { entries },
@@ -201,16 +199,17 @@ fn conditional_pauli<R: Rng + ?Sized>(channel: &PauliChannel, rng: &mut R) -> qr
     }
 }
 
+/// Total gate support: the per-gate trial count (a barrier touches no
+/// qubit, so it adds nothing).
+fn support_size(circuit: &Circuit) -> usize {
+    circuit.gates().iter().map(|g| g.arity()).sum()
+}
+
 /// One trial per (gate, support qubit); faults strike after the gate.
 fn per_gate_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
-    let mut locations = Vec::new();
+    let mut locations = Vec::with_capacity(support_size(circuit));
     for (i, gate) in circuit.gates().iter().enumerate() {
-        if gate.is_barrier() {
-            continue;
-        }
-        for q in gate.qubits() {
-            locations.push((i + 1, q));
-        }
+        gate.for_each_qubit(|q| locations.push((i + 1, q)));
     }
     locations
 }
@@ -232,17 +231,12 @@ fn qubit_per_step_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
             floor = depth;
             continue;
         }
-        let qs = gate.qubits();
-        let layer = qs
-            .iter()
-            .map(|q| busy[q.index()])
-            .max()
-            .unwrap_or(floor)
-            .max(floor);
-        for q in &qs {
+        let mut layer = floor;
+        gate.for_each_qubit(|q| layer = layer.max(busy[q.index()]));
+        gate.for_each_qubit(|q| {
             busy[q.index()] = layer + 1;
             events[q.index()].push((layer, i + 1));
-        }
+        });
         depth = depth.max(layer + 1);
     }
 

@@ -53,10 +53,12 @@
 //!   cached or served;
 //! * [`QramService`] — the engine: `submit`/`drain` for closed-loop
 //!   clients, `try_submit_at`/`poll` for open-loop arrival processes,
-//!   and a work-stealing per-request executor dispatching onto the
-//!   sharded shot engine ([`qram_sim::run_shots`]) with deterministic
-//!   per-request seeds — results are **bit-identical for any worker
-//!   count**, latency breakdowns included;
+//!   and an executor that serves runs of same-artifact requests as
+//!   lanes of one bit-sliced circuit walk ([`qram_sim::Lanes`]): each
+//!   request's readout, ideal run and noisy shots share the pass, with
+//!   deterministic per-request seeds — results are **bit-identical for
+//!   any worker count**, latency breakdowns included, and equal to the
+//!   slab engine's ([`qram_sim::run_shots`]) bit for bit;
 //! * [`Workload`] / [`ArrivalProcess`] / [`SpecMix`] — deterministic
 //!   traffic generators: address patterns (uniform, zipfian, scan,
 //!   Grover), open-loop arrival processes (Poisson, bursty MMPP), and

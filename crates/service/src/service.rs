@@ -1,6 +1,6 @@
 //! The query-serving engine: an event-driven pipeline on a virtual
 //! clock — bounded admission → deadline-aware batching → circuit cache →
-//! work-stealing execution on the sharded shot engine.
+//! lane-run execution on bit-sliced circuit walks.
 //!
 //! # The event loop
 //!
@@ -76,16 +76,14 @@ pub struct ServiceConfig {
     /// Master seed; each request's fault stream derives from
     /// `(seed, request id)`.
     pub seed: u64,
-    /// Threads handed to the shot engine *inside* one request
-    /// (`ShotConfig::threads`); keep at 1 when `workers` already
-    /// saturates the machine — the two levels multiply, and per-request
-    /// work-stealing already balances skew across workers. Raising it
-    /// helps only when requests are few and shot counts large.
+    /// Not read by the service: a request's shots run as lanes of one
+    /// pass, so there are no shot threads to size. Kept, at 1, for
+    /// callers that re-run a request on the slab shot engine
+    /// (`ShotConfig::threads`).
     pub shot_threads: usize,
-    /// Parallel path chunks inside each shot replay
-    /// (`ShotConfig::path_chunks`); keep at 1 unless served circuits are
-    /// wide (`m ≥ 8`, thousands of paths) and workers leave cores idle.
-    /// Results are bit-identical for any value.
+    /// Not read by the service: a request is one path per lane, so there
+    /// is no path slab to chunk. Kept, at 1, for callers that re-run a
+    /// request on the slab shot engine (`ShotConfig::path_chunks`).
     pub path_chunks: usize,
     /// The noise model fidelity estimates are taken under.
     pub noise: NoiseModel,
@@ -107,7 +105,7 @@ pub struct ServiceConfig {
     /// whose compiled circuit is cache-resident (zero compile ticks on
     /// the critical path), bounded by an age cap so no group starves.
     /// The policy reads only virtual-time state, so either setting is
-    /// bit-identical across worker/shot-thread/path-chunk counts.
+    /// bit-identical across worker counts.
     pub release_policy: ReleasePolicy,
     /// The virtual-time cost model latency is measured under.
     pub cost: CostModel,
@@ -168,19 +166,6 @@ impl ServiceConfig {
     /// Overrides the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the per-request shot-engine thread count.
-    pub fn with_shot_threads(mut self, threads: usize) -> Self {
-        self.shot_threads = threads;
-        self
-    }
-
-    /// Overrides the per-shot path-chunk count (`0` = auto, `1` =
-    /// serial).
-    pub fn with_path_chunks(mut self, path_chunks: usize) -> Self {
-        self.path_chunks = path_chunks;
         self
     }
 
@@ -405,7 +390,7 @@ impl<R: Recorder> QramService<R> {
     /// A service over `memory` that records telemetry — spans and stage
     /// histograms — into `recorder` as it serves. Everything recorded is
     /// measured on the virtual clock, so the trace and metrics are
-    /// bit-identical for any worker/shot-thread/path-chunk count.
+    /// bit-identical for any worker count.
     ///
     /// # Panics
     ///
@@ -829,7 +814,7 @@ impl<R: Recorder> QramService<R> {
 
     /// Fires `batches` at `fire_time`: resolves circuits through the
     /// cache, schedules every member on the virtual timeline, executes
-    /// the flattened work list on the work-stealing pool, and parks the
+    /// the flattened work list as lane runs on the executor, and parks the
     /// results until their virtual completion.
     fn fire_batches(&mut self, batches: Vec<QueryBatch>, fire_time: Ticks, reason: FireReason) {
         if batches.is_empty() {

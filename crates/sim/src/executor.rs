@@ -290,18 +290,26 @@ fn validate(gates: &[Gate], plan: &FaultPlan, num_qubits: usize) -> Result<(), S
     check_fire(gates.len(), &mut next_fault)
 }
 
+/// Fails with [`SimError::QubitOutOfRange`] on the first operand (in
+/// [`Gate::for_each_qubit`] order) past `num_qubits`.
+fn check_bounds(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
+    let mut first_bad = None;
+    gate.for_each_qubit(|q| {
+        if first_bad.is_none() && q.index() >= num_qubits {
+            first_bad = Some(q.index());
+        }
+    });
+    match first_bad {
+        None => Ok(()),
+        Some(index) => Err(SimError::QubitOutOfRange { index, num_qubits }),
+    }
+}
+
 /// The state-free half of [`apply_gate_on`]'s error checks: qubit bounds
 /// first (matching the executor's check order), then gate-family
 /// legality.
 fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
-    for q in gate.qubits() {
-        if q.index() >= num_qubits {
-            return Err(SimError::QubitOutOfRange {
-                index: q.index(),
-                num_qubits,
-            });
-        }
-    }
+    check_bounds(gate, num_qubits)?;
     if matches!(gate, Gate::H(_)) {
         return Err(SimError::NonReversibleGate { gate: "h" });
     }
@@ -316,14 +324,7 @@ fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
 /// [`SimError::QubitOutOfRange`] for bad qubit indices (bounds are
 /// checked before family legality, so `validate_gate` mirrors the order).
 fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Result<(), SimError> {
-    for q in gate.qubits() {
-        if q.index() >= num_qubits {
-            return Err(SimError::QubitOutOfRange {
-                index: q.index(),
-                num_qubits,
-            });
-        }
-    }
+    check_bounds(gate, num_qubits)?;
     #[inline]
     fn ctrl_active(bits: &PathBits<'_>, c: &Control) -> bool {
         bits.get(c.qubit.index()) == c.value

@@ -29,6 +29,12 @@
 //!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns, executed
 //!   on a sharded parallel engine whose estimates are bit-identical for
 //!   any `(threads, path_chunks)` pair ([`ShotConfig`]).
+//! * [`Lanes`] — many *single-path* trajectories of one circuit (a
+//!   classical address, its noisy replays) walked together, bit-sliced
+//!   64 to a machine word. Each lane ends in exactly the basis state and
+//!   phase [`run_with_faults`] gives it; the serving layer answers
+//!   requests with it, while the slab above stays the reference and
+//!   serves superposition inputs.
 //!
 //! # Example
 //!
@@ -54,6 +60,7 @@ mod amplitude;
 mod bitstring;
 mod engine;
 mod executor;
+mod lanes;
 mod shots;
 mod state;
 
@@ -61,6 +68,7 @@ pub use amplitude::Amplitude;
 pub use bitstring::BitString;
 pub use engine::{run_shots, run_shots_stats, ShotConfig, ShotStats};
 pub use executor::{run, run_with_faults, run_with_faults_chunked, Fault, FaultPlan, Pauli};
+pub use lanes::Lanes;
 pub use shots::{
     monte_carlo_fidelity, monte_carlo_fidelity_with, monte_carlo_reduced_fidelity,
     monte_carlo_reduced_fidelity_with, FidelityEstimate,

@@ -2,7 +2,8 @@
 //!
 //! Every latency/throughput claim in the reproduction is made on the
 //! **virtual clock** (`Ticks`), and results are required to be
-//! bit-identical for any worker/shot-thread/path-chunk count. This
+//! bit-identical for any host parallelism (worker, shot-thread or
+//! path-chunk count). This
 //! crate extends that discipline from results to *observability*:
 //!
 //! * [`SpanTracer`] — per-request virtual-time intervals for each

@@ -4,11 +4,10 @@
 //!
 //! Spans deliberately carry **only knob-invariant facts** — virtual
 //! times, request ids, group keys, shot counts, execution-unit indices.
-//! Worker counts, shot-thread counts and path-chunk settings never
-//! appear in a span, because the whole point of the digest is to be
-//! bit-identical across the `{workers} × {shot-threads} × {path-chunks}`
-//! matrix: the same workload must produce the same trace no matter how
-//! the host parallelized it.
+//! Worker counts and other host-parallelism settings never appear in a
+//! span, because the whole point of the digest is to be bit-identical
+//! across them: the same workload must produce the same trace no matter
+//! how the host parallelized it.
 
 use crate::{fnv1a_64, Json, Ticks};
 

@@ -52,12 +52,8 @@ fn arrivals(count: usize, mean_gap: u64, seed: u64) -> Vec<Arrival> {
         .collect()
 }
 
-fn shard_base(workers: usize, shot_threads: usize, path_chunks: usize) -> ServiceConfig {
-    ServiceConfig::default()
-        .with_workers(workers)
-        .with_shots(8)
-        .with_shot_threads(shot_threads)
-        .with_path_chunks(path_chunks)
+fn shard_base(workers: usize) -> ServiceConfig {
+    ServiceConfig::default().with_workers(workers).with_shots(8)
 }
 
 /// Runs `stream` through a telemetry fleet and returns the completed
@@ -83,22 +79,18 @@ fn fleet_outputs_are_bit_identical_across_parallelism_knobs() {
     let reference = run_fleet(
         FleetConfig::default()
             .with_shards(3)
-            .with_shard_base(shard_base(1, 1, 1)),
+            .with_shard_base(shard_base(1)),
         &stream,
     );
     assert!(!reference.0.is_empty());
-    for (workers, shot_threads, path_chunks) in [(4, 1, 1), (1, 4, 1), (1, 1, 4), (4, 2, 2)] {
+    for workers in [2, 4] {
         let run = run_fleet(
             FleetConfig::default()
                 .with_shards(3)
-                .with_shard_base(shard_base(workers, shot_threads, path_chunks)),
+                .with_shard_base(shard_base(workers)),
             &stream,
         );
-        assert_eq!(
-            reference.0, run.0,
-            "results diverged at workers={workers} shot_threads={shot_threads} \
-             path_chunks={path_chunks}"
-        );
+        assert_eq!(reference.0, run.0, "results diverged at workers={workers}");
         assert_eq!(reference.1, run.1, "trace digest diverged");
         assert_eq!(reference.2, run.2, "metrics digest diverged");
     }
@@ -111,7 +103,7 @@ fn fleet_outputs_are_bit_identical_across_parallelism_knobs() {
 #[test]
 fn one_shard_fleet_is_bit_identical_to_bare_service() {
     let stream = arrivals(300, 40_000, 0xba5e); // sparse: never sheds
-    let base = shard_base(2, 2, 1);
+    let base = shard_base(2);
 
     let mut bare = QramService::with_recorder(memory(3), base, TelemetryRecorder::default());
     for &(address, spec, at, tenant, slo) in &stream {

@@ -404,6 +404,149 @@ mod slab_equivalence {
     }
 }
 
+/// Lane-engine differential suite: each lane of one bit-sliced pass must
+/// end in exactly the basis state and power of `i` that the slab's
+/// `run_with_faults` gives that lane's input and fault plan, in passes of
+/// up to 64 lanes and of more.
+mod lane_equivalence {
+    use super::*;
+    use qram::sim::{
+        run_with_faults, Amplitude, BitString, Fault, FaultPlan, Lanes, Pauli, SimError,
+    };
+
+    const N: usize = 6;
+    /// Circuit length: fixed, so plans can aim at its end.
+    const LEN: usize = 30;
+
+    /// `arb_gate`'s family plus barriers, 0-controls and MCX patterns.
+    fn arb_lane_gate() -> impl Strategy<Value = Gate> {
+        let q = || 0..N as u32;
+        prop_oneof![
+            arb_gate(N),
+            (0..1u32).prop_map(|_| Gate::Barrier),
+            (q(), q())
+                .prop_filter("distinct", |(a, b)| a != b)
+                .prop_map(|(a, b)| Gate::cx0(Qubit(a), Qubit(b))),
+            (q(), q(), q())
+                .prop_filter("distinct", |(a, b, c)| a != b && b != c && a != c)
+                .prop_map(|(c, a, b)| Gate::cswap0(Qubit(c), Qubit(a), Qubit(b))),
+            (0u64..8, 3..N as u32).prop_map(|(pattern, t)| {
+                Gate::mcx_pattern(&[Qubit(0), Qubit(1), Qubit(2)], pattern, Qubit(t))
+            }),
+        ]
+    }
+
+    fn arb_lane_circuit() -> impl Strategy<Value = Vec<Gate>> {
+        prop::collection::vec(arb_lane_gate(), LEN..LEN + 1)
+    }
+
+    fn pauli(p: usize) -> Pauli {
+        [Pauli::X, Pauli::Y, Pauli::Z][p]
+    }
+
+    /// One lane: a basis input and a fault plan. Random faults land
+    /// anywhere up to two past the end; each plan also carries one edge
+    /// case: a fault at index 0, one at the end, one past the end on a
+    /// qubit that does not exist (never fired, never validated), or X,
+    /// Z and a third Pauli on one qubit at one index (XZ and ZX differ
+    /// by a sign).
+    fn arb_lane() -> impl Strategy<Value = (u64, FaultPlan)> {
+        let fault = (0..LEN + 3, 0..N as u32, 0usize..3)
+            .prop_map(|(i, q, p)| Fault::new(i, Qubit(q), pauli(p)));
+        let edge = (0usize..4, 0..N as u32, 0..LEN + 1, 0usize..3).prop_map(|(kind, q, i, p)| {
+            let q = Qubit(q);
+            match kind {
+                0 => vec![Fault::new(0, q, pauli(p))],
+                1 => vec![Fault::new(LEN, q, pauli(p))],
+                2 => vec![Fault::new(LEN + 1 + i, Qubit(N as u32 + 7), pauli(p))],
+                _ => vec![
+                    Fault::new(i, q, Pauli::X),
+                    Fault::new(i, q, Pauli::Z),
+                    Fault::new(i, q, pauli(p)),
+                ],
+            }
+        });
+        (0..1u64 << N, prop::collection::vec(fault, 0..5), edge).prop_map(
+            |(input, mut faults, edge)| {
+                faults.extend(edge);
+                (input, faults.into_iter().collect())
+            },
+        )
+    }
+
+    /// The power of `i` of a slab amplitude that must be one.
+    fn power_of_i(a: Amplitude) -> u8 {
+        match (a.re, a.im) {
+            (re, im) if re == 1.0 && im == 0.0 => 0,
+            (re, im) if re == 0.0 && im == 1.0 => 1,
+            (re, im) if re == -1.0 && im == 0.0 => 2,
+            (re, im) if re == 0.0 && im == -1.0 => 3,
+            _ => panic!("{a:?} is not a power of i"),
+        }
+    }
+
+    fn slab_run(gates: &[Gate], input: u64, plan: &FaultPlan) -> Result<PathState, SimError> {
+        let mut state = PathState::basis_state(BitString::from_u64(input, N));
+        run_with_faults(gates, &mut state, plan).map(|()| state)
+    }
+
+    fn lanes_for(lanes: &[(u64, FaultPlan)]) -> Lanes {
+        let mut pass = Lanes::new(N, lanes.len());
+        for (lane, (input, plan)) in lanes.iter().enumerate() {
+            for q in 0..N {
+                pass.set(lane, Qubit(q as u32), input >> q & 1 == 1);
+            }
+            pass.add_faults(lane, plan);
+        }
+        pass
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every lane's bits and phase equal its own slab run.
+        #[test]
+        fn lanes_match_the_slab_lane_by_lane(
+            gates in arb_lane_circuit(),
+            lanes in prop::collection::vec(arb_lane(), 65..100),
+        ) {
+            for count in [40, lanes.len()] {
+                let mut pass = lanes_for(&lanes[..count]);
+                pass.run(&gates).unwrap();
+                for (lane, (input, plan)) in lanes[..count].iter().enumerate() {
+                    let slab = slab_run(&gates, *input, plan).unwrap();
+                    let paths: Vec<_> = slab.iter().collect();
+                    prop_assert_eq!(paths.len(), 1);
+                    let bits = BitString::from_bits((0..N).map(|q| pass.get(lane, Qubit(q as u32))));
+                    prop_assert_eq!(bits, paths[0].0.clone());
+                    prop_assert_eq!(pass.phase(lane), power_of_i(paths[0].1));
+                }
+            }
+        }
+
+        /// A bad gate and one lane's out-of-range fault: the pass fails
+        /// with the error the faulted lane's slab run reports first.
+        #[test]
+        fn lane_errors_match_the_slab(
+            gates in arb_lane_circuit(),
+            lanes in prop::collection::vec(arb_lane(), 1..70),
+            at in 0..LEN + 1,
+            hadamard in 0usize..2,
+            fault_at in 0..LEN + 2,
+            pick in 0usize..70,
+        ) {
+            let bad = if hadamard == 1 { Gate::H(Qubit(0)) } else { Gate::x(Qubit(N as u32 + 2)) };
+            let mut gates = gates;
+            gates.insert(at, bad);
+            let mut lanes = lanes;
+            let pick = pick % lanes.len();
+            lanes[pick].1.push(Fault::new(fault_at, Qubit(N as u32), Pauli::Z));
+            let want = slab_run(&gates, lanes[pick].0, &lanes[pick].1).unwrap_err();
+            prop_assert_eq!(lanes_for(&lanes).run(&gates).unwrap_err(), want);
+        }
+    }
+}
+
 /// H-tree embeddings validate as topological minors for every width, and
 /// the routing overhead ordering holds throughout.
 #[test]

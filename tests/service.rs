@@ -434,12 +434,7 @@ fn eviction_pressure_is_accounted_and_still_correct() {
 /// addresses depend only on the fixed seeds — never on the policy — so
 /// two policies serve byte-identical offered work, and the queue is
 /// deep enough that nothing is shed.
-fn serve_skewed_with_policy(
-    policy: ReleasePolicy,
-    workers: usize,
-    shot_threads: usize,
-    path_chunks: usize,
-) -> Vec<QueryResult> {
+fn serve_skewed_with_policy(policy: ReleasePolicy, workers: usize) -> Vec<QueryResult> {
     let memory = serve_memory();
     let specs: Vec<QuerySpec> = qram::plan::planned_families(N, usize::MAX)
         .into_iter()
@@ -450,8 +445,6 @@ fn serve_skewed_with_policy(
         .with_shots(2)
         .with_seed(17)
         .with_workers(workers)
-        .with_shot_threads(shot_threads)
-        .with_path_chunks(path_chunks)
         .with_batch_limit(8)
         .with_cache_capacity(2)
         .with_queue_capacity(4096)
@@ -498,8 +491,8 @@ fn serve_skewed_with_policy(
 
 #[test]
 fn cache_affine_dispatch_strictly_cuts_compile_ticks_on_identical_arrivals() {
-    let mut oldest = serve_skewed_with_policy(ReleasePolicy::OldestFirst, 1, 1, 1);
-    let mut affine = serve_skewed_with_policy(ReleasePolicy::cache_affine(), 1, 1, 1);
+    let mut oldest = serve_skewed_with_policy(ReleasePolicy::OldestFirst, 1);
+    let mut affine = serve_skewed_with_policy(ReleasePolicy::cache_affine(), 1);
     // Completion order legitimately differs between policies; compare
     // request-by-request in admission order.
     oldest.sort_by_key(|r| r.id);
@@ -531,22 +524,13 @@ fn cache_affine_dispatch_strictly_cuts_compile_ticks_on_identical_arrivals() {
 #[test]
 fn cache_affine_results_are_bit_identical_across_host_parallelism() {
     // The policy reads only virtual-time state (group arrival order +
-    // cache residency), so every host-parallelism knob is still a pure
-    // throughput knob: full QueryResult equality, latency breakdowns
-    // and fidelity estimates included, across workers x shot-threads x
-    // path-chunks.
-    let reference = serve_skewed_with_policy(ReleasePolicy::cache_affine(), 1, 1, 1);
-    for (workers, shot_threads, path_chunks) in [(4, 1, 1), (1, 4, 1), (1, 1, 4), (4, 4, 4)] {
-        let run = serve_skewed_with_policy(
-            ReleasePolicy::cache_affine(),
-            workers,
-            shot_threads,
-            path_chunks,
-        );
-        assert_eq!(
-            reference, run,
-            "results diverged at workers={workers} shot_threads={shot_threads} path_chunks={path_chunks}"
-        );
+    // cache residency), so the worker count is still a pure throughput
+    // knob: full QueryResult equality, latency breakdowns and fidelity
+    // estimates included.
+    let reference = serve_skewed_with_policy(ReleasePolicy::cache_affine(), 1);
+    for workers in [2, 4] {
+        let run = serve_skewed_with_policy(ReleasePolicy::cache_affine(), workers);
+        assert_eq!(reference, run, "results diverged at workers={workers}");
     }
 }
 
@@ -640,4 +624,97 @@ fn age_cap_bounds_a_cold_groups_queue_wait_without_deadlines() {
         "cold queue wait {} exceeds age cap {age_cap} + one hot period {e_h}",
         cold_result.latency.queue_wait
     );
+}
+
+/// The slab engine's answer for a served request, computed exactly as
+/// the executor computed it before requests became lanes: the readout
+/// off `query_classical`, and `run_shots_stats` on the request's basis
+/// input, reduced to the address and bus.
+fn slab_answer(
+    circuit: &qram::core::QueryCircuit,
+    sampler: &qram::noise::FaultSampler,
+    config: &ServiceConfig,
+    r: &QueryResult,
+) -> (bool, qram::sim::FidelityEstimate) {
+    use qram::noise::derive_stream_seed;
+    use qram::sim::{run_shots_stats, Amplitude, FidelityEstimate, ShotConfig};
+    let value = circuit.query_classical(r.address).unwrap();
+    if config.shots == 0 {
+        return (value, FidelityEstimate::from_samples(&[]));
+    }
+    let mut amps = vec![Amplitude::ZERO; r.address as usize + 1];
+    amps[r.address as usize] = Amplitude::ONE;
+    let master = derive_stream_seed(config.seed, r.id);
+    let (estimate, _) = run_shots_stats(
+        circuit.circuit().gates(),
+        &circuit.input_state(Some(&amps)),
+        Some(&circuit.output_qubits()),
+        &ShotConfig::serial(config.shots).with_seed(master),
+        &|shot| sampler.sample_shot_from(master, shot),
+    )
+    .unwrap();
+    (value, estimate)
+}
+
+#[test]
+fn served_answers_equal_the_slab_engine_bit_for_bit() {
+    use qram::core::ArchSpec;
+    use qram::noise::{FaultSampler, NoiseModel, PauliChannel};
+    use qram::service::Compiler;
+
+    let memory = Memory::from_bits((0..8).map(|i| i % 3 == 0));
+    let specs = [
+        QuerySpec::new(1, 2),
+        QuerySpec::of(ArchSpec::Sqc { n: 3 }),
+        QuerySpec::of(ArchSpec::BucketBrigade { k: 1, m: 2 }),
+    ];
+    // Every address under every spec, interleaved, twice over.
+    let stream: Vec<(u64, QuerySpec)> = (0..48u64)
+        .map(|i| ((i * 3) % 8, specs[i as usize % specs.len()]))
+        .collect();
+    let depolarizing = ServiceConfig::default().noise;
+    let heavy = NoiseModel::per_gate(PauliChannel::bit_flip(0.3));
+    // At 100 shots a request's lanes span two words.
+    for (shots, noise) in [
+        (0, depolarizing),
+        (8, depolarizing),
+        (100, depolarizing),
+        (8, heavy),
+    ] {
+        let mut config = ServiceConfig::default()
+            .with_shots(shots)
+            .with_seed(5)
+            .with_batch_limit(12)
+            .with_cache_capacity(specs.len());
+        config.noise = noise;
+        let serve = |workers: usize| {
+            let mut service = QramService::new(memory.clone(), config.with_workers(workers));
+            assert_eq!(service.submit_all(stream.iter().copied()), stream.len());
+            service.drain().results
+        };
+        let served = serve(1);
+        for workers in [2, 4] {
+            assert_eq!(served, serve(workers), "shots={shots} workers={workers}");
+        }
+        let compiler = Compiler::new(config.cost, shots);
+        for spec in specs {
+            let circuit = compiler.compile(spec, &memory).circuit;
+            let sampler = FaultSampler::new(circuit.circuit(), config.noise, config.seed);
+            for r in served.iter().filter(|r| r.spec == spec) {
+                let (value, estimate) = slab_answer(&circuit, &sampler, &config, r);
+                assert_eq!(r.value, value, "request {}", r.id);
+                let bits = |f: &qram::sim::FidelityEstimate| {
+                    (f.mean.to_bits(), f.std_error.to_bits(), f.shots)
+                };
+                assert_eq!(bits(&r.fidelity), bits(&estimate), "request {}", r.id);
+            }
+        }
+        if noise == heavy {
+            // A request whose every shot fails reads the slab's empty
+            // sum, -0.0, as its mean.
+            assert!(served
+                .iter()
+                .any(|r| r.fidelity.mean.to_bits() == (-0.0f64).to_bits()));
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! End-to-end telemetry determinism: the span-log digest and the
 //! metrics registry produced by a full serving run must be bit-identical
-//! for any `(workers, shot_threads, path_chunks)` setting, and the
+//! for any worker count, and the
 //! admission spans must conserve the arrival flow
 //! (`arrivals == completions + shed + rejected`).
 
@@ -16,18 +16,12 @@ fn memory(n: usize) -> Memory {
 
 /// Drives an overloaded open-loop run (bounded queue, bursty arrivals)
 /// and returns the service with its captured telemetry.
-fn overloaded_run(
-    workers: usize,
-    shot_threads: usize,
-    path_chunks: usize,
-) -> QramService<TelemetryRecorder> {
+fn overloaded_run(workers: usize) -> QramService<TelemetryRecorder> {
     let n = 3;
     let config = ServiceConfig::default()
         .with_shots(2)
         .with_seed(17)
         .with_workers(workers)
-        .with_shot_threads(shot_threads)
-        .with_path_chunks(path_chunks)
         .with_queue_capacity(8)
         .with_batch_limit(4);
     let mut service = QramService::with_recorder(memory(n), config, TelemetryRecorder::new());
@@ -63,35 +57,31 @@ fn merged_metrics(service: &QramService<TelemetryRecorder>) -> MetricsRegistry {
 
 #[test]
 fn trace_digest_is_knob_invariant_under_overload() {
-    let reference = overloaded_run(1, 1, 1);
+    let reference = overloaded_run(1);
     let reference_trace = reference.recorder().trace_digest();
     let reference_metrics = merged_metrics(&reference).digest();
     assert!(
         reference.admission_stats().shed > 0,
         "the overload harness must actually shed"
     );
-    for (workers, shot_threads, path_chunks) in
-        [(2, 1, 1), (4, 1, 1), (1, 4, 1), (1, 1, 4), (4, 4, 4)]
-    {
-        let run = overloaded_run(workers, shot_threads, path_chunks);
+    for workers in [2, 4] {
+        let run = overloaded_run(workers);
         assert_eq!(
             run.recorder().trace_digest(),
             reference_trace,
-            "trace digest diverged at workers={workers} shot_threads={shot_threads} \
-             path_chunks={path_chunks}"
+            "trace digest diverged at workers={workers}"
         );
         assert_eq!(
             merged_metrics(&run).digest(),
             reference_metrics,
-            "metrics digest diverged at workers={workers} shot_threads={shot_threads} \
-             path_chunks={path_chunks}"
+            "metrics digest diverged at workers={workers}"
         );
     }
 }
 
 #[test]
 fn admission_spans_conserve_the_arrival_flow() {
-    let service = overloaded_run(2, 1, 1);
+    let service = overloaded_run(2);
     let metrics = merged_metrics(&service);
     let stats = service.admission_stats();
     let arrivals = stats.offered();
@@ -130,7 +120,7 @@ fn admission_spans_conserve_the_arrival_flow() {
 
 #[test]
 fn accepted_requests_carry_the_full_span_pipeline() {
-    let service = overloaded_run(1, 1, 1);
+    let service = overloaded_run(1);
     let spans = service.recorder().tracer().canonical();
     let completed = merged_metrics(&service).counter(key::SERVICE_COMPLETED);
     let queue_waits = spans
