@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
 use qram_core::{QueryArchitecture, VirtualQram};
 use qram_noise::{FaultSampler, NoiseModel, PauliChannel};
-use qram_sim::{monte_carlo_fidelity_with, run, run_with_faults, ShotConfig};
+use qram_sim::{monte_carlo_fidelity_with, run, run_with_faults, FidelityEstimate, ShotConfig};
 
 fn bench_noiseless_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("noiseless_query");
@@ -106,38 +106,49 @@ fn bench_shot_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The path-parallel comparison the CI `path_speedup` gate tracks: a
+/// The lane-versus-slab comparison the CI `lane_speedup` gate tracks: a
 /// wide (`m = 10`, 1024-path) query where shots are few but each shot is
-/// expensive, so the win comes from splitting the *path slab*, not from
-/// sharding shots. `serial` pins `path_chunks = 1`; `chunked` uses
-/// `path_chunks = 0` (auto: one chunk per available core). Shot threads
-/// stay at 1 in both so the ratio isolates path parallelism. On a
-/// single-core runner auto resolves to 1 chunk and the ratio is ~1.0 —
-/// the report gate detects and skips that case.
-fn bench_path_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("path_engine");
+/// expensive. `slab` is the reference loop (per shot `run_with_faults`
+/// on the path slab, then the overlap); `lanes` is the shot engine, which
+/// runs each shot as one bit-sliced pass with one lane per path. Both
+/// run on one thread and compute the same estimate bit for bit, so the
+/// ratio is pure engine throughput and needs no second core.
+fn bench_lane_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lane_engine");
     let m = 10;
     let shots = 4;
     let memory = experiment_memory(m, 8);
     let query = VirtualQram::new(0, m).build(&memory);
+    let gates = query.circuit().gates();
     let input = query.input_state(None);
     let model = NoiseModel::per_gate(PauliChannel::depolarizing(2e-3));
     let sampler = FaultSampler::new(query.circuit(), model, 9);
-    for (label, chunks) in [("serial", 1usize), ("chunked", 0)] {
-        let config = ShotConfig::new(shots)
-            .with_seed(9)
-            .with_threads(1)
-            .with_path_chunks(chunks);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
-                    sampler.sample_shot(shot)
+    group.bench_function("slab", |b| {
+        b.iter(|| {
+            let mut ideal = input.clone();
+            run(gates, &mut ideal).unwrap();
+            let samples: Vec<f64> = (0..shots)
+                .map(|shot| {
+                    let plan = sampler.sample_shot(shot);
+                    if plan.is_empty() {
+                        return 1.0;
+                    }
+                    let mut state = input.clone();
+                    run_with_faults(gates, &mut state, &plan).unwrap();
+                    ideal.fidelity(&state)
                 })
+                .collect();
+            FidelityEstimate::from_samples(&samples).mean
+        })
+    });
+    let config = ShotConfig::new(shots as usize).with_seed(9).with_threads(1);
+    group.bench_function("lanes", |b| {
+        b.iter(|| {
+            monte_carlo_fidelity_with(gates, &input, &config, |shot| sampler.sample_shot(shot))
                 .unwrap()
                 .mean
-            })
-        });
-    }
+        })
+    });
     group.finish();
 }
 
@@ -147,6 +158,6 @@ criterion_group!(
     bench_noisy_shot,
     bench_fault_sampling,
     bench_shot_engine,
-    bench_path_engine
+    bench_lane_engine
 );
 criterion_main!(benches);

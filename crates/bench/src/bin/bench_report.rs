@@ -15,11 +15,12 @@
 //! * `--baseline-file FILE` — checked-in baseline (default
 //!   `<repo root>/.github/bench-baseline.json`);
 //! * `--check` — exit non-zero if the shot-engine serial/sharded speedup
-//!   or the path-engine serial/chunked speedup regressed more than the
+//!   or the lane-engine slab/lanes speedup regressed more than the
 //!   baseline's tolerance, or if the v6 `BENCH_SERVE.json` fleet summary
 //!   shows deadline-priority shedding losing to tail-drop. Each gate
-//!   skips gracefully when there is no baseline, no matching result, or
-//!   only one core.
+//!   skips gracefully when there is no baseline or no matching result;
+//!   the shot-engine gate also skips on one core, while the lane ratio
+//!   compares two single-thread arms and is gated on any machine.
 //! * `--abs-baseline NAME` — also compare every bench's absolute mean
 //!   against the `--save-baseline NAME` snapshot under
 //!   `<target>/bench/baselines/NAME` (default name `ci`). Regressions
@@ -154,12 +155,12 @@ fn main() -> ExitCode {
     }
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shot_engine = speedup(&records, "shot_engine", "sharded");
-    let path_engine = speedup(&records, "path_engine", "chunked");
+    let shot_engine = speedup(&records, "shot_engine", "serial", "sharded");
+    let lane_engine = speedup(&records, "lane_engine", "slab", "lanes");
     let summary = summary_json(
         &records,
         shot_engine.as_ref(),
-        path_engine.as_ref(),
+        lane_engine.as_ref(),
         threads,
     );
 
@@ -173,14 +174,14 @@ fn main() -> ExitCode {
         records.len(),
         out_path.display()
     );
-    for (group, arm, pair) in [
-        ("shot_engine", "sharded", &shot_engine),
-        ("path_engine", "chunked", &path_engine),
+    for (group, [base, fast], pair) in [
+        ("shot_engine", ["serial", "sharded"], &shot_engine),
+        ("lane_engine", ["slab", "lanes"], &lane_engine),
     ] {
         if let Some(s) = pair {
             println!(
-                "bench_report: {group} serial {:.0} ns / {arm} {:.0} ns → {:.2}x speedup ({threads} threads)",
-                s.serial_ns, s.parallel_ns, s.speedup
+                "bench_report: {group} {base} {:.0} ns / {fast} {:.0} ns → {:.2}x speedup ({threads} threads)",
+                s.base_ns, s.fast_ns, s.speedup
             );
         }
     }
@@ -260,13 +261,22 @@ fn main() -> ExitCode {
     let baseline = std::fs::read_to_string(&baseline_path)
         .ok()
         .and_then(|json| parse_baseline(&json));
-    let gate = |measured: &Option<Speedup>, reference: fn(&Baseline) -> f64| {
-        apply_gate(measured.as_ref(), baseline.as_ref(), reference, threads)
+    let gate = |measured: &Option<Speedup>, reference: fn(&Baseline) -> f64, cores_needed| {
+        apply_gate(
+            measured.as_ref(),
+            baseline.as_ref(),
+            reference,
+            threads,
+            cores_needed,
+        )
     };
     let mut failed = false;
     for (label, outcome) in [
-        ("shot-engine", gate(&shot_engine, |b| b.shot_engine_speedup)),
-        ("path-engine", gate(&path_engine, |b| b.path_speedup)),
+        (
+            "shot-engine",
+            gate(&shot_engine, |b| b.shot_engine_speedup, 2),
+        ),
+        ("lane-engine", gate(&lane_engine, |b| b.lane_speedup, 1)),
         ("fleet-slo", apply_fleet_slo_gate(serve_json.as_ref())),
     ] {
         match outcome {

@@ -19,11 +19,14 @@
 //! `--full` switches from the quick default sweep to the paper-scale one,
 //! `--shots N` overrides the shot count, `--seed N` the master RNG seed,
 //! and `--threads N` the shot-engine worker count (results are
-//! bit-identical for any thread count).
+//! bit-identical for any thread count). `--help` prints the usage; a bad
+//! flag prints the error and the usage and exits with code 2. Each
+//! Monte-Carlo shot of a superposition input runs as one bit-sliced lane
+//! pass with one lane per path (see [`qram_sim::run_shots`]).
 //!
 //! A ninth binary, `bench_report`, is not an experiment: it condenses
 //! `cargo bench` JSON results into `BENCH_2.json` and applies the CI
-//! regression gate (see [`report`]).
+//! regression gates (see [`report`]).
 
 pub mod cli;
 pub mod report;

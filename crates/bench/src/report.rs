@@ -4,11 +4,11 @@
 //! The vendored `criterion` stub writes one JSON file per benchmark to
 //! `<target>/bench/` (fields `name`, `mean_ns`, `iters`). This module
 //! loads those files, condenses them into the repo-level `BENCH_2.json`
-//! summary, and implements the CI regression gate for the shot engine:
-//! the measured serial/sharded speedup must not regress more than a
-//! tolerance against the checked-in baseline
-//! (`.github/bench-baseline.json`). The gate is *ratio*-based on purpose —
-//! absolute ns vary wildly across runners, the parallel speedup does not.
+//! summary, and implements the CI regression gates: the shot engine's
+//! serial/sharded speedup and the lane engine's slab/lanes speedup must
+//! not regress more than a tolerance against the checked-in baseline
+//! (`.github/bench-baseline.json`). The gates are *ratio*-based on
+//! purpose — absolute ns vary wildly across runners, the ratios do not.
 //! It also builds the serve summary's per-point sections and reads a
 //! v6 `BENCH_SERVE.json` back into headlines and the fleet SLO gate.
 //! Every file goes through [`qram_telemetry::Json`]: values are built,
@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use qram_telemetry::Json;
 
 /// Schema of the `BENCH_2.json` summary.
-const BENCH_SUMMARY_SCHEMA: &str = "qram-bench/bench-summary/v3";
+const BENCH_SUMMARY_SCHEMA: &str = "qram-bench/bench-summary/v4";
 
 /// The one serve-summary schema the readers accept; every older
 /// generation is reported as not recognized.
@@ -100,69 +100,76 @@ pub fn load_records(dir: &Path) -> Vec<BenchRecord> {
     records
 }
 
-/// A serial-vs-parallel bench pair and its throughput ratio.
+/// Two arms of one bench workload and their throughput ratio.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Speedup {
-    /// Mean ns/iter of the serial arm.
-    pub serial_ns: f64,
-    /// Mean ns/iter of the parallel arm.
-    pub parallel_ns: f64,
-    /// Throughput ratio `serial_ns / parallel_ns`.
+    /// Mean ns/iter of the reference arm.
+    pub base_ns: f64,
+    /// Mean ns/iter of the arm measured against it.
+    pub fast_ns: f64,
+    /// Throughput ratio `base_ns / fast_ns`.
     pub speedup: f64,
 }
 
-/// The `{group}/serial` vs `{group}/{parallel}` pair from `records`.
+/// The `{group}/{base}` vs `{group}/{fast}` pair from `records`.
 /// The two pairs the gates watch are `shot_engine` serial vs `sharded`
-/// (shots sharded over all cores) and `path_engine` serial vs
-/// `chunked` (the `m = 10` path slab in one chunk per core, shot
-/// threads pinned to 1).
-pub fn speedup(records: &[BenchRecord], group: &str, parallel: &str) -> Option<Speedup> {
+/// (shots sharded over all cores) and `lane_engine` slab vs `lanes`
+/// (the `m = 10` query's shots on the path slab and as lane passes,
+/// both on one thread).
+pub fn speedup(records: &[BenchRecord], group: &str, base: &str, fast: &str) -> Option<Speedup> {
     let mean = |arm: &str| {
         let name = format!("{group}/{arm}");
         let record = records.iter().find(|r| r.name == name)?;
         Some(record.mean_ns).filter(|&ns| ns > 0.0)
     };
-    let serial_ns = mean("serial")?;
-    let parallel_ns = mean(parallel)?;
+    let base_ns = mean(base)?;
+    let fast_ns = mean(fast)?;
     Some(Speedup {
-        serial_ns,
-        parallel_ns,
-        speedup: serial_ns / parallel_ns,
+        base_ns,
+        fast_ns,
+        speedup: base_ns / fast_ns,
     })
 }
 
 /// Builds the `BENCH_2.json` summary document.
 ///
-/// Both speedup sections (`shot_engine`, `path_speedup`) are only
-/// authoritative when `threads_available ≥ 2`: on a single-core machine
-/// the parallel arm degenerates to the serial one, so their `speedup`
-/// is written as `null` there. CI's multi-core bench runner is the
-/// source of truth.
+/// The `shot_engine` speedup is only authoritative when
+/// `threads_available ≥ 2`: on a single-core machine the sharded arm
+/// degenerates to the serial one, so its `speedup` is written as `null`
+/// there. The `lane_speedup` ratio compares two single-thread arms and
+/// is written on any machine.
 pub fn summary_json(
     records: &[BenchRecord],
     shot_engine: Option<&Speedup>,
-    path_engine: Option<&Speedup>,
+    lane_engine: Option<&Speedup>,
     threads_available: usize,
 ) -> Json {
-    let pair = |parallel_key: &str, s: Option<&Speedup>| {
+    let pair = |[base_key, fast_key]: [&str; 2], s: Option<&Speedup>, observable: bool| {
         let Some(s) = s else { return Json::Null };
-        let speedup = if threads_available < 2 {
-            Json::Null
-        } else {
+        let speedup = if observable {
             Json::fixed(s.speedup, 3)
+        } else {
+            Json::Null
         };
         Json::object([
-            ("serial_ns", Json::fixed(s.serial_ns, 1)),
-            (parallel_key, Json::fixed(s.parallel_ns, 1)),
+            (base_key, Json::fixed(s.base_ns, 1)),
+            (fast_key, Json::fixed(s.fast_ns, 1)),
             ("speedup", speedup),
         ])
     };
+    let shot_keys = ["serial_ns", "sharded_ns"];
     let benches = records.iter().map(|r| r.json(1)).collect();
     Json::object([
         ("schema", BENCH_SUMMARY_SCHEMA.into()),
         ("threads_available", threads_available.into()),
-        ("shot_engine", pair("sharded_ns", shot_engine)),
-        ("path_speedup", pair("chunked_ns", path_engine)),
+        (
+            "shot_engine",
+            pair(shot_keys, shot_engine, threads_available >= 2),
+        ),
+        (
+            "lane_speedup",
+            pair(["slab_ns", "lanes_ns"], lane_engine, true),
+        ),
         ("benches", Json::Array(benches)),
     ])
 }
@@ -499,14 +506,13 @@ pub fn write_baseline_snapshot(dir: &Path, records: &[BenchRecord]) -> std::io::
     Ok(())
 }
 
-/// The checked-in regression baseline for both parallel engines.
+/// The checked-in regression baseline for both ratio gates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Baseline {
     /// Reference serial/sharded speedup on a multi-core runner.
     pub shot_engine_speedup: f64,
-    /// Reference serial/chunked path-parallel speedup on a multi-core
-    /// runner.
-    pub path_speedup: f64,
+    /// Reference slab/lanes speedup of the `m = 10` shots on one thread.
+    pub lane_speedup: f64,
     /// Allowed relative regression (0.25 = fail below 75% of reference).
     pub tolerance: f64,
 }
@@ -517,7 +523,7 @@ pub fn parse_baseline(text: &str) -> Option<Baseline> {
     let field = |key: &str| json.get(key)?.as_f64();
     Some(Baseline {
         shot_engine_speedup: field("shot_engine_speedup")?,
-        path_speedup: field("path_speedup")?,
+        lane_speedup: field("lane_speedup")?,
         tolerance: field("tolerance")?,
     })
 }
@@ -540,8 +546,7 @@ pub enum GateOutcome {
         floor: f64,
     },
     /// The gate could not run and is skipped gracefully (no baseline, no
-    /// shot-engine results, or a single-core machine where the parallel
-    /// speedup is physically unobservable).
+    /// results for both arms, or too few cores to observe the speedup).
     Skip(String),
 }
 
@@ -559,22 +564,24 @@ impl GateOutcome {
 /// Applies a ratio-based regression gate: the `measured` speedup must
 /// stay within the baseline's tolerance of the `reference` it picks out
 /// of the baseline. Skips gracefully with no baseline, no measured pair,
-/// or a single core.
+/// or fewer than `cores_needed` available threads (a parallel speedup is
+/// unobservable on one core; a single-thread ratio needs `1`).
 pub fn apply_gate(
     measured: Option<&Speedup>,
     baseline: Option<&Baseline>,
     reference: fn(&Baseline) -> f64,
     threads_available: usize,
+    cores_needed: usize,
 ) -> GateOutcome {
     let Some(baseline) = baseline else {
         return GateOutcome::Skip("no checked-in baseline".into());
     };
     let Some(measured) = measured else {
-        return GateOutcome::Skip("no serial/parallel bench results".into());
+        return GateOutcome::Skip("no bench results for both arms".into());
     };
-    if threads_available < 2 {
+    if threads_available < cores_needed {
         return GateOutcome::Skip(format!(
-            "single-core machine ({threads_available} thread available): parallel speedup not observable"
+            "{threads_available} thread(s) available, {cores_needed} needed: speedup not observable"
         ));
     }
     let floor = reference(baseline) * (1.0 - baseline.tolerance);
@@ -652,40 +659,37 @@ mod tests {
         vec![
             rec("shot_engine/serial", 4000.0, 10),
             rec("shot_engine/sharded", 1000.0, 10),
-            rec("path_engine/serial", 6000.0, 10),
-            rec("path_engine/chunked", 2000.0, 10),
+            rec("lane_engine/slab", 6000.0, 10),
+            rec("lane_engine/lanes", 2000.0, 10),
         ]
     }
 
     const BASELINE: Baseline = Baseline {
         shot_engine_speedup: 2.0,
-        path_speedup: 1.6,
+        lane_speedup: 1.6,
         tolerance: 0.25,
     };
 
     #[test]
     fn shot_engine_speedup_is_serial_over_sharded() {
-        let s = speedup(&records(), "shot_engine", "sharded").unwrap();
-        assert_eq!(
-            (s.serial_ns, s.parallel_ns, s.speedup),
-            (4000.0, 1000.0, 4.0)
-        );
-        assert!(speedup(&records()[..1], "shot_engine", "sharded").is_none());
+        let s = speedup(&records(), "shot_engine", "serial", "sharded").unwrap();
+        assert_eq!((s.base_ns, s.fast_ns, s.speedup), (4000.0, 1000.0, 4.0));
+        assert!(speedup(&records()[..1], "shot_engine", "serial", "sharded").is_none());
     }
 
     #[test]
-    fn path_engine_speedup_is_serial_over_chunked() {
-        let p = speedup(&records(), "path_engine", "chunked").unwrap();
+    fn lane_speedup_is_slab_over_lanes() {
+        let p = speedup(&records(), "lane_engine", "slab", "lanes").unwrap();
         assert_eq!(p.speedup, 3.0);
-        // Shot-engine records alone don't produce a path summary.
-        assert!(speedup(&records()[..2], "path_engine", "chunked").is_none());
+        // Shot-engine records alone don't produce a lane summary.
+        assert!(speedup(&records()[..2], "lane_engine", "slab", "lanes").is_none());
     }
 
     #[test]
     fn summary_json_is_parseable_by_own_helpers() {
         let recs = records();
-        let s = speedup(&recs, "shot_engine", "sharded");
-        let p = speedup(&recs, "path_engine", "chunked");
+        let s = speedup(&recs, "shot_engine", "serial", "sharded");
+        let p = speedup(&recs, "lane_engine", "slab", "lanes");
         let json = Json::parse(&summary_json(&recs, s.as_ref(), p.as_ref(), 8).pretty()).unwrap();
         let text = |key: &str| json.get(key).map(Json::compact);
         let schema = json.get("schema").and_then(Json::as_str);
@@ -693,8 +697,8 @@ mod tests {
         assert_eq!(text("threads_available").as_deref(), Some("8"));
         let shot = r#"{"serial_ns":4000.0,"sharded_ns":1000.0,"speedup":4.000}"#;
         assert_eq!(text("shot_engine").as_deref(), Some(shot));
-        let path = r#"{"serial_ns":6000.0,"chunked_ns":2000.0,"speedup":3.000}"#;
-        assert_eq!(text("path_speedup").as_deref(), Some(path));
+        let lane = r#"{"slab_ns":6000.0,"lanes_ns":2000.0,"speedup":3.000}"#;
+        assert_eq!(text("lane_speedup").as_deref(), Some(lane));
         let Some(Json::Array(benches)) = json.get("benches") else {
             panic!("the summary has no benches array")
         };
@@ -706,45 +710,47 @@ mod tests {
         // Absent sections render as explicit nulls.
         let empty = summary_json(&[], None, None, 8);
         assert_eq!(empty.get("shot_engine"), Some(&Json::Null));
-        assert_eq!(empty.get("path_speedup"), Some(&Json::Null));
+        assert_eq!(empty.get("lane_speedup"), Some(&Json::Null));
     }
 
     #[test]
     fn speedups_measured_on_one_core_are_null() {
         let recs = records();
-        let s = speedup(&recs, "shot_engine", "sharded");
-        let p = speedup(&recs, "path_engine", "chunked");
+        let s = speedup(&recs, "shot_engine", "serial", "sharded");
+        let p = speedup(&recs, "lane_engine", "slab", "lanes");
         let json = summary_json(&recs, s.as_ref(), p.as_ref(), 1);
         let shot = r#"{"serial_ns":4000.0,"sharded_ns":1000.0,"speedup":null}"#;
         assert_eq!(
             json.get("shot_engine").map(Json::compact).as_deref(),
             Some(shot)
         );
-        let path = r#"{"serial_ns":6000.0,"chunked_ns":2000.0,"speedup":null}"#;
+        // The lane ratio compares two single-thread arms: never null.
+        let lane = r#"{"slab_ns":6000.0,"lanes_ns":2000.0,"speedup":3.000}"#;
         assert_eq!(
-            json.get("path_speedup").map(Json::compact).as_deref(),
-            Some(path)
+            json.get("lane_speedup").map(Json::compact).as_deref(),
+            Some(lane)
         );
     }
 
     #[test]
     fn baseline_parses_strictly() {
-        let full = r#"{"shot_engine_speedup": 2.0, "path_speedup": 1.6, "tolerance": 0.25}"#;
+        let full = r#"{"shot_engine_speedup": 2.0, "lane_speedup": 1.6, "tolerance": 0.25}"#;
         assert_eq!(parse_baseline(full), Some(BASELINE));
         // No field has a default any more.
-        assert!(parse_baseline(r#"{"shot_engine_speedup": 2.0, "path_speedup": 1.6}"#).is_none());
+        assert!(parse_baseline(r#"{"shot_engine_speedup": 2.0, "lane_speedup": 1.6}"#).is_none());
         assert!(parse_baseline(r#"{"shot_engine_speedup": 2.0, "tolerance": 0.25}"#).is_none());
         assert!(parse_baseline("{}").is_none());
     }
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_below() {
-        let summary = speedup(&records(), "shot_engine", "sharded");
+        let summary = speedup(&records(), "shot_engine", "serial", "sharded");
         let outcome = apply_gate(
             summary.as_ref(),
             Some(&BASELINE),
             |b| b.shot_engine_speedup,
             8,
+            2,
         );
         let (speedup, floor) = (4.0, 1.5);
         assert_eq!(outcome, GateOutcome::Pass { speedup, floor });
@@ -753,16 +759,22 @@ mod tests {
             ..BASELINE
         };
         assert!(matches!(
-            apply_gate(summary.as_ref(), Some(&tight), |b| b.shot_engine_speedup, 8),
+            apply_gate(
+                summary.as_ref(),
+                Some(&tight),
+                |b| b.shot_engine_speedup,
+                8,
+                2
+            ),
             GateOutcome::Fail { .. }
         ));
     }
 
     #[test]
-    fn path_gate_mirrors_the_shot_gate() {
-        let summary = speedup(&records(), "path_engine", "chunked");
+    fn lane_gate_runs_on_one_core() {
+        let summary = speedup(&records(), "lane_engine", "slab", "lanes");
         let gate = |baseline: &Baseline| {
-            apply_gate(summary.as_ref(), Some(baseline), |b| b.path_speedup, 8)
+            apply_gate(summary.as_ref(), Some(baseline), |b| b.lane_speedup, 1, 1)
         };
         match gate(&BASELINE) {
             GateOutcome::Pass { speedup, floor } => {
@@ -772,7 +784,7 @@ mod tests {
             other => panic!("expected pass, got {other:?}"),
         }
         let tight = Baseline {
-            path_speedup: 8.0,
+            lane_speedup: 8.0,
             ..BASELINE
         };
         assert!(matches!(gate(&tight), GateOutcome::Fail { .. }));
@@ -1042,9 +1054,9 @@ mod tests {
 
     #[test]
     fn gate_skips_gracefully() {
-        let summary = speedup(&records(), "shot_engine", "sharded");
+        let summary = speedup(&records(), "shot_engine", "serial", "sharded");
         let skips = |summary: Option<&Speedup>, baseline: Option<&Baseline>, threads| {
-            let outcome = apply_gate(summary, baseline, |b| b.shot_engine_speedup, threads);
+            let outcome = apply_gate(summary, baseline, |b| b.shot_engine_speedup, threads, 2);
             matches!(outcome, GateOutcome::Skip(_))
         };
         // No checked-in baseline; no results; a single core, where the
@@ -1086,11 +1098,14 @@ mod tests {
         }
         let bench = Json::parse(&read("BENCH_2.json")).unwrap();
         let one_core = bench.get("threads_available").and_then(Json::as_u64) < Some(2);
-        for section in ["shot_engine", "path_speedup"] {
-            let speedup = bench.get(section).and_then(|s| s.get("speedup"));
-            assert_eq!(speedup == Some(&Json::Null), one_core, "{section}");
-        }
+        let speedup = |section: &str| bench.get(section).and_then(|s| s.get("speedup"));
+        assert_eq!(speedup("shot_engine") == Some(&Json::Null), one_core);
+        assert!(speedup("lane_speedup").and_then(Json::as_f64) > Some(1.0));
         let baseline = read(".github/bench-baseline.json");
-        assert_eq!(parse_baseline(&baseline), Some(BASELINE));
+        let checked_in = Baseline {
+            lane_speedup: 30.0,
+            ..BASELINE
+        };
+        assert_eq!(parse_baseline(&baseline), Some(checked_in));
     }
 }

@@ -21,7 +21,9 @@
 //! [`qram_sim::PathState::reduced_fidelity`] gives a single path: a unit
 //! amplitude's overlap is exactly 1, and a mismatch leaves an empty sum,
 //! which is `-0.0`. The estimate and [`ShotStats`] therefore equal those
-//! of [`qram_sim::run_shots_stats`] on the request's basis input.
+//! of the slab reference (per shot [`qram_sim::run_with_faults`], then
+//! the reduced fidelity) on the request's basis input, and so those of
+//! [`qram_sim::run_shots_stats`], whose shots are lane passes too.
 //!
 //! # Dispatch
 //!
@@ -269,7 +271,7 @@ mod tests {
     use crate::{Compiler, QuerySpec};
     use qram_core::{ArchSpec, Memory};
     use qram_noise::{NoiseModel, PauliChannel};
-    use qram_sim::{run_shots_stats, Amplitude, ShotConfig};
+    use qram_sim::{run, run_with_faults, Amplitude};
 
     fn default_noise() -> NoiseModel {
         ServiceConfig::default().noise
@@ -328,8 +330,10 @@ mod tests {
     }
 
     /// What the slab engine serves `item`: the readout off
-    /// `query_classical`, and the estimate of `run_shots_stats` on the
-    /// request's basis input, reduced to the address and bus.
+    /// `query_classical`, and the slab reference loop on the request's
+    /// basis input — per shot `run_with_faults`, then the fidelity
+    /// reduced to the address and bus — with the shot counters the
+    /// shot engine defines.
     fn slab_reference(
         item: &PreparedRequest,
         config: &ServiceConfig,
@@ -347,17 +351,28 @@ mod tests {
         let mut amps = vec![Amplitude::ZERO; request.address as usize + 1];
         amps[request.address as usize] = Amplitude::ONE;
         let input = circuit.input_state(Some(&amps));
+        let gates = circuit.circuit().gates();
+        let keep = circuit.output_qubits();
+        let mut ideal = input.clone();
+        run(gates, &mut ideal).unwrap();
         let master = derive_stream_seed(config.seed, request.id);
-        let shot_config = ShotConfig::serial(config.shots).with_seed(master);
-        let (estimate, stats) = run_shots_stats(
-            circuit.circuit().gates(),
-            &input,
-            Some(&circuit.output_qubits()),
-            &shot_config,
-            &|shot| sampler.sample_shot_from(master, shot),
-        )
-        .unwrap();
-        (value, estimate, stats)
+        let mut stats = ShotStats::default();
+        let samples: Vec<f64> = (0..config.shots as u64)
+            .map(|shot| {
+                let plan = sampler.sample_shot_from(master, shot);
+                stats.shots += 1;
+                if plan.is_empty() {
+                    return 1.0;
+                }
+                stats.replayed += 1;
+                stats.faults += plan.len() as u64;
+                stats.gate_applications += gates.len() as u64;
+                let mut noisy = input.clone();
+                run_with_faults(gates, &mut noisy, &plan).unwrap();
+                ideal.reduced_fidelity(&noisy, &keep)
+            })
+            .collect();
+        (value, FidelityEstimate::from_samples(&samples), stats)
     }
 
     fn bits(f: &FidelityEstimate) -> (u64, u64, usize) {

@@ -77,13 +77,14 @@ pub struct ServiceConfig {
     /// `(seed, request id)`.
     pub seed: u64,
     /// Not read by the service: a request's shots run as lanes of one
-    /// pass, so there are no shot threads to size. Kept, at 1, for
-    /// callers that re-run a request on the slab shot engine
-    /// (`ShotConfig::threads`).
+    /// pass, so there are no shot threads to size. Kept, at 1, only for
+    /// the host benchmark's offline-noisy re-run, which passes it to
+    /// `ShotConfig::threads`; deleted together with that re-run.
     pub shot_threads: usize,
-    /// Not read by the service: a request is one path per lane, so there
-    /// is no path slab to chunk. Kept, at 1, for callers that re-run a
-    /// request on the slab shot engine (`ShotConfig::path_chunks`).
+    /// Not read by the service, nor by the shot engine: nothing splits a
+    /// path set any more. Kept, at 1, only for the host benchmark's
+    /// offline-noisy re-run, which copies it into the equally unread
+    /// `ShotConfig::path_chunks`; deleted together with that re-run.
     pub path_chunks: usize,
     /// The noise model fidelity estimates are taken under.
     pub noise: NoiseModel,

@@ -14,28 +14,10 @@
 /// assert!(b.get(69) && b.get(3) && !b.get(4));
 /// assert_eq!(b.count_ones(), 2);
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitString {
     words: Vec<u64>,
     len: usize,
-}
-
-impl Clone for BitString {
-    fn clone(&self) -> Self {
-        BitString {
-            words: self.words.clone(),
-            len: self.len,
-        }
-    }
-
-    /// Allocation-reusing overwrite: the existing word buffer is rewritten
-    /// in place when its capacity suffices (the hot reset path of the
-    /// Monte-Carlo shot engine's scratch states).
-    fn clone_from(&mut self, source: &Self) {
-        self.words.clear();
-        self.words.extend_from_slice(&source.words);
-        self.len = source.len;
-    }
 }
 
 impl BitString {

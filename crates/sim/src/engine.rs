@@ -1,5 +1,6 @@
-//! Sharded, deterministic parallel Monte-Carlo shot engine with
-//! two-level parallelism: threads across *shots*, chunks across *paths*.
+//! Sharded, deterministic parallel Monte-Carlo shot engine: threads
+//! across *shots*, and within a shot one bit-sliced [`Lanes`] pass with
+//! one lane per input path.
 //!
 //! The engine splits a run of `shots` trajectories into per-thread
 //! *shards* executed under [`std::thread::scope`] — no work stealing, no
@@ -12,37 +13,35 @@
 //!   cannot depend on which shard runs it;
 //! * every shot writes its fidelity into `samples[shot]`, and the final
 //!   [`FidelityEstimate`] folds that vector in index order — the same
-//!   floating-point reduction regardless of sharding;
-//! * within a shot, the path-parallel executor
-//!   ([`crate::run_with_faults_chunked`]) is bit-identical to the serial
-//!   one because paths never interact during gate application — chunking
-//!   changes which thread transforms a path, never the operations applied
-//!   to it, and the overlap reductions always run serially over the
-//!   reassembled slab in global path order.
+//!   floating-point reduction regardless of sharding.
 //!
-//! Together these make the estimate **bit-identical** for any
-//! `(threads, path_chunks)` pair, which is what lets `--threads` and
-//! `--path-chunks` be pure throughput knobs in the reproduction binaries.
+//! Together these make the estimate **bit-identical** for any thread
+//! count, which is what lets `--threads` be a pure throughput knob in the
+//! reproduction binaries.
 //!
-//! The two levels compose without oversubscription: when either knob is
-//! `0` (auto), the resolution divides the machine's available parallelism
-//! by the other knob, so `threads × path_chunks` never exceeds the core
-//! count unless both are pinned explicitly. Spend threads on shots
-//! (cheap, embarrassingly parallel) when `shots ≥ cores`; spend them on
-//! paths when individual shots are wide (`m ≥ 8`, thousands of paths) and
-//! shots are few.
+//! No gate of the QRAM family splits a path (Sec. 6.2), so a
+//! superposition input is a fixed set of lanes. The ideal run and every
+//! replayed shot are one lane pass each: the input's paths are
+//! transposed into lanes, the shot's plan is scheduled once for the
+//! whole pass, and the final lanes are transposed back into a
+//! [`PathState`] in input path order. Every bit and amplitude equals what
+//! the slab's [`crate::run_with_faults`] gives, so the unchanged
+//! [`PathState::fidelity`] and [`PathState::reduced_fidelity`]
+//! reductions give bit-identical samples. The reduced fidelity's
+//! reference half (the ideal's kept-bits map) depends only on the ideal
+//! output and the kept qubits, so each shard builds it once, at its first
+//! replayed shot, and only the per-shot half runs for each shot.
 //!
-//! Each shard additionally reuses one scratch [`PathState`], resetting it
-//! from the input via the allocation-reusing [`Clone::clone_from`] instead
-//! of cloning a fresh state per shot — the per-shot allocation the serial
-//! harness used to pay.
+//! Each shard reuses one [`Lanes`] buffer and one output [`PathState`]
+//! across its shots.
 
 use std::num::NonZeroUsize;
 use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::{run_with_faults_chunked, FaultPlan, FidelityEstimate, PathState, SimError};
+use crate::state::ReducedReference;
+use crate::{FaultPlan, FidelityEstimate, Lanes, PathState, SimError};
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -62,8 +61,6 @@ fn available_cores() -> usize {
 /// let config = ShotConfig::new(1024).with_seed(7).with_threads(4);
 /// assert_eq!(config.shots, 1024);
 /// assert_eq!(config.resolved_threads(), 4);
-/// // Path chunking defaults to 1 (serial within a shot).
-/// assert_eq!(config.resolved_path_chunks(), 1);
 /// // threads = 0 resolves to the machine's available parallelism.
 /// assert!(ShotConfig::new(8).resolved_threads() >= 1);
 /// ```
@@ -73,12 +70,13 @@ pub struct ShotConfig {
     pub shots: usize,
     /// Master RNG seed for the fault sampler (not used by the engine).
     pub seed: u64,
-    /// Worker threads across shots; `0` means auto (available cores
-    /// divided by the path-chunk count).
+    /// Worker threads across shots; `0` means auto (available cores).
     pub threads: usize,
-    /// Parallel path chunks within each shot; `1` (the default) keeps the
-    /// per-shot gate loop serial, `0` means auto (available cores divided
-    /// by the thread count). Results are bit-identical for any value.
+    /// Unread: the engine runs each shot as one lane pass, and nothing
+    /// splits a shot's paths any more. The field remains only because
+    /// the host benchmark's offline-noisy slab re-run builds a
+    /// `ShotConfig` by struct literal; it is deleted together with that
+    /// re-run.
     pub path_chunks: usize,
 }
 
@@ -86,8 +84,7 @@ impl ShotConfig {
     /// The default master seed (the paper's venue year).
     pub const DEFAULT_SEED: u64 = 2023;
 
-    /// A config with the default seed, automatic thread count, and serial
-    /// per-shot execution (`path_chunks = 1`).
+    /// A config with the default seed and automatic thread count.
     pub fn new(shots: usize) -> Self {
         ShotConfig {
             shots,
@@ -114,33 +111,13 @@ impl ShotConfig {
         self
     }
 
-    /// Overrides the per-shot path-chunk count (`0` = auto, `1` =
-    /// serial). Results are bit-identical for any value.
-    pub fn with_path_chunks(mut self, path_chunks: usize) -> Self {
-        self.path_chunks = path_chunks;
-        self
-    }
-
     /// The effective worker count: `threads`, or — when `threads == 0` —
-    /// the machine's available parallelism divided by the pinned
-    /// path-chunk count, so the two levels compose without
-    /// oversubscribing the cores.
+    /// the machine's available parallelism.
     pub fn resolved_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
-            (available_cores() / self.path_chunks.max(1)).max(1)
-        }
-    }
-
-    /// The effective per-shot path-chunk count: `path_chunks`, or — when
-    /// `path_chunks == 0` — the machine's available parallelism divided
-    /// by the resolved thread count.
-    pub fn resolved_path_chunks(&self) -> usize {
-        if self.path_chunks > 0 {
-            self.path_chunks
-        } else {
-            (available_cores() / self.resolved_threads()).max(1)
+            available_cores()
         }
     }
 }
@@ -155,10 +132,9 @@ impl Default for ShotConfig {
 ///
 /// Every field is **knob-invariant**: fault plans are pure functions of
 /// the shot index, so which shots replay (and how many faults/gates
-/// they touch) cannot depend on `(threads, path_chunks)` — the stats,
-/// like the estimate, are bit-identical across the whole parallelism
-/// matrix. Being plain `u64` sums, shard-local stats merge exactly in
-/// any order.
+/// they touch) cannot depend on the thread count — the stats, like the
+/// estimate, are bit-identical for any thread count. Being plain `u64`
+/// sums, shard-local stats merge exactly in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShotStats {
     /// Shots sampled.
@@ -203,10 +179,9 @@ impl ShotStats {
 /// to hold. Shots whose plan is empty short-circuit to fidelity 1 without
 /// replaying the circuit.
 ///
-/// The estimate is bit-identical for every `(threads, path_chunks)`
-/// combination: shot sharding only re-partitions which thread runs a
-/// shot, and path chunking only re-partitions which thread transforms a
-/// path (see [`crate::run_with_faults_chunked`]).
+/// Each shot is one [`Lanes`] pass with one lane per input path (see the
+/// module docs). The estimate is bit-identical for every thread count:
+/// shot sharding only re-partitions which thread runs a shot.
 ///
 /// # Errors
 ///
@@ -226,8 +201,8 @@ pub fn run_shots(
 /// together with the [`ShotStats`] summed over all shards (in shard
 /// order, though `u64` addition makes the order immaterial).
 ///
-/// The stats are bit-identical across `(threads, path_chunks)` for the
-/// same reason the estimate is — see [`ShotStats`].
+/// The stats are bit-identical across thread counts for the same reason
+/// the estimate is — see [`ShotStats`].
 ///
 /// # Errors
 ///
@@ -239,9 +214,9 @@ pub fn run_shots_stats(
     config: &ShotConfig,
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<(FidelityEstimate, ShotStats), SimError> {
-    let path_chunks = config.resolved_path_chunks();
-    let mut ideal = input.clone();
-    run_with_faults_chunked(gates, &mut ideal, &FaultPlan::new(), path_chunks)?;
+    let mut lanes = Lanes::default();
+    let mut ideal = PathState::zero_vector(input.num_qubits());
+    lanes.run_paths(gates, input, &FaultPlan::new(), &mut ideal)?;
 
     let shots = config.shots;
     if shots == 0 {
@@ -252,16 +227,7 @@ pub fn run_shots_stats(
     let mut stats = ShotStats::default();
 
     if threads == 1 {
-        stats = run_shard(
-            gates,
-            input,
-            &ideal,
-            keep,
-            0,
-            path_chunks,
-            &mut samples,
-            sample_plan,
-        )?;
+        stats = run_shard(gates, input, &ideal, keep, 0, &mut samples, sample_plan)?;
     } else {
         // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
         // Shot indices are global, so the shard boundaries never influence
@@ -280,7 +246,6 @@ pub fn run_shots_stats(
                             ideal_ref,
                             keep,
                             (i * chunk) as u64,
-                            path_chunks,
                             out,
                             sample_plan,
                         )
@@ -301,23 +266,25 @@ pub fn run_shots_stats(
 
 /// Runs one shard's contiguous shot range, writing fidelities into `out`.
 ///
-/// Each noisy shot replays the circuit over `path_chunks` parallel path
-/// ranges of the scratch slab; the overlap reduction then runs serially
-/// over the whole slab, so the sample value is bit-identical to the
-/// serial engine's.
-#[allow(clippy::too_many_arguments)]
+/// Each noisy shot is one lane pass over the input's paths, transposed
+/// back into the scratch state; the overlap reduction then runs over
+/// that state in path order, so the sample value is bit-identical to
+/// the slab engine's.
 fn run_shard(
     gates: &[Gate],
     input: &PathState,
     ideal: &PathState,
     keep: Option<&[Qubit]>,
     first_shot: u64,
-    path_chunks: usize,
     out: &mut [f64],
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<ShotStats, SimError> {
-    // One scratch state per shard, reset (not reallocated) per shot.
-    let mut scratch = PathState::zero_vector(input.num_qubits());
+    // One lane buffer and one output state per shard, reused per shot.
+    let mut lanes = Lanes::default();
+    let mut noisy = PathState::zero_vector(input.num_qubits());
+    // Built at the shard's first replayed shot, as the reduction it
+    // replaces would first run there.
+    let mut reference: Option<ReducedReference> = None;
     let mut stats = ShotStats::default();
     for (i, slot) in out.iter_mut().enumerate() {
         let plan = sample_plan(first_shot + i as u64);
@@ -330,11 +297,12 @@ fn run_shard(
         stats.replayed += 1;
         stats.faults += plan.len() as u64;
         stats.gate_applications += gates.len() as u64;
-        scratch.clone_from(input);
-        run_with_faults_chunked(gates, &mut scratch, &plan, path_chunks)?;
+        lanes.run_paths(gates, input, &plan, &mut noisy)?;
         *slot = match keep {
-            None => ideal.fidelity(&scratch),
-            Some(keep) => ideal.reduced_fidelity(&scratch, keep),
+            None => ideal.fidelity(&noisy),
+            Some(keep) => reference
+                .get_or_insert_with(|| ReducedReference::new(ideal, keep))
+                .fidelity(&noisy),
         };
     }
     Ok(stats)
@@ -343,6 +311,7 @@ fn run_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::tests::{wide_gates, wide_input};
     use crate::{Fault, Pauli};
     use qram_circuit::{Circuit, Qubit};
 
@@ -366,6 +335,51 @@ mod tests {
         c.push(qram_circuit::Gate::cx(Qubit(1), Qubit(2)));
         let input = PathState::uniform_over(3, &[Qubit(0)]);
         (c, input)
+    }
+
+    /// X, Y and Z faults at every index, some on qubits 67 and 69, which
+    /// the reduced tests trace out; every fourth shot stays clean.
+    fn wide_plan(shot: u64) -> FaultPlan {
+        let pauli = [Pauli::X, Pauli::Y, Pauli::Z];
+        (0..shot % 4)
+            .map(|k| {
+                let h = (shot * 7 + k * 3) as usize;
+                Fault::new(h % 8, Qubit([0, 3, 66, 67, 69][h % 5]), pauli[h % 3])
+            })
+            .collect()
+    }
+
+    /// The slab reference loop: per shot `run_with_faults`, then the
+    /// reduction, then [`FidelityEstimate::from_samples`]. A shot with an
+    /// empty plan samples 1, as in the engine.
+    fn slab_estimate(
+        gates: &[qram_circuit::Gate],
+        input: &PathState,
+        keep: Option<&[Qubit]>,
+        shots: u64,
+        plan: impl Fn(u64) -> FaultPlan,
+    ) -> FidelityEstimate {
+        let mut ideal = input.clone();
+        crate::run(gates, &mut ideal).unwrap();
+        let samples: Vec<f64> = (0..shots)
+            .map(|shot| {
+                let plan = plan(shot);
+                if plan.is_empty() {
+                    return 1.0;
+                }
+                let mut noisy = input.clone();
+                crate::run_with_faults(gates, &mut noisy, &plan).unwrap();
+                match keep {
+                    None => ideal.fidelity(&noisy),
+                    Some(keep) => ideal.reduced_fidelity(&noisy, keep),
+                }
+            })
+            .collect();
+        FidelityEstimate::from_samples(&samples)
+    }
+
+    fn bits(e: &FidelityEstimate) -> (u64, u64, usize) {
+        (e.mean.to_bits(), e.std_error.to_bits(), e.shots)
     }
 
     #[test]
@@ -412,85 +426,65 @@ mod tests {
         assert_eq!(one, four);
     }
 
+    /// Every (thread count, lane-word chunk count) pair gives the slab
+    /// reference's estimate bit for bit. A pass puts 64 paths in a word,
+    /// so 1, 64, 65 and 130 paths make one, one full, two and three.
     #[test]
     fn identical_estimates_across_thread_and_chunk_matrix() {
-        let (c, input) = test_circuit();
-        let reference = run_shots(
-            c.gates(),
-            &input,
-            None,
-            &ShotConfig::new(64).with_threads(1).with_path_chunks(1),
-            &pseudo_random_plan,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 4] {
-            for chunks in [0usize, 1, 2, 4] {
-                let config = ShotConfig::new(64)
-                    .with_threads(threads)
-                    .with_path_chunks(chunks);
-                let est = run_shots(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
-                // Bit-identical, not approximately equal.
-                assert_eq!(est, reference, "threads={threads} chunks={chunks}");
+        let gates = wide_gates();
+        for paths in [1usize, 64, 65, 130] {
+            let input = wide_input(paths);
+            let reference = slab_estimate(&gates, &input, None, 40, wide_plan);
+            for threads in [1usize, 2, 4] {
+                let config = ShotConfig::new(40).with_threads(threads);
+                let est = run_shots(&gates, &input, None, &config, &wide_plan).unwrap();
+                let at = format!("threads={threads} paths={paths}");
+                assert_eq!(bits(&est), bits(&reference), "{at}");
             }
         }
     }
 
+    /// The reduced estimate over one to three lane-word chunks equals the
+    /// slab reference's bit for bit; qubits 67 and 69 are traced out.
     #[test]
     fn reduced_estimates_identical_across_chunk_counts() {
-        let mut c = Circuit::new(3);
-        c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(2)));
-        c.push(qram_circuit::Gate::cx(Qubit(2), Qubit(1)));
-        c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(2)));
-        let input = PathState::uniform_over(3, &[Qubit(0)]);
-        let keep = [Qubit(0), Qubit(1)];
-        let serial = run_shots(
-            c.gates(),
-            &input,
-            Some(&keep),
-            &ShotConfig::serial(48),
-            &pseudo_random_plan,
-        )
-        .unwrap();
-        let chunked = run_shots(
-            c.gates(),
-            &input,
-            Some(&keep),
-            &ShotConfig::new(48).with_threads(2).with_path_chunks(2),
-            &pseudo_random_plan,
-        )
-        .unwrap();
-        assert_eq!(serial, chunked);
+        let gates = wide_gates();
+        let keep: Vec<Qubit> = (0..70)
+            .filter(|q| ![67, 69].contains(q))
+            .map(Qubit)
+            .collect();
+        for paths in [1usize, 64, 65, 130] {
+            let input = wide_input(paths);
+            let reference = slab_estimate(&gates, &input, Some(&keep), 40, wide_plan);
+            let config = ShotConfig::new(40).with_threads(2);
+            let est = run_shots(&gates, &input, Some(&keep), &config, &wide_plan).unwrap();
+            assert_eq!(bits(&est), bits(&reference), "paths={paths}");
+        }
     }
 
     #[test]
     fn auto_resolution_never_oversubscribes() {
-        // Pinning one knob and leaving the other on auto must keep
-        // threads × chunks within the core count.
+        // Auto fills the machine and no more; a pinned count is kept.
         let cores = super::available_cores();
-        let auto_chunks = ShotConfig::new(8).with_threads(2).with_path_chunks(0);
-        assert!(auto_chunks.resolved_path_chunks() * 2 <= cores.max(2));
-        let auto_threads = ShotConfig::new(8).with_threads(0).with_path_chunks(2);
-        assert!(auto_threads.resolved_threads() * 2 <= cores.max(2));
-        // Both auto: threads fill the machine, chunks stay serial.
-        let both = ShotConfig::new(8).with_threads(0).with_path_chunks(0);
-        assert_eq!(both.resolved_threads(), cores);
-        assert_eq!(both.resolved_path_chunks(), 1);
+        assert_eq!(ShotConfig::new(8).resolved_threads(), cores);
+        assert_eq!(ShotConfig::new(8).with_threads(3).resolved_threads(), 3);
     }
 
+    /// A bad fault fails the pass over a three-chunk input on any shard,
+    /// and a bad gate fails the ideal pass first.
     #[test]
     fn errors_propagate_from_chunked_shots() {
-        let (c, input) = test_circuit();
+        let input = wide_input(130);
         let bad_plan =
-            |_: u64| -> FaultPlan { [Fault::new(0, Qubit(40), Pauli::X)].into_iter().collect() };
-        let err = run_shots(
-            c.gates(),
-            &input,
-            None,
-            &ShotConfig::new(8).with_threads(2).with_path_chunks(2),
-            &bad_plan,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::QubitOutOfRange { .. }));
+            |_: u64| -> FaultPlan { [Fault::new(3, Qubit(80), Pauli::X)].into_iter().collect() };
+        let config = ShotConfig::new(8).with_threads(2);
+        let mut gates = wide_gates();
+        let err = run_shots(&gates, &input, None, &config, &bad_plan).unwrap_err();
+        let (index, num_qubits) = (80, 70);
+        assert_eq!(err, SimError::QubitOutOfRange { index, num_qubits });
+        gates.push(qram_circuit::Gate::H(Qubit(1)));
+        let err = run_shots(&gates, &input, None, &config, &bad_plan).unwrap_err();
+        assert_eq!(err, SimError::NonReversibleGate { gate: "h" });
     }
 
     #[test]
@@ -540,30 +534,21 @@ mod tests {
 
     #[test]
     fn shot_stats_identical_across_thread_and_chunk_matrix() {
-        let (c, input) = test_circuit();
-        let (_, reference) = run_shots_stats(
-            c.gates(),
-            &input,
-            None,
-            &ShotConfig::serial(64),
-            &pseudo_random_plan,
-        )
-        .unwrap();
+        let gates = wide_gates();
+        let serial = ShotConfig::serial(64);
+        let (_, reference) =
+            run_shots_stats(&gates, &wide_input(1), None, &serial, &wide_plan).unwrap();
         assert_eq!(reference.shots, 64);
-        assert!(reference.replayed > 0);
+        assert_eq!(reference.replayed, 48);
         assert!(reference.faults >= reference.replayed);
-        assert_eq!(
-            reference.gate_applications,
-            reference.replayed * c.gates().len() as u64
-        );
-        for threads in [2usize, 4, 7] {
-            for chunks in [1usize, 2, 4] {
-                let config = ShotConfig::new(64)
-                    .with_threads(threads)
-                    .with_path_chunks(chunks);
+        assert_eq!(reference.gate_applications, 48 * gates.len() as u64);
+        // The counters count shots, not paths or lane words.
+        for paths in [1usize, 65, 130] {
+            for threads in [2usize, 4, 7] {
+                let config = ShotConfig::new(64).with_threads(threads);
                 let (_, stats) =
-                    run_shots_stats(c.gates(), &input, None, &config, &pseudo_random_plan).unwrap();
-                assert_eq!(stats, reference, "threads={threads} chunks={chunks}");
+                    run_shots_stats(&gates, &wide_input(paths), None, &config, &wide_plan).unwrap();
+                assert_eq!(stats, reference, "threads={threads} paths={paths}");
             }
         }
     }

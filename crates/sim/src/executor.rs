@@ -7,17 +7,9 @@
 //! the trajectory samples the paper averages in its fidelity plots
 //! (Sec. 6.3).
 //!
-//! Because every gate in the classical-reversible + Pauli family maps each
-//! path independently (paths never interact during execution, only in the
-//! final overlap reductions), a whole run factorizes over disjoint path
-//! ranges: [`run_with_faults_chunked`] splits the state's slab into
-//! contiguous chunks and executes the full gate/fault sequence on each
-//! chunk in parallel under [`std::thread::scope`]. The result is
-//! *bit-identical* to the serial run — each path's bit and amplitude
-//! operations are the same instruction sequence regardless of which chunk
-//! it lands in, and the slab order is preserved.
-
-use std::thread;
+//! This slab executor is the reference implementation: the shot engine
+//! runs the same plans as [`crate::Lanes`] passes and must agree with it
+//! bit for bit.
 
 use qram_circuit::{Control, Gate, Qubit};
 
@@ -176,51 +168,6 @@ pub fn run_with_faults(
     run_plan_on(gates, &mut state.as_paths_mut(), &faults, num_qubits)
 }
 
-/// Like [`run_with_faults`], but executes the gate/fault sequence over
-/// `chunks` disjoint path ranges in parallel (scoped threads, no external
-/// dependencies). `chunks` is clamped to the path count; `chunks <= 1`
-/// falls back to the serial path.
-///
-/// The result is **bit-identical** to [`run_with_faults`]: paths never
-/// interact during execution, so each path undergoes the exact same
-/// floating-point operation sequence in either mode, and the slab order
-/// is preserved.
-///
-/// # Errors
-///
-/// Same conditions as [`run`], detected by a state-free pre-validation
-/// pass that reports the first error in serial execution order.
-pub fn run_with_faults_chunked(
-    gates: &[Gate],
-    state: &mut PathState,
-    plan: &FaultPlan,
-    chunks: usize,
-) -> Result<(), SimError> {
-    let chunks = chunks.clamp(1, state.num_paths().max(1));
-    if chunks <= 1 {
-        return run_with_faults(gates, state, plan);
-    }
-    let num_qubits = state.num_qubits();
-    // Surface the first error (in serial execution order) before any
-    // worker touches the slab; afterwards per-chunk runs cannot fail.
-    validate(gates, plan, num_qubits)?;
-    let faults = plan.sorted();
-    let views = state.chunk_views(chunks);
-    thread::scope(|scope| {
-        let handles: Vec<_> = views
-            .into_iter()
-            .map(|mut view| {
-                let faults = &faults;
-                scope.spawn(move || run_plan_on(gates, &mut view, faults, num_qubits))
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("path chunk panicked")?;
-        }
-        Ok(())
-    })
-}
-
 /// Executes the full gate/fault sequence over one slab view. `faults`
 /// must already be location-sorted ([`FaultPlan::sorted`]).
 fn run_plan_on(
@@ -259,37 +206,6 @@ fn run_plan_on(
     Ok(())
 }
 
-/// State-free validation of a run: walks the serial execution order
-/// (fault fire before gate, final fire after the last gate) checking
-/// qubit bounds and gate-family legality, and reports the first error
-/// exactly where the serial executor would.
-///
-/// Faults located past the end of the circuit (`gate_index >
-/// gates.len()`) never fire and are deliberately *not* validated,
-/// matching the serial executor.
-fn validate(gates: &[Gate], plan: &FaultPlan, num_qubits: usize) -> Result<(), SimError> {
-    let faults = plan.sorted();
-    let mut next_fault = 0usize;
-    let check_fire = |idx: usize, next_fault: &mut usize| -> Result<(), SimError> {
-        while *next_fault < faults.len() && faults[*next_fault].gate_index <= idx {
-            let f = faults[*next_fault];
-            if f.qubit.index() >= num_qubits {
-                return Err(SimError::QubitOutOfRange {
-                    index: f.qubit.index(),
-                    num_qubits,
-                });
-            }
-            *next_fault += 1;
-        }
-        Ok(())
-    };
-    for (i, gate) in gates.iter().enumerate() {
-        check_fire(i, &mut next_fault)?;
-        validate_gate(gate, num_qubits)?;
-    }
-    check_fire(gates.len(), &mut next_fault)
-}
-
 /// Fails with [`SimError::QubitOutOfRange`] on the first operand (in
 /// [`Gate::for_each_qubit`] order) past `num_qubits`.
 fn check_bounds(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
@@ -305,24 +221,13 @@ fn check_bounds(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
     }
 }
 
-/// The state-free half of [`apply_gate_on`]'s error checks: qubit bounds
-/// first (matching the executor's check order), then gate-family
-/// legality.
-fn validate_gate(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
-    check_bounds(gate, num_qubits)?;
-    if matches!(gate, Gate::H(_)) {
-        return Err(SimError::NonReversibleGate { gate: "h" });
-    }
-    Ok(())
-}
-
 /// Applies one gate to a slab view.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::NonReversibleGate`] for `H`,
 /// [`SimError::QubitOutOfRange`] for bad qubit indices (bounds are
-/// checked before family legality, so `validate_gate` mirrors the order).
+/// checked before family legality).
 fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Result<(), SimError> {
     check_bounds(gate, num_qubits)?;
     #[inline]
@@ -376,7 +281,7 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qram_circuit::Circuit;
 
@@ -532,45 +437,93 @@ mod tests {
         assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
+    /// The shot engine's lane pass of `input` under `plan`.
+    fn lane_run(
+        gates: &[Gate],
+        input: &PathState,
+        plan: &FaultPlan,
+    ) -> Result<PathState, SimError> {
+        let mut out = PathState::zero_vector(input.num_qubits());
+        crate::Lanes::default()
+            .run_paths(gates, input, plan, &mut out)
+            .map(|()| out)
+    }
+
+    /// Every path's bits and amplitude bits, in slab order.
+    fn exact(state: &PathState) -> Vec<(crate::BitString, u64, u64)> {
+        state
+            .iter()
+            .map(|(bits, a)| (bits, a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// `paths` paths over an 8-bit register of a 70-qubit state (two
+    /// words per path), with complex, negative and signed-zero
+    /// amplitudes. A lane pass puts 64 paths in one word, so 130 paths
+    /// make three chunks.
+    pub(crate) fn wide_input(paths: usize) -> PathState {
+        let amps: Vec<_> = (0..paths)
+            .map(|p| match p % 3 {
+                0 => crate::Amplitude::new(-0.0, 0.25),
+                1 => crate::Amplitude::new(-0.5, -0.0),
+                _ => crate::Amplitude::new(0.125, p as f64),
+            })
+            .collect();
+        let register: Vec<Qubit> = (0..8).map(Qubit).collect();
+        PathState::superposition_over(70, &register, &amps)
+    }
+
+    /// Gates on both words of the wide state. Qubit 67 stays `|0⟩` and
+    /// qubit 69 ends `|1⟩` on every path.
+    pub(crate) fn wide_gates() -> Vec<Gate> {
+        vec![
+            Gate::cx(Qubit(0), Qubit(66)),
+            Gate::ccx(Qubit(1), Qubit(2), Qubit(68)),
+            Gate::cswap(Qubit(66), Qubit(3), Qubit(68)),
+            Gate::y(Qubit(69)),
+            Gate::swap(Qubit(4), Qubit(65)),
+            Gate::z(Qubit(5)),
+            Gate::x(Qubit(6)),
+        ]
+    }
+
+    /// The lane pass, 64 paths to a word chunk, matches the serial slab
+    /// run bit for bit, in slab order, on inputs of one to three chunks.
+    /// Every `Y` flips the parity of every path's power of `i`, so the
+    /// plans cover both parities: with an odd count, powers 1 and 3
+    /// occur; with an even one, 0 and 2.
     #[test]
     fn chunked_run_matches_serial_bit_for_bit() {
-        let addr = [Qubit(0), Qubit(1), Qubit(2)];
-        let gates = [
-            Gate::cx(Qubit(0), Qubit(3)),
-            Gate::ccx(Qubit(1), Qubit(2), Qubit(4)),
-            Gate::cswap(Qubit(0), Qubit(3), Qubit(4)),
-            Gate::swap(Qubit(3), Qubit(4)),
-            Gate::x(Qubit(3)),
-        ];
-        let plan: FaultPlan = [
+        let gates = wide_gates();
+        let mut plan: FaultPlan = [
             Fault::new(1, Qubit(2), Pauli::Y),
-            Fault::new(3, Qubit(0), Pauli::Z),
-            Fault::new(5, Qubit(4), Pauli::X),
+            Fault::new(3, Qubit(68), Pauli::Z),
+            Fault::new(3, Qubit(68), Pauli::X),
+            Fault::new(7, Qubit(0), Pauli::Y),
         ]
         .into_iter()
         .collect();
-        let input = PathState::uniform_over(5, &addr);
-        let mut serial = input.clone();
-        run_with_faults(&gates, &mut serial, &plan).unwrap();
-        for chunks in [1usize, 2, 3, 4, 7, 16] {
-            let mut chunked = input.clone();
-            run_with_faults_chunked(&gates, &mut chunked, &plan, chunks).unwrap();
-            // Bit-identical including slab order, not merely equal as sets.
-            let a: Vec<_> = chunked.iter().collect();
-            let b: Vec<_> = serial.iter().collect();
-            assert_eq!(a, b, "chunks={chunks}");
+        for _parity in 0..2 {
+            for paths in [1usize, 63, 64, 65, 130] {
+                let input = wide_input(paths);
+                let mut serial = input.clone();
+                run_with_faults(&gates, &mut serial, &plan).unwrap();
+                let lanes = lane_run(&gates, &input, &plan).unwrap();
+                assert_eq!(exact(&lanes), exact(&serial), "paths={paths}");
+            }
+            plan.push(Fault::new(0, Qubit(67), Pauli::Y));
         }
     }
 
     #[test]
     fn chunked_error_semantics_match_serial() {
-        let input = PathState::uniform_over(3, &[Qubit(0), Qubit(1)]);
+        let input = wide_input(130);
         // (gates, plan) cases that each fail at a different point of the
         // serial execution order.
         let h_gate = vec![Gate::cx(Qubit(0), Qubit(1)), Gate::H(Qubit(2))];
-        let bad_gate = vec![Gate::x(Qubit(7))];
+        let bad_gate = vec![Gate::x(Qubit(70))];
         let bad_fault_gates = vec![Gate::cx(Qubit(0), Qubit(1))];
-        let bad_fault: FaultPlan = [Fault::new(1, Qubit(9), Pauli::X)].into_iter().collect();
+        let bad_fault: FaultPlan = [Fault::new(1, Qubit(90), Pauli::X)].into_iter().collect();
         let cases: Vec<(&[Gate], FaultPlan)> = vec![
             (&h_gate, FaultPlan::new()),
             (&bad_gate, FaultPlan::new()),
@@ -579,40 +532,31 @@ mod tests {
         for (gates, plan) in cases {
             let mut serial = input.clone();
             let serial_err = run_with_faults(gates, &mut serial, &plan).unwrap_err();
-            let mut chunked = input.clone();
-            let chunked_err = run_with_faults_chunked(gates, &mut chunked, &plan, 3).unwrap_err();
-            assert_eq!(serial_err, chunked_err);
+            assert_eq!(lane_run(gates, &input, &plan).unwrap_err(), serial_err);
         }
     }
 
     #[test]
     fn faults_past_circuit_end_never_fire_nor_validate() {
         // A fault located beyond the final fire point (gate_index >
-        // gates.len()) is dead: the serial engine never validates it, so
-        // the chunked pre-validation must not either.
+        // gates.len()) is dead: neither the slab nor a lane pass
+        // validates it.
         let gates = [Gate::x(Qubit(0))];
         let plan: FaultPlan = [Fault::new(2, Qubit(40), Pauli::X)].into_iter().collect();
         let mut serial = PathState::computational_basis(1);
         run_with_faults(&gates, &mut serial, &plan).unwrap();
-        let mut chunked = PathState::uniform_over(1, &[Qubit(0)]);
-        run_with_faults_chunked(&gates, &mut chunked, &plan, 2).unwrap();
+        let input = PathState::uniform_over(1, &[Qubit(0)]);
+        lane_run(&gates, &input, &plan).unwrap();
     }
 
     #[test]
     fn run_chunked_noiseless_matches_run() {
-        let addr = [Qubit(0), Qubit(1)];
-        let gates = [
-            Gate::cx(Qubit(0), Qubit(2)),
-            Gate::cswap(Qubit(1), Qubit(2), Qubit(3)),
-        ];
-        let input = PathState::uniform_over(4, &addr);
+        let gates = wide_gates();
+        let input = wide_input(130);
         let mut serial = input.clone();
         run(&gates, &mut serial).unwrap();
-        let mut chunked = input.clone();
-        run_with_faults_chunked(&gates, &mut chunked, &FaultPlan::new(), 4).unwrap();
-        let a: Vec<_> = chunked.iter().collect();
-        let b: Vec<_> = serial.iter().collect();
-        assert_eq!(a, b);
+        let lanes = lane_run(&gates, &input, &FaultPlan::new()).unwrap();
+        assert_eq!(exact(&lanes), exact(&serial));
     }
 
     #[test]

@@ -20,12 +20,17 @@
 //! [`crate::run_with_faults`] fires it, so every lane ends in the basis
 //! state and phase the slab engine gives that lane's input and plan
 //! (pinned by this module's tests and by `tests/property_based.rs`).
+//!
+//! No gate splits a path, so a superposition input is a fixed set of
+//! lanes too: the shot engine runs each of its shots as one pass with
+//! one lane per input path, the shot's faults scheduled once for every
+//! lane, and reads the pass back into a [`PathState`].
 
 use qram_circuit::{Control, Gate, Qubit};
 
-use crate::{FaultPlan, Pauli, SimError};
+use crate::{FaultPlan, PathState, Pauli, SimError};
 
-/// One scheduled fault of one lane.
+/// One scheduled fault: of one lane, or of every lane of the pass.
 #[derive(Debug, Clone, Copy)]
 struct LaneFault {
     /// The fault's gate index (saturated at `u32::MAX`) in the high
@@ -33,7 +38,8 @@ struct LaneFault {
     /// schedule runs in (gate index, scheduling order), which keeps each
     /// lane's plan order at one index.
     key: u64,
-    lane: u32,
+    /// The faulted lane; `None` faults every lane.
+    lane: Option<u32>,
     qubit: Qubit,
     pauli: Pauli,
 }
@@ -162,6 +168,12 @@ impl Lanes {
     pub fn add_faults(&mut self, lane: usize, plan: &FaultPlan) {
         assert!(lane < self.lanes, "lane {lane} out of range");
         let lane = u32::try_from(lane).expect("under 2^32 lanes");
+        self.schedule(Some(lane), plan);
+    }
+
+    /// Schedules `plan`'s faults on `lane`, or on every lane when `lane`
+    /// is `None`: one entry per fault either way.
+    fn schedule(&mut self, lane: Option<u32>, plan: &FaultPlan) {
         for f in plan.faults() {
             let position = u32::try_from(self.faults.len()).expect("under 2^32 faults per run");
             let index = f.gate_index.min(u32::MAX as usize) as u64;
@@ -172,6 +184,74 @@ impl Lanes {
                 pauli: f.pauli,
             });
         }
+    }
+
+    /// Runs `gates` under `plan` on every path of `input`, one lane per
+    /// path in slab order, and writes the result to `out`: the same
+    /// paths, in the same order, with the bits and amplitudes
+    /// [`crate::run_with_faults`] gives `input` under `plan`, bit for
+    /// bit.
+    ///
+    /// Both transposes work a word at a time, visiting only the set bits
+    /// of each 64-bit word. A path's amplitude is `input`'s times `iᵏ`,
+    /// applied with the slab's own maps (`−`,
+    /// [`crate::Amplitude::mul_i`], [`crate::Amplitude::mul_neg_i`]);
+    /// each is an exact signed permutation of `(re, im)` and they compose
+    /// as powers of `i`, so the slab's per-gate sequence and this single
+    /// map agree in every bit, signed zeros included.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lanes::run`]; `out` is then unspecified.
+    pub(crate) fn run_paths(
+        &mut self,
+        gates: &[Gate],
+        input: &PathState,
+        plan: &FaultPlan,
+        out: &mut PathState,
+    ) -> Result<(), SimError> {
+        let (num_qubits, paths) = (input.num_qubits(), input.num_paths());
+        self.reset(num_qubits, paths);
+        let words = self.words;
+        for p in 0..paths {
+            let (w, lane_bit) = (p / 64, 1u64 << (p % 64));
+            for (j, &word) in input.path_words(p).iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let q = j * 64 + rest.trailing_zeros() as usize;
+                    self.bits[q * words + w] |= lane_bit;
+                    rest &= rest - 1;
+                }
+            }
+        }
+        // The shot's plan applies to every path: one schedule entry per
+        // fault, fired on whole words.
+        self.schedule(None, plan);
+        self.run(gates)?;
+
+        let (slab, amps) = out.reset_paths(num_qubits, paths);
+        let stride = num_qubits.div_ceil(64);
+        for q in 0..num_qubits {
+            let (j, qubit_bit) = (q / 64, 1u64 << (q % 64));
+            for (w, &word) in self.bits[q * words..(q + 1) * words].iter().enumerate() {
+                // Bits past the last lane belong to no path.
+                let mut rest = word & lane_mask(paths, w);
+                while rest != 0 {
+                    let p = w * 64 + rest.trailing_zeros() as usize;
+                    slab[p * stride + j] |= qubit_bit;
+                    rest &= rest - 1;
+                }
+            }
+        }
+        for (p, (amp, &a)) in amps.iter_mut().zip(input.amplitudes()).enumerate() {
+            *amp = match self.phase(p) {
+                0 => a,
+                1 => a.mul_i(),
+                2 => -a,
+                _ => a.mul_neg_i(),
+            };
+        }
+        Ok(())
     }
 
     /// Walks `gates` once over every lane, firing the scheduled faults:
@@ -237,9 +317,13 @@ impl Lanes {
                     num_qubits: self.num_qubits,
                 });
             }
-            let lane = f.lane as usize;
-            let (word, mask) = self.locate(lane, f.qubit);
-            let w = lane / 64;
+            let (range, mask) = match f.lane {
+                Some(lane) => {
+                    let w = lane as usize / 64;
+                    (w..w + 1, 1u64 << (lane % 64))
+                }
+                None => (0..self.words, !0),
+            };
             // One update for all three Paulis: X flips the bit; Z adds 2
             // to the power of i where the bit is set; Y = iXZ adds 1 on
             // |0⟩ and 3 on |1⟩, then flips.
@@ -248,10 +332,13 @@ impl Lanes {
                 Pauli::Y => (mask, mask, 0),
                 Pauli::Z => (0, 0, mask),
             };
-            let bit = self.bits[word] & (y | z);
-            self.phase_hi[w] ^= bit ^ (self.phase_lo[w] & y);
-            self.phase_lo[w] ^= y;
-            self.bits[word] ^= x;
+            let row = f.qubit.index() * self.words;
+            for w in range {
+                let bit = self.bits[row + w] & (y | z);
+                self.phase_hi[w] ^= bit ^ (self.phase_lo[w] & y);
+                self.phase_lo[w] ^= y;
+                self.bits[row + w] ^= x;
+            }
             next += 1;
         }
         Ok(next)
@@ -363,10 +450,18 @@ impl Lanes {
     }
 }
 
+/// The bits of word `w` that hold one of `lanes` lanes.
+fn lane_mask(lanes: usize, w: usize) -> u64 {
+    match lanes - w * 64 {
+        n if n >= 64 => !0,
+        n => (1u64 << n) - 1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_with_faults, Amplitude, BitString, Fault, PathState};
+    use crate::{run_with_faults, Amplitude, BitString, Fault};
 
     fn lane_bits(lanes: &Lanes, lane: usize, num_qubits: usize) -> BitString {
         BitString::from_bits((0..num_qubits).map(|q| lanes.get(lane, Qubit(q as u32))))

@@ -21,20 +21,18 @@
 //! * [`PathState`] — a sparse superposition stored as a flat slab:
 //!   contiguous packed-bit and amplitude arrays, one entry per path.
 //! * [`run`] / [`run_with_faults`] — circuit execution with optional
-//!   Pauli fault injection at arbitrary circuit locations.
-//! * [`run_with_faults_chunked`] — the same execution parallelized over
-//!   disjoint path ranges of the slab, bit-identical to the serial run
-//!   for any chunk count.
+//!   Pauli fault injection at arbitrary circuit locations, on the slab:
+//!   the reference implementation.
+//! * [`Lanes`] — many *single-path* trajectories of one circuit walked
+//!   together, bit-sliced 64 to a machine word. Each lane ends in exactly
+//!   the basis state and phase [`run_with_faults`] gives it. A lane is a
+//!   served classical address, one of its noisy replays, or one path of a
+//!   superposition input.
 //! * [`monte_carlo_fidelity`] / [`run_shots`] — the paper's shot harness:
-//!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns, executed
-//!   on a sharded parallel engine whose estimates are bit-identical for
-//!   any `(threads, path_chunks)` pair ([`ShotConfig`]).
-//! * [`Lanes`] — many *single-path* trajectories of one circuit (a
-//!   classical address, its noisy replays) walked together, bit-sliced
-//!   64 to a machine word. Each lane ends in exactly the basis state and
-//!   phase [`run_with_faults`] gives it; the serving layer answers
-//!   requests with it, while the slab above stays the reference and
-//!   serves superposition inputs.
+//!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns. Shots are
+//!   sharded over threads ([`ShotConfig`]), and each shot is one lane
+//!   pass with one lane per input path, read back into a [`PathState`];
+//!   estimates equal the slab's bit for bit, for any thread count.
 //!
 //! # Example
 //!
@@ -67,7 +65,7 @@ mod state;
 pub use amplitude::Amplitude;
 pub use bitstring::BitString;
 pub use engine::{run_shots, run_shots_stats, ShotConfig, ShotStats};
-pub use executor::{run, run_with_faults, run_with_faults_chunked, Fault, FaultPlan, Pauli};
+pub use executor::{run, run_with_faults, Fault, FaultPlan, Pauli};
 pub use lanes::Lanes;
 pub use shots::{
     monte_carlo_fidelity, monte_carlo_fidelity_with, monte_carlo_reduced_fidelity,

@@ -142,10 +142,8 @@ impl PathBits<'_> {
     }
 }
 
-/// A mutable view over a contiguous range of paths in a [`PathState`]
-/// slab — the unit of work of the path-parallel executor. Views of
-/// disjoint path ranges borrow disjoint slices, so chunked gate
-/// application needs no locking and no `unsafe`.
+/// A mutable view over the paths of a [`PathState`] slab, on which the
+/// slab executor applies gates.
 #[derive(Debug)]
 pub(crate) struct PathsMut<'a> {
     words: &'a mut [u64],
@@ -221,8 +219,7 @@ impl PathsMut<'_> {
 /// Path `i` lives at `words[i·stride .. (i+1)·stride]` (its packed basis
 /// state) and `amps[i]` (its amplitude) — two contiguous slabs instead of
 /// per-path heap objects, so gate application streams linearly through
-/// memory and the slab can be split into disjoint per-chunk views for the
-/// path-parallel executor (`run_with_faults_chunked`).
+/// memory.
 ///
 /// Classical reversible gates permute basis states in place; Pauli `Z`
 /// errors flip amplitude signs; `X` errors flip bits. No operation in the
@@ -414,8 +411,30 @@ impl PathState {
 
     /// The packed words of path `p`.
     #[inline]
-    fn path_words(&self, p: usize) -> &[u64] {
+    pub(crate) fn path_words(&self, p: usize) -> &[u64] {
         &self.words[p * self.stride..(p + 1) * self.stride]
+    }
+
+    /// The amplitudes, in slab order.
+    pub(crate) fn amplitudes(&self) -> &[Amplitude] {
+        &self.amps
+    }
+
+    /// Re-shapes into `paths` paths over `num_qubits` qubits, every bit
+    /// clear, reusing the buffers; returns the word slab (`⌈num_qubits /
+    /// 64⌉` words per path) and the amplitudes for the caller to fill.
+    pub(crate) fn reset_paths(
+        &mut self,
+        num_qubits: usize,
+        paths: usize,
+    ) -> (&mut [u64], &mut [Amplitude]) {
+        self.num_qubits = num_qubits;
+        self.stride = stride_for(num_qubits);
+        self.words.clear();
+        self.words.resize(paths * self.stride, 0);
+        self.amps.clear();
+        self.amps.resize(paths, Amplitude::ZERO);
+        (&mut self.words, &mut self.amps)
     }
 
     /// A mutable view over the whole slab.
@@ -426,34 +445,6 @@ impl PathState {
             stride: self.stride,
             num_qubits: self.num_qubits,
         }
-    }
-
-    /// Splits the slab into `chunks` disjoint contiguous views of
-    /// near-equal path count (the last view may be smaller; empty
-    /// trailing views are dropped). Used by the path-parallel executor.
-    pub(crate) fn chunk_views(&mut self, chunks: usize) -> Vec<PathsMut<'_>> {
-        let paths = self.amps.len();
-        let chunks = chunks.clamp(1, paths.max(1));
-        let per = paths.div_ceil(chunks).max(1);
-        let mut views = Vec::with_capacity(chunks);
-        let stride = self.stride;
-        let num_qubits = self.num_qubits;
-        let mut words_rest: &mut [u64] = &mut self.words;
-        let mut amps_rest: &mut [Amplitude] = &mut self.amps;
-        while !amps_rest.is_empty() {
-            let take = per.min(amps_rest.len());
-            let (w, wr) = words_rest.split_at_mut(take * stride);
-            let (a, ar) = amps_rest.split_at_mut(take);
-            words_rest = wr;
-            amps_rest = ar;
-            views.push(PathsMut {
-                words: w,
-                amps: a,
-                stride,
-                num_qubits,
-            });
-        }
-        views
     }
 
     /// Iterator over `(basis state, amplitude)` pairs in slab order.
@@ -548,49 +539,7 @@ impl PathState {
     /// clean reference).
     pub fn reduced_fidelity(&self, other: &PathState, keep: &[Qubit]) -> f64 {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit counts differ");
-        let keep_idx: Vec<usize> = keep.iter().map(|q| q.index()).collect();
-        for &i in &keep_idx {
-            assert!(i < self.num_qubits, "kept qubit {i} out of range");
-        }
-        let mut kept_mask = vec![false; self.num_qubits];
-        for &i in &keep_idx {
-            kept_mask[i] = true;
-        }
-        let rest_idx: Vec<usize> = (0..self.num_qubits).filter(|&i| !kept_mask[i]).collect();
-
-        // Ideal amplitudes keyed by the kept-qubit substring; the rest
-        // substring must be constant or the reduction is ill-defined.
-        // The map is lookup-only after construction.
-        let mut ideal: HashMap<Vec<u64>, Amplitude> = HashMap::with_capacity(self.num_paths());
-        let mut ideal_rest: Option<Vec<u64>> = None;
-        for p in 0..self.num_paths() {
-            let words = self.path_words(p);
-            let rest = extract_bits(words, &rest_idx);
-            match &ideal_rest {
-                None => ideal_rest = Some(rest),
-                Some(expected) => assert_eq!(
-                    expected, &rest,
-                    "reference state has entangled non-kept qubits"
-                ),
-            }
-            *ideal
-                .entry(extract_bits(words, &keep_idx))
-                .or_insert(Amplitude::ZERO) += self.amps[p];
-        }
-
-        // Group the noisy paths by their traced-out substring and overlap
-        // each group with the ideal kept-state. An ordered map keeps the
-        // accumulation and final sum in deterministic (sorted) order.
-        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
-        for p in 0..other.num_paths() {
-            let words = other.path_words(p);
-            let kept = extract_bits(words, &keep_idx);
-            if let Some(ideal_amp) = ideal.get(&kept) {
-                let z = extract_bits(words, &rest_idx);
-                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
-            }
-        }
-        groups.values().map(|a| a.norm_sqr()).sum()
+        ReducedReference::new(self, keep).fidelity(other)
     }
 
     /// Probability that measuring `qubit` yields 1.
@@ -687,6 +636,85 @@ impl PathState {
     }
 }
 
+/// The reference half of [`PathState::reduced_fidelity`]: the ideal
+/// state's amplitudes keyed by their kept bits. It depends only on the
+/// ideal state and the kept qubits, so a Monte-Carlo run builds it once
+/// and reduces every shot against it with [`ReducedReference::fidelity`].
+pub(crate) struct ReducedReference {
+    num_qubits: usize,
+    keep_idx: Vec<usize>,
+    rest_idx: Vec<usize>,
+    /// Lookup-only after construction.
+    ideal: HashMap<Vec<u64>, Amplitude>,
+}
+
+impl ReducedReference {
+    /// Indexes `ideal` by the bits of `keep`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kept qubit index is out of range, or if `ideal`'s
+    /// non-kept qubits are not one constant basis state across its paths
+    /// (see [`PathState::reduced_fidelity`]).
+    pub(crate) fn new(ideal: &PathState, keep: &[Qubit]) -> Self {
+        let keep_idx: Vec<usize> = keep.iter().map(|q| q.index()).collect();
+        for &i in &keep_idx {
+            assert!(i < ideal.num_qubits, "kept qubit {i} out of range");
+        }
+        let mut kept_mask = vec![false; ideal.num_qubits];
+        for &i in &keep_idx {
+            kept_mask[i] = true;
+        }
+        let rest_idx: Vec<usize> = (0..ideal.num_qubits).filter(|&i| !kept_mask[i]).collect();
+
+        // Ideal amplitudes keyed by the kept-qubit substring; the rest
+        // substring must be constant or the reduction is ill-defined.
+        let mut map: HashMap<Vec<u64>, Amplitude> = HashMap::with_capacity(ideal.num_paths());
+        let mut ideal_rest: Option<Vec<u64>> = None;
+        for p in 0..ideal.num_paths() {
+            let words = ideal.path_words(p);
+            let rest = extract_bits(words, &rest_idx);
+            match &ideal_rest {
+                None => ideal_rest = Some(rest),
+                Some(expected) => assert_eq!(
+                    expected, &rest,
+                    "reference state has entangled non-kept qubits"
+                ),
+            }
+            *map.entry(extract_bits(words, &keep_idx))
+                .or_insert(Amplitude::ZERO) += ideal.amps[p];
+        }
+        ReducedReference {
+            num_qubits: ideal.num_qubits,
+            keep_idx,
+            rest_idx,
+            ideal: map,
+        }
+    }
+
+    /// The per-shot half: `other`'s fidelity against the reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different qubit count.
+    pub(crate) fn fidelity(&self, other: &PathState) -> f64 {
+        assert_eq!(self.num_qubits, other.num_qubits, "qubit counts differ");
+        // Group the noisy paths by their traced-out substring and overlap
+        // each group with the ideal kept-state. An ordered map keeps the
+        // accumulation and final sum in deterministic (sorted) order.
+        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
+        for p in 0..other.num_paths() {
+            let words = other.path_words(p);
+            let kept = extract_bits(words, &self.keep_idx);
+            if let Some(ideal_amp) = self.ideal.get(&kept) {
+                let z = extract_bits(words, &self.rest_idx);
+                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
+            }
+        }
+        groups.values().map(|a| a.norm_sqr()).sum()
+    }
+}
+
 impl Clone for PathState {
     fn clone(&self) -> Self {
         PathState {
@@ -698,9 +726,7 @@ impl Clone for PathState {
     }
 
     /// Allocation-reusing overwrite: the word and amplitude slabs are
-    /// rewritten in place when their capacity suffices. This is the
-    /// per-shot reset of the Monte-Carlo shot engine, which would
-    /// otherwise clone the input state afresh for every shot.
+    /// rewritten in place when their capacity suffices.
     fn clone_from(&mut self, source: &Self) {
         self.num_qubits = source.num_qubits;
         self.stride = source.stride;
@@ -941,42 +967,6 @@ mod tests {
         assert_eq!(dst, mutated);
         assert_eq!(dst.words.capacity(), words_cap);
         assert_eq!(dst.amps.capacity(), amps_cap);
-    }
-
-    #[test]
-    fn chunk_views_cover_all_paths_disjointly() {
-        let mut s = PathState::uniform_over(4, &[Qubit(0), Qubit(1), Qubit(2)]);
-        for chunks in [1usize, 2, 3, 5, 8, 13] {
-            let views = s.chunk_views(chunks);
-            let total: usize = views.iter().map(|v| v.amps.len()).sum();
-            assert_eq!(total, 8, "chunks={chunks}");
-            assert!(views.len() <= chunks.max(1));
-            assert!(views.iter().all(|v| !v.amps.is_empty()));
-        }
-    }
-
-    #[test]
-    fn chunked_views_apply_gates_like_the_whole_slab() {
-        let mut chunked = PathState::uniform_over(5, &[Qubit(0), Qubit(1), Qubit(2)]);
-        let mut serial = chunked.clone();
-        serial.apply_y(Qubit(1));
-        serial.permute_paths(|bits| {
-            if bits.get(0) {
-                bits.flip(3);
-            }
-        });
-        for view in &mut chunked.chunk_views(3) {
-            view.apply_y(1);
-            view.permute_paths(|bits| {
-                if bits.get(0) {
-                    bits.flip(3);
-                }
-            });
-        }
-        // Bit-identical, including slab order.
-        let a: Vec<_> = chunked.iter().collect();
-        let b: Vec<_> = serial.iter().collect();
-        assert_eq!(a, b);
     }
 
     #[test]

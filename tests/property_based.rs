@@ -186,14 +186,13 @@ proptest! {
     }
 }
 
-/// Slab-equivalence suite: the arena-backed `PathState` pinned against a
-/// naive reference interpreter, and the path-parallel executor pinned
-/// against the serial one — **exactly**, amplitude bit for amplitude bit,
-/// for any chunk count.
+/// Slab-equivalence suite: the arena-backed `PathState` and its executor
+/// pinned against a naive reference interpreter — **exactly**, amplitude
+/// bit for amplitude bit.
 mod slab_equivalence {
     use super::*;
     use qram::circuit::Control;
-    use qram::sim::{run_with_faults, run_with_faults_chunked, Amplitude, Fault, FaultPlan, Pauli};
+    use qram::sim::{run_with_faults, Amplitude, Fault, FaultPlan, Pauli};
     use std::collections::BTreeMap;
 
     /// The reference model: an ordered map from bit vectors to amplitudes,
@@ -311,10 +310,9 @@ mod slab_equivalence {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random gate sequences on random initial superpositions produce
-        /// amplitude maps identical to the naive interpreter — for the
-        /// serial executor and for every chunk count.
+        /// amplitude maps identical to the naive interpreter.
         #[test]
-        fn slab_matches_reference_for_any_chunk_count(
+        fn slab_matches_reference(
             circuit in arb_circuit(6, 30),
             plan in arb_plan(6, 30),
             addr_bits in 1usize..4,
@@ -329,16 +327,6 @@ mod slab_equivalence {
             let mut serial = input.clone();
             run_with_faults(circuit.gates(), &mut serial, &fault_plan).unwrap();
             assert_exact_match(&serial, &reference);
-
-            for chunks in [2usize, 3, 5, 16] {
-                let mut chunked = input.clone();
-                run_with_faults_chunked(circuit.gates(), &mut chunked, &fault_plan, chunks)
-                    .unwrap();
-                // Chunking must preserve slab order too, not just the set.
-                let a: Vec<_> = chunked.iter().collect();
-                let b: Vec<_> = serial.iter().collect();
-                prop_assert_eq!(a, b, "chunks={}", chunks);
-            }
         }
 
         /// The allocation-reusing `clone_from` reset is indistinguishable
@@ -543,6 +531,208 @@ mod lane_equivalence {
             lanes[pick].1.push(Fault::new(fault_at, Qubit(N as u32), Pauli::Z));
             let want = slab_run(&gates, lanes[pick].0, &lanes[pick].1).unwrap_err();
             prop_assert_eq!(lanes_for(&lanes).run(&gates).unwrap_err(), want);
+        }
+    }
+}
+
+/// Shot-engine differential suite: `run_shots_stats`, which runs every
+/// shot as one lane pass over the input's paths, pinned against the slab
+/// reference loop — per shot `run_with_faults`, then `fidelity` or
+/// `reduced_fidelity`, then `FidelityEstimate::from_samples` — bit for
+/// bit, at 1 and 3 threads, errors included.
+///
+/// A fidelity cannot see every amplitude error: each `Y` flips the
+/// parity of every path's power of `i`, so conjugating every phase
+/// multiplies each overlap by one common sign. The sim crate's unit
+/// tests compare the pass's states themselves, which catches that.
+mod shot_engine_equivalence {
+    use super::*;
+    use qram::core::BucketBrigadeQram;
+    use qram::sim::{
+        run_shots_stats, run_with_faults, Amplitude, BitString, Fault, FaultPlan, FidelityEstimate,
+        Pauli, ShotConfig, ShotStats, SimError,
+    };
+
+    type Outcome = Result<(FidelityEstimate, ShotStats), SimError>;
+
+    const PAULIS: [Pauli; 3] = [Pauli::X, Pauli::Y, Pauli::Z];
+    /// Amplitude components: negative, signed-zero and inexact values.
+    const PARTS: [f64; 6] = [0.5, -0.25, -0.0, 0.0, 0.3, -1.1];
+
+    fn arb_amplitude() -> impl Strategy<Value = Amplitude> {
+        (0..PARTS.len(), 0..PARTS.len()).prop_map(|(re, im)| Amplitude::new(PARTS[re], PARTS[im]))
+    }
+
+    /// A state over `n` qubits built from 1–16 random paths (duplicates
+    /// merge, and an all-zero amplitude is pruned). Above 64 qubits a
+    /// path spans two words.
+    fn arb_state(n: usize) -> impl Strategy<Value = PathState> {
+        let path = (any::<u64>(), any::<u64>(), arb_amplitude());
+        prop::collection::vec(path, 1..17).prop_map(move |paths| {
+            PathState::from_parts(
+                n,
+                paths.into_iter().map(|(lo, hi, amp)| {
+                    let bit = |q: usize| if q < 64 { lo >> q } else { hi >> (q - 64) } & 1 == 1;
+                    (BitString::from_bits((0..n).map(bit)), amp)
+                }),
+            )
+        })
+    }
+
+    /// One plan per shot (1–11 shots), with faults up to past the end of
+    /// a circuit of at most `len` gates.
+    fn arb_plans(n: usize, len: usize) -> impl Strategy<Value = Vec<FaultPlan>> {
+        let fault = (0..len + 2, 0..n as u32, 0usize..3)
+            .prop_map(|(i, q, p)| Fault::new(i, Qubit(q), PAULIS[p]));
+        prop::collection::vec(prop::collection::vec(fault, 0..4), 1..12)
+            .prop_map(|plans| plans.into_iter().map(FaultPlan::from_iter).collect())
+    }
+
+    /// The slab reference loop, with the shot engine's counters and its
+    /// rule that a shot with an empty plan samples 1.
+    fn slab_loop(
+        gates: &[Gate],
+        input: &PathState,
+        keep: Option<&[Qubit]>,
+        plans: &[FaultPlan],
+    ) -> Outcome {
+        let mut ideal = input.clone();
+        run(gates, &mut ideal)?;
+        let mut stats = ShotStats::default();
+        let mut samples = Vec::new();
+        for plan in plans {
+            stats.shots += 1;
+            if plan.is_empty() {
+                samples.push(1.0);
+                continue;
+            }
+            stats.replayed += 1;
+            stats.faults += plan.len() as u64;
+            stats.gate_applications += gates.len() as u64;
+            let mut noisy = input.clone();
+            run_with_faults(gates, &mut noisy, plan)?;
+            samples.push(match keep {
+                None => ideal.fidelity(&noisy),
+                Some(keep) => ideal.reduced_fidelity(&noisy, keep),
+            });
+        }
+        Ok((FidelityEstimate::from_samples(&samples), stats))
+    }
+
+    fn bits(outcome: &Outcome) -> Result<(u64, u64, usize, ShotStats), SimError> {
+        outcome
+            .clone()
+            .map(|(e, stats)| (e.mean.to_bits(), e.std_error.to_bits(), e.shots, stats))
+    }
+
+    /// `run_shots_stats` at 1 and 3 threads equals the slab loop.
+    fn assert_engine_matches_slab(
+        gates: &[Gate],
+        input: &PathState,
+        keep: Option<&[Qubit]>,
+        plans: &[FaultPlan],
+    ) {
+        let want = bits(&slab_loop(gates, input, keep, plans));
+        for threads in [1, 3] {
+            let config = ShotConfig::new(plans.len()).with_threads(threads);
+            let got = run_shots_stats(gates, input, keep, &config, &|shot| {
+                plans[shot as usize].clone()
+            });
+            assert_eq!(bits(&got), want, "threads={threads}");
+        }
+    }
+
+    /// A query circuit's input with the given per-address amplitudes,
+    /// its gates and its address and bus qubits.
+    fn query_case(
+        arch: &dyn QueryArchitecture,
+        data: u64,
+        amps: &[Amplitude],
+    ) -> (Circuit, PathState, Vec<Qubit>) {
+        let memory = Memory::from_bits((0..8).map(|i| data >> i & 1 == 1));
+        let query = arch.build(&memory);
+        let input = query.input_state(Some(amps));
+        (query.circuit().clone(), input, query.output_qubits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random circuits on random states, full and reduced over every
+        /// qubit, over one word of qubits and over two.
+        #[test]
+        fn engine_matches_the_slab_loop_on_random_states(
+            narrow in (arb_circuit(6, 30), arb_state(6), arb_plans(6, 30)),
+            wide in (arb_circuit(70, 30), arb_state(70), arb_plans(70, 30)),
+        ) {
+            for (circuit, input, plans) in [narrow, wide] {
+                let all: Vec<Qubit> = (0..circuit.num_qubits() as u32).map(Qubit).collect();
+                assert_engine_matches_slab(circuit.gates(), &input, None, &plans);
+                assert_engine_matches_slab(circuit.gates(), &input, Some(&all), &plans);
+            }
+        }
+
+        /// Real query circuits, whose ancillas end clean, reduced to the
+        /// address and bus.
+        #[test]
+        fn engine_matches_the_slab_loop_on_query_circuits(
+            data in 0u64..256,
+            amps in prop::collection::vec(arb_amplitude(), 8..9),
+            virtual_plans in arb_plans(40, 300),
+            bb_plans in arb_plans(40, 300),
+        ) {
+            let archs: [(Box<dyn QueryArchitecture>, _); 2] = [
+                (Box::new(VirtualQram::new(0, 3)), virtual_plans),
+                (Box::new(BucketBrigadeQram::new(0, 3)), bb_plans),
+            ];
+            for (arch, plans) in archs {
+                let (circuit, input, keep) = query_case(arch.as_ref(), data, &amps);
+                let n = circuit.num_qubits();
+                // Re-aim the faults at this circuit's qubits and length.
+                let plans: Vec<FaultPlan> = plans
+                    .iter()
+                    .map(|p| {
+                        p.faults()
+                            .iter()
+                            .map(|f| {
+                                let at = f.gate_index * circuit.gates().len() / 300;
+                                Fault::new(at, Qubit(f.qubit.0 % n as u32), f.pauli)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_engine_matches_slab(circuit.gates(), &input, Some(&keep), &plans);
+            }
+        }
+
+        /// An `H`, an out-of-range operand, an out-of-range fault qubit
+        /// and a bad fault past the end (never fired, never validated):
+        /// the engine reports what the slab loop reports.
+        #[test]
+        fn engine_errors_match_the_slab_loop(
+            case in (arb_circuit(6, 30), arb_state(6), arb_plans(6, 30)),
+            at in 0usize..31,
+            kind in 0usize..4,
+            shot in 0usize..11,
+        ) {
+            let (circuit, input, mut plans) = case;
+            let mut gates = circuit.gates().to_vec();
+            let at = at.min(gates.len());
+            let shot = shot % plans.len();
+            let len = gates.len();
+            match kind {
+                0 => gates.insert(at, Gate::H(Qubit(2))),
+                1 => gates.insert(at, Gate::cx(Qubit(1), Qubit(9))),
+                // Every shot from `shot` on fails, each on its own
+                // qubit: the error must be the first failing shot's.
+                2 => {
+                    for (s, plan) in plans.iter_mut().enumerate().skip(shot) {
+                        plan.push(Fault::new(at, Qubit(6 + s as u32), Pauli::Y));
+                    }
+                }
+                _ => plans[shot].push(Fault::new(len + 1, Qubit(40), Pauli::X)),
+            }
+            assert_engine_matches_slab(&gates, &input, None, &plans);
         }
     }
 }

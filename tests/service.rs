@@ -626,10 +626,11 @@ fn age_cap_bounds_a_cold_groups_queue_wait_without_deadlines() {
     );
 }
 
-/// The slab engine's answer for a served request, computed exactly as
-/// the executor computed it before requests became lanes: the readout
-/// off `query_classical`, and `run_shots_stats` on the request's basis
-/// input, reduced to the address and bus.
+/// The slab engine's answer for a served request: the readout off
+/// `query_classical`, and the slab reference loop on the request's basis
+/// input — per shot `run_with_faults`, then the fidelity reduced to the
+/// address and bus (a shot with an empty plan samples 1, as in the shot
+/// engine).
 fn slab_answer(
     circuit: &qram::core::QueryCircuit,
     sampler: &qram::noise::FaultSampler,
@@ -637,23 +638,28 @@ fn slab_answer(
     r: &QueryResult,
 ) -> (bool, qram::sim::FidelityEstimate) {
     use qram::noise::derive_stream_seed;
-    use qram::sim::{run_shots_stats, Amplitude, FidelityEstimate, ShotConfig};
+    use qram::sim::{run, run_with_faults, Amplitude, FidelityEstimate};
     let value = circuit.query_classical(r.address).unwrap();
-    if config.shots == 0 {
-        return (value, FidelityEstimate::from_samples(&[]));
-    }
     let mut amps = vec![Amplitude::ZERO; r.address as usize + 1];
     amps[r.address as usize] = Amplitude::ONE;
+    let input = circuit.input_state(Some(&amps));
+    let gates = circuit.circuit().gates();
+    let keep = circuit.output_qubits();
+    let mut ideal = input.clone();
+    run(gates, &mut ideal).unwrap();
     let master = derive_stream_seed(config.seed, r.id);
-    let (estimate, _) = run_shots_stats(
-        circuit.circuit().gates(),
-        &circuit.input_state(Some(&amps)),
-        Some(&circuit.output_qubits()),
-        &ShotConfig::serial(config.shots).with_seed(master),
-        &|shot| sampler.sample_shot_from(master, shot),
-    )
-    .unwrap();
-    (value, estimate)
+    let samples: Vec<f64> = (0..config.shots as u64)
+        .map(|shot| {
+            let plan = sampler.sample_shot_from(master, shot);
+            if plan.is_empty() {
+                return 1.0;
+            }
+            let mut noisy = input.clone();
+            run_with_faults(gates, &mut noisy, &plan).unwrap();
+            ideal.reduced_fidelity(&noisy, &keep)
+        })
+        .collect();
+    (value, FidelityEstimate::from_samples(&samples))
 }
 
 #[test]
