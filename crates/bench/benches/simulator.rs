@@ -4,13 +4,18 @@
 //! in memory *constant in circuit depth* because the gate family is
 //! classical-reversible — the interesting cost is time per (gate × path).
 //! These benches measure full-query simulation and one Monte-Carlo shot
-//! across QRAM widths.
+//! across QRAM widths, and the engine against the slab reference loop on
+//! the full overlap (`lane_engine`) and the reduced one
+//! (`reduced_engine`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
 use qram_core::{QueryArchitecture, VirtualQram};
-use qram_noise::{FaultSampler, NoiseModel, PauliChannel};
-use qram_sim::{monte_carlo_fidelity_with, run, run_with_faults, FidelityEstimate, ShotConfig};
+use qram_noise::{FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
+use qram_sim::{
+    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, run, run_with_faults,
+    FidelityEstimate, ShotConfig,
+};
 
 fn bench_noiseless_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("noiseless_query");
@@ -152,12 +157,63 @@ fn bench_lane_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The reduction stage of a Fig. 9 shot: `VirtualQram(0, 8)` on the
+/// 256-path uniform superposition, reduced to its address and bus, under
+/// qubit-per-step bit-flip noise, the channel where lanes leave the
+/// ideal's traced-out bits. `slab` is the reference loop (per shot
+/// `run_with_faults` on the path slab, then
+/// `PathState::reduced_fidelity`); `lanes` is the shot engine, which
+/// reduces each pass straight from its lane rows. Both run on one
+/// thread and compute the same estimate bit for bit.
+fn bench_reduced_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("reduced_engine");
+    let m = 8;
+    let shots = 4;
+    let memory = experiment_memory(m, 8);
+    let query = VirtualQram::new(0, m).build(&memory);
+    let gates = query.circuit().gates();
+    let input = query.input_state(None);
+    let keep = query.output_qubits();
+    let model = NoiseModel::qubit_per_step(PauliChannel::bit_flip(BASE_ERROR_RATE));
+    let sampler = FaultSampler::new(query.circuit(), model, 9);
+    group.bench_function("slab", |b| {
+        b.iter(|| {
+            let mut ideal = input.clone();
+            run(gates, &mut ideal).unwrap();
+            let samples: Vec<f64> = (0..shots)
+                .map(|shot| {
+                    let plan = sampler.sample_shot(shot);
+                    if plan.is_empty() {
+                        return 1.0;
+                    }
+                    let mut state = input.clone();
+                    run_with_faults(gates, &mut state, &plan).unwrap();
+                    ideal.reduced_fidelity(&state, &keep)
+                })
+                .collect();
+            FidelityEstimate::from_samples(&samples).mean
+        })
+    });
+    let config = ShotConfig::new(shots as usize).with_seed(9).with_threads(1);
+    group.bench_function("lanes", |b| {
+        b.iter(|| {
+            monte_carlo_reduced_fidelity_with(gates, &input, &keep, &config, |shot| {
+                sampler.sample_shot(shot)
+            })
+            .unwrap()
+            .mean
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_noiseless_query,
     bench_noisy_shot,
     bench_fault_sampling,
     bench_shot_engine,
-    bench_lane_engine
+    bench_lane_engine,
+    bench_reduced_engine
 );
 criterion_main!(benches);

@@ -22,26 +22,32 @@
 //! No gate of the QRAM family splits a path (Sec. 6.2), so a
 //! superposition input is a fixed set of lanes. The ideal run and every
 //! replayed shot are one lane pass each: the input's paths are
-//! transposed into lanes, the shot's plan is scheduled once for the
-//! whole pass, and the final lanes are transposed back into a
-//! [`PathState`] in input path order. Every bit and amplitude equals what
-//! the slab's [`crate::run_with_faults`] gives, so the unchanged
-//! [`PathState::fidelity`] and [`PathState::reduced_fidelity`]
-//! reductions give bit-identical samples. The reduced fidelity's
-//! reference half (the ideal's kept-bits map) depends only on the ideal
-//! output and the kept qubits, so each shard builds it once, at its first
-//! replayed shot, and only the per-shot half runs for each shot.
+//! transposed into lanes, and the shot's plan is scheduled once for the
+//! whole pass. What happens to the final lanes depends on the overlap:
 //!
-//! Each shard reuses one [`Lanes`] buffer and one output [`PathState`]
-//! across its shots.
+//! * the full overlap transposes them back into a [`PathState`] in input
+//!   path order, with every bit and amplitude [`crate::run_with_faults`]
+//!   gives, so the unchanged [`PathState::fidelity`] gives the slab's
+//!   sample bit for bit;
+//! * the fidelity reduced to `keep` reads the lane rows directly (the
+//!   `reduce` module), with no transpose back and no per-path key
+//!   extraction. Its groups, their accumulation order and the order of
+//!   their sum are those of the slab's [`PathState::reduced_fidelity`],
+//!   so every sample is bit-identical too. The reference (the ideal's
+//!   kept-bits map and rows) depends only on the ideal output and `keep`,
+//!   so each shard builds it once, at its first replayed shot, where its
+//!   "entangled non-kept qubits" assertion fired before.
+//!
+//! Each shard reuses one [`Lanes`] buffer across its shots, and either
+//! one output [`PathState`] or the reduction's scratch.
 
 use std::num::NonZeroUsize;
 use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::state::ReducedReference;
-use crate::{FaultPlan, FidelityEstimate, Lanes, PathState, SimError};
+use crate::reduce::LaneReduction;
+use crate::{FaultPlan, FidelityEstimate, Lanes, PathState, Pauli, SimError};
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -266,10 +272,10 @@ pub fn run_shots_stats(
 
 /// Runs one shard's contiguous shot range, writing fidelities into `out`.
 ///
-/// Each noisy shot is one lane pass over the input's paths, transposed
-/// back into the scratch state; the overlap reduction then runs over
-/// that state in path order, so the sample value is bit-identical to
-/// the slab engine's.
+/// Each noisy shot is one lane pass over the input's paths. The full
+/// overlap reads the pass back into a scratch state and reduces it in
+/// path order; the reduced fidelity reads it straight from the lane
+/// rows. Either way the sample is bit-identical to the slab engine's.
 fn run_shard(
     gates: &[Gate],
     input: &PathState,
@@ -279,12 +285,13 @@ fn run_shard(
     out: &mut [f64],
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<ShotStats, SimError> {
-    // One lane buffer and one output state per shard, reused per shot.
+    // One lane buffer per shard, reused per shot, and the full overlap's
+    // output state.
     let mut lanes = Lanes::default();
-    let mut noisy = PathState::zero_vector(input.num_qubits());
-    // Built at the shard's first replayed shot, as the reduction it
-    // replaces would first run there.
-    let mut reference: Option<ReducedReference> = None;
+    let mut noisy: Option<PathState> = None;
+    // Built at the shard's first replayed shot, as the slab reduction
+    // would first run there.
+    let mut reduction: Option<LaneReduction> = None;
     let mut stats = ShotStats::default();
     for (i, slot) in out.iter_mut().enumerate() {
         let plan = sample_plan(first_shot + i as u64);
@@ -297,12 +304,19 @@ fn run_shard(
         stats.replayed += 1;
         stats.faults += plan.len() as u64;
         stats.gate_applications += gates.len() as u64;
-        lanes.run_paths(gates, input, &plan, &mut noisy)?;
         *slot = match keep {
-            None => ideal.fidelity(&noisy),
-            Some(keep) => reference
-                .get_or_insert_with(|| ReducedReference::new(ideal, keep))
-                .fidelity(&noisy),
+            None => {
+                let noisy = noisy.get_or_insert_with(|| PathState::zero_vector(input.num_qubits()));
+                lanes.run_paths(gates, input, &plan, noisy)?;
+                ideal.fidelity(noisy)
+            }
+            Some(keep) => {
+                lanes.walk_paths(gates, input, &plan)?;
+                let phase_only = plan.faults().iter().all(|f| f.pauli == Pauli::Z);
+                reduction
+                    .get_or_insert_with(|| LaneReduction::new(ideal, keep))
+                    .fidelity(&lanes, input.amplitudes(), phase_only)
+            }
         };
     }
     Ok(stats)
@@ -569,6 +583,25 @@ mod tests {
             metrics.counter(qram_telemetry::key::SIM_FAULTS)
                 >= metrics.counter(qram_telemetry::key::SIM_REPLAYED)
         );
+    }
+
+    /// The reduced reference is checked where the slab reduction first
+    /// ran, at the first replayed shot: a traced-out qubit entangled
+    /// with a kept one goes unnoticed while no shot replays, and panics
+    /// once one does.
+    #[test]
+    #[should_panic(expected = "reference state has entangled non-kept qubits")]
+    fn an_entangled_reference_panics_at_the_first_replayed_shot() {
+        let mut c = Circuit::new(2);
+        c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(1)));
+        let input = PathState::uniform_over(2, &[Qubit(0)]);
+        let (keep, config) = ([Qubit(0)], ShotConfig::serial(4));
+        let clean = run_shots(c.gates(), &input, Some(&keep), &config, &|_| {
+            FaultPlan::new()
+        });
+        assert_eq!(clean.unwrap().mean, 1.0);
+        let z: FaultPlan = [Fault::new(0, Qubit(0), Pauli::Z)].into_iter().collect();
+        let _ = run_shots(c.gates(), &input, Some(&keep), &config, &|_| z.clone());
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! No gate splits a path, so a superposition input is a fixed set of
 //! lanes too: the shot engine runs each of its shots as one pass with
 //! one lane per input path, the shot's faults scheduled once for every
-//! lane, and reads the pass back into a [`PathState`].
+//! lane. For the full overlap it reads the pass back into a
+//! [`PathState`]; the reduced fidelity reads the rows where they lie.
 
 use qram_circuit::{Control, Gate, Qubit};
 
-use crate::{FaultPlan, PathState, Pauli, SimError};
+use crate::{Amplitude, FaultPlan, PathState, Pauli, SimError};
 
 /// One scheduled fault: of one lane, or of every lane of the pass.
 #[derive(Debug, Clone, Copy)]
@@ -192,14 +193,6 @@ impl Lanes {
     /// [`crate::run_with_faults`] gives `input` under `plan`, bit for
     /// bit.
     ///
-    /// Both transposes work a word at a time, visiting only the set bits
-    /// of each 64-bit word. A path's amplitude is `input`'s times `iᵏ`,
-    /// applied with the slab's own maps (`−`,
-    /// [`crate::Amplitude::mul_i`], [`crate::Amplitude::mul_neg_i`]);
-    /// each is an exact signed permutation of `(re, im)` and they compose
-    /// as powers of `i`, so the slab's per-gate sequence and this single
-    /// map agree in every bit, signed zeros included.
-    ///
     /// # Errors
     ///
     /// As [`Lanes::run`]; `out` is then unspecified.
@@ -210,8 +203,28 @@ impl Lanes {
         plan: &FaultPlan,
         out: &mut PathState,
     ) -> Result<(), SimError> {
-        let (num_qubits, paths) = (input.num_qubits(), input.num_paths());
-        self.reset(num_qubits, paths);
+        self.walk_paths(gates, input, plan)?;
+        self.store_paths(input, out);
+        Ok(())
+    }
+
+    /// Runs `gates` under `plan` on every path of `input`, one lane per
+    /// path in slab order, and leaves the result in the lanes. The input
+    /// is transposed in a word at a time, visiting only the set bits of
+    /// each 64-bit word, and the shot's plan is scheduled once for the
+    /// whole pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lanes::run`].
+    pub(crate) fn walk_paths(
+        &mut self,
+        gates: &[Gate],
+        input: &PathState,
+        plan: &FaultPlan,
+    ) -> Result<(), SimError> {
+        let paths = input.num_paths();
+        self.reset(input.num_qubits(), paths);
         let words = self.words;
         for p in 0..paths {
             let (w, lane_bit) = (p / 64, 1u64 << (p % 64));
@@ -227,8 +240,14 @@ impl Lanes {
         // The shot's plan applies to every path: one schedule entry per
         // fault, fired on whole words.
         self.schedule(None, plan);
-        self.run(gates)?;
+        self.run(gates)
+    }
 
+    /// Transposes a [`walk_paths`](Lanes::walk_paths) pass over `input`
+    /// back into `out`, a word at a time, each amplitude through
+    /// [`amplitude`](Lanes::amplitude).
+    pub(crate) fn store_paths(&self, input: &PathState, out: &mut PathState) {
+        let (num_qubits, paths, words) = (self.num_qubits, self.lanes, self.words);
         let (slab, amps) = out.reset_paths(num_qubits, paths);
         let stride = num_qubits.div_ceil(64);
         for q in 0..num_qubits {
@@ -244,14 +263,41 @@ impl Lanes {
             }
         }
         for (p, (amp, &a)) in amps.iter_mut().zip(input.amplitudes()).enumerate() {
-            *amp = match self.phase(p) {
-                0 => a,
-                1 => a.mul_i(),
-                2 => -a,
-                _ => a.mul_neg_i(),
-            };
+            *amp = self.amplitude(p, a);
         }
-        Ok(())
+    }
+
+    /// `lane`'s amplitude for an input amplitude `a`: `a · iᵏ`, applied
+    /// with the slab's own maps (`−`, [`crate::Amplitude::mul_i`],
+    /// [`crate::Amplitude::mul_neg_i`]). Each is an exact signed
+    /// permutation of `(re, im)` and they compose as powers of `i`, so
+    /// the slab's per-gate sequence and this single map agree in every
+    /// bit, signed zeros included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub(crate) fn amplitude(&self, lane: usize, a: Amplitude) -> Amplitude {
+        match self.phase(lane) {
+            0 => a,
+            1 => a.mul_i(),
+            2 => -a,
+            _ => a.mul_neg_i(),
+        }
+    }
+
+    /// The number of lanes.
+    pub(crate) fn len(&self) -> usize {
+        self.lanes
+    }
+
+    /// Every qubit's row, in qubit order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no lanes.
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.bits.chunks_exact(self.words)
     }
 
     /// Walks `gates` once over every lane, firing the scheduled faults:
@@ -451,7 +497,7 @@ impl Lanes {
 }
 
 /// The bits of word `w` that hold one of `lanes` lanes.
-fn lane_mask(lanes: usize, w: usize) -> u64 {
+pub(crate) fn lane_mask(lanes: usize, w: usize) -> u64 {
     match lanes - w * 64 {
         n if n >= 64 => !0,
         n => (1u64 << n) - 1,

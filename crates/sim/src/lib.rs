@@ -31,8 +31,10 @@
 //! * [`monte_carlo_fidelity`] / [`run_shots`] — the paper's shot harness:
 //!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns. Shots are
 //!   sharded over threads ([`ShotConfig`]), and each shot is one lane
-//!   pass with one lane per input path, read back into a [`PathState`];
-//!   estimates equal the slab's bit for bit, for any thread count.
+//!   pass with one lane per input path. The full overlap reads the pass
+//!   back into a [`PathState`]; the fidelity reduced to kept qubits
+//!   ([`monte_carlo_reduced_fidelity`]) is read straight from the lane
+//!   rows. Estimates equal the slab's bit for bit, for any thread count.
 //!
 //! # Example
 //!
@@ -59,6 +61,7 @@ mod bitstring;
 mod engine;
 mod executor;
 mod lanes;
+mod reduce;
 mod shots;
 mod state;
 

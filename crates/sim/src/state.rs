@@ -12,7 +12,7 @@ const PRUNE_EPS: f64 = 1e-14;
 
 /// Reads bit `i` from a packed word slice.
 #[inline]
-fn word_get(words: &[u64], i: usize) -> bool {
+pub(crate) fn word_get(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
@@ -36,7 +36,7 @@ fn word_flip(words: &mut [u64], i: usize) {
 /// Packs the bits of `words` selected by `idx` (in order) into a fresh
 /// word vector — the substring-extraction primitive of the reduced
 /// fidelity.
-fn extract_bits(words: &[u64], idx: &[usize]) -> Vec<u64> {
+pub(crate) fn extract_bits(words: &[u64], idx: &[usize]) -> Vec<u64> {
     let mut out = vec![0u64; idx.len().div_ceil(64)];
     for (k, &i) in idx.iter().enumerate() {
         if word_get(words, i) {
@@ -539,7 +539,49 @@ impl PathState {
     /// clean reference).
     pub fn reduced_fidelity(&self, other: &PathState, keep: &[Qubit]) -> f64 {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit counts differ");
-        ReducedReference::new(self, keep).fidelity(other)
+        let keep_idx: Vec<usize> = keep.iter().map(|q| q.index()).collect();
+        for &i in &keep_idx {
+            assert!(i < self.num_qubits, "kept qubit {i} out of range");
+        }
+        let mut kept_mask = vec![false; self.num_qubits];
+        for &i in &keep_idx {
+            kept_mask[i] = true;
+        }
+        let rest_idx: Vec<usize> = (0..self.num_qubits).filter(|&i| !kept_mask[i]).collect();
+
+        // Ideal amplitudes keyed by the kept-qubit substring; the rest
+        // substring must be constant or the reduction is ill-defined.
+        // The map is lookup-only after construction.
+        let mut ideal: HashMap<Vec<u64>, Amplitude> = HashMap::with_capacity(self.num_paths());
+        let mut ideal_rest: Option<Vec<u64>> = None;
+        for p in 0..self.num_paths() {
+            let words = self.path_words(p);
+            let rest = extract_bits(words, &rest_idx);
+            match &ideal_rest {
+                None => ideal_rest = Some(rest),
+                Some(expected) => assert_eq!(
+                    expected, &rest,
+                    "reference state has entangled non-kept qubits"
+                ),
+            }
+            *ideal
+                .entry(extract_bits(words, &keep_idx))
+                .or_insert(Amplitude::ZERO) += self.amps[p];
+        }
+
+        // Group the noisy paths by their traced-out substring and overlap
+        // each group with the ideal kept-state. An ordered map keeps the
+        // accumulation and final sum in deterministic (sorted) order.
+        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
+        for p in 0..other.num_paths() {
+            let words = other.path_words(p);
+            let kept = extract_bits(words, &keep_idx);
+            if let Some(ideal_amp) = ideal.get(&kept) {
+                let z = extract_bits(words, &rest_idx);
+                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
+            }
+        }
+        groups.values().map(|a| a.norm_sqr()).sum()
     }
 
     /// Probability that measuring `qubit` yields 1.
@@ -588,18 +630,6 @@ impl PathState {
         }
     }
 
-    /// Scales every amplitude by `1/norm` so the state is normalized.
-    /// No-op on the zero vector.
-    pub fn normalize(&mut self) {
-        let n = self.norm_sqr().sqrt();
-        if n > 0.0 {
-            let s = 1.0 / n;
-            for amp in &mut self.amps {
-                *amp = amp.scale(s);
-            }
-        }
-    }
-
     /// Whether every path holds |0⟩ on all of `qubits` (e.g. ancillas
     /// cleanly returned after uncomputation). Unlike
     /// [`PathState::classical_value`] this has no 64-qubit limit.
@@ -633,85 +663,6 @@ impl PathState {
             }
         }
         value
-    }
-}
-
-/// The reference half of [`PathState::reduced_fidelity`]: the ideal
-/// state's amplitudes keyed by their kept bits. It depends only on the
-/// ideal state and the kept qubits, so a Monte-Carlo run builds it once
-/// and reduces every shot against it with [`ReducedReference::fidelity`].
-pub(crate) struct ReducedReference {
-    num_qubits: usize,
-    keep_idx: Vec<usize>,
-    rest_idx: Vec<usize>,
-    /// Lookup-only after construction.
-    ideal: HashMap<Vec<u64>, Amplitude>,
-}
-
-impl ReducedReference {
-    /// Indexes `ideal` by the bits of `keep`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a kept qubit index is out of range, or if `ideal`'s
-    /// non-kept qubits are not one constant basis state across its paths
-    /// (see [`PathState::reduced_fidelity`]).
-    pub(crate) fn new(ideal: &PathState, keep: &[Qubit]) -> Self {
-        let keep_idx: Vec<usize> = keep.iter().map(|q| q.index()).collect();
-        for &i in &keep_idx {
-            assert!(i < ideal.num_qubits, "kept qubit {i} out of range");
-        }
-        let mut kept_mask = vec![false; ideal.num_qubits];
-        for &i in &keep_idx {
-            kept_mask[i] = true;
-        }
-        let rest_idx: Vec<usize> = (0..ideal.num_qubits).filter(|&i| !kept_mask[i]).collect();
-
-        // Ideal amplitudes keyed by the kept-qubit substring; the rest
-        // substring must be constant or the reduction is ill-defined.
-        let mut map: HashMap<Vec<u64>, Amplitude> = HashMap::with_capacity(ideal.num_paths());
-        let mut ideal_rest: Option<Vec<u64>> = None;
-        for p in 0..ideal.num_paths() {
-            let words = ideal.path_words(p);
-            let rest = extract_bits(words, &rest_idx);
-            match &ideal_rest {
-                None => ideal_rest = Some(rest),
-                Some(expected) => assert_eq!(
-                    expected, &rest,
-                    "reference state has entangled non-kept qubits"
-                ),
-            }
-            *map.entry(extract_bits(words, &keep_idx))
-                .or_insert(Amplitude::ZERO) += ideal.amps[p];
-        }
-        ReducedReference {
-            num_qubits: ideal.num_qubits,
-            keep_idx,
-            rest_idx,
-            ideal: map,
-        }
-    }
-
-    /// The per-shot half: `other`'s fidelity against the reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` has a different qubit count.
-    pub(crate) fn fidelity(&self, other: &PathState) -> f64 {
-        assert_eq!(self.num_qubits, other.num_qubits, "qubit counts differ");
-        // Group the noisy paths by their traced-out substring and overlap
-        // each group with the ideal kept-state. An ordered map keeps the
-        // accumulation and final sum in deterministic (sorted) order.
-        let mut groups: BTreeMap<Vec<u64>, Amplitude> = BTreeMap::new();
-        for p in 0..other.num_paths() {
-            let words = other.path_words(p);
-            let kept = extract_bits(words, &self.keep_idx);
-            if let Some(ideal_amp) = self.ideal.get(&kept) {
-                let z = extract_bits(words, &self.rest_idx);
-                *groups.entry(z).or_insert(Amplitude::ZERO) += ideal_amp.conj() * other.amps[p];
-            }
-        }
-        groups.values().map(|a| a.norm_sqr()).sum()
     }
 }
 
@@ -903,14 +854,6 @@ mod tests {
         ];
         let s = PathState::superposition_over(2, &[Qubit(0), Qubit(1)], &amps);
         assert_eq!(s.num_paths(), 1);
-    }
-
-    #[test]
-    fn normalize_restores_unit_norm() {
-        let amps = [Amplitude::real(3.0), Amplitude::real(4.0)];
-        let mut s = PathState::superposition_over(1, &[Qubit(0)], &amps);
-        s.normalize();
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]

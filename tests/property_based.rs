@@ -655,8 +655,89 @@ mod shot_engine_equivalence {
         (query.circuit().clone(), input, query.output_qubits())
     }
 
+    /// A proper subset of 1–69 of 70 qubits, ascending: the first
+    /// `size` of a seeded shuffle.
+    fn arb_keep() -> impl Strategy<Value = Vec<Qubit>> {
+        (1usize..70, any::<u64>()).prop_map(|(size, seed)| {
+            let mut qubits: Vec<u32> = (0..70).collect();
+            let mut h = seed;
+            for i in (1..qubits.len()).rev() {
+                h = h
+                    .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                    .wrapping_add(1442695040888963407);
+                qubits.swap(i, (h >> 33) as usize % (i + 1));
+            }
+            let mut keep: Vec<Qubit> = qubits[..size].iter().map(|&q| Qubit(q)).collect();
+            keep.sort();
+            keep
+        })
+    }
+
+    /// A 70-qubit state of 1–130 paths, random on `keep` and one random
+    /// constant on every other qubit (duplicates merge).
+    fn arb_kept_state() -> impl Strategy<Value = (Vec<Qubit>, PathState)> {
+        let path = (any::<u64>(), any::<u64>(), arb_amplitude());
+        let rest = (any::<u64>(), any::<u64>());
+        (arb_keep(), rest, prop::collection::vec(path, 1..131))
+            .prop_map(|(keep, (rest_lo, rest_hi), paths)| {
+                let bits = |lo: u64, hi: u64, q: usize| {
+                    let word = if q < 64 { lo >> q } else { hi >> (q - 64) };
+                    word & 1 == 1
+                };
+                let state = PathState::from_parts(
+                    70,
+                    paths.into_iter().map(|(lo, hi, amp)| {
+                        let bit = |q: usize| {
+                            if keep.contains(&Qubit(q as u32)) {
+                                bits(lo, hi, q)
+                            } else {
+                                bits(rest_lo, rest_hi, q)
+                            }
+                        };
+                        (BitString::from_bits((0..70).map(bit)), amp)
+                    }),
+                );
+                (keep, state)
+            })
+            .prop_filter("some path survives", |(_, state)| state.num_paths() > 0)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Mirror circuits (a random circuit, then its inverse), whose
+        /// ideal output is the input: constant on the traced-out qubits,
+        /// so a reduction to a random proper subset is defined. Faults
+        /// alternate between kept and traced-out qubits, so lanes leave
+        /// their own kept bits, land on other paths' and miss, and leave
+        /// the constant rest in groups that sort around the clean one.
+        #[test]
+        fn engine_matches_the_slab_loop_on_mirror_circuits(
+            circuit in arb_circuit(70, 30),
+            case in arb_kept_state(),
+            plans in arb_plans(70, 60),
+        ) {
+            let (keep, input) = case;
+            let mut gates = circuit.gates().to_vec();
+            gates.extend_from_slice(circuit.inverted().gates());
+            let rest: Vec<Qubit> =
+                (0..70).map(Qubit).filter(|q| !keep.contains(q)).collect();
+            let plans: Vec<FaultPlan> = plans
+                .iter()
+                .map(|p| {
+                    p.faults()
+                        .iter()
+                        .enumerate()
+                        .map(|(k, f)| {
+                            let on = if k % 2 == 0 { &keep } else { &rest };
+                            let q = on[f.qubit.index() % on.len()];
+                            Fault::new(f.gate_index, q, f.pauli)
+                        })
+                        .collect()
+                })
+                .collect();
+            assert_engine_matches_slab(&gates, &input, Some(&keep), &plans);
+        }
 
         /// Random circuits on random states, full and reduced over every
         /// qubit, over one word of qubits and over two.
