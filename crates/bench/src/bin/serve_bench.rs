@@ -80,7 +80,13 @@
 //!   (default 60000);
 //! * `--out FILE` — summary path (default `<repo root>/BENCH_SERVE.json`);
 //! * `--trace-out FILE` — also export the full telemetry trace (the
-//!   canonically-ordered span log plus the metrics registry) as JSON.
+//!   canonically-ordered span log plus the metrics registry) as JSON;
+//! * `--help` — print the usage and exit.
+//!
+//! An unknown flag, a missing or malformed value, an unknown name for a
+//! name-valued flag, or a `--qubit-budget` that fits no `mix` family
+//! prints the error and the usage to standard error and exits with
+//! code 2.
 //!
 //! Latency is measured on the service's **virtual clock** (one tick =
 //! one modeled ns), so percentiles include queueing delay, decompose
@@ -96,6 +102,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use qram_bench::cli::exit_on_error;
 use qram_bench::report::{
     find_repo_root, latency_json, percentile, ServeArchPoint, ServeLoadPoint, SERVE_SUMMARY_SCHEMA,
 };
@@ -109,15 +116,30 @@ use qram_service::{
 };
 use qram_telemetry::{fnv1a_64, host_wall, key, Json, MetricsRegistry, TelemetryRecorder};
 
+/// The flag synopsis printed for `--help` and after a bad flag.
+const USAGE: &str = "[--full] [--arch NAME] [--shots N] [--seed N] [--threads N] \
+[--mode closed|open] [--workload NAME] [--arrivals NAME] [--load LIST] [--spec-skew X] \
+[--requests N] [--width N] [--theta X] [--batch N] [--cache N] [--queue N] [--deadline T] \
+[--release-policy oldest-first|cache-affine] [--qubit-budget Q] [--fleet N] [--tenants T] \
+[--front-capacity N] [--shed-policy tail-drop|deadline-priority] [--replication N] \
+[--slo-deadline T] [--out FILE] [--trace-out FILE] [--help]";
+
+/// The names each name-valued flag accepts.
+const ARCHES: [&str; 6] = ["virtual", "sqc", "fanout", "bb", "ss", "mix"];
+const MODES: [&str; 2] = ["closed", "open"];
+const WORKLOADS: [&str; 4] = ["uniform", "zipfian", "scan", "grover"];
+const ARRIVALS: [&str; 2] = ["poisson", "bursty"];
+
+#[derive(Debug)]
 struct Args {
     full: bool,
-    arch: String,
+    arch: &'static str,
     shots: Option<usize>,
     seed: u64,
     threads: usize,
-    mode: String,
-    workload: String,
-    arrivals: String,
+    mode: &'static str,
+    workload: &'static str,
+    arrivals: &'static str,
     loads: Vec<f64>,
     spec_skew: f64,
     requests: Option<usize>,
@@ -127,113 +149,151 @@ struct Args {
     cache: usize,
     queue: usize,
     deadline: Ticks,
-    release_policy: String,
+    release_policy: ReleasePolicy,
     qubit_budget: usize,
     fleet: usize,
     tenants: u32,
     front_capacity: usize,
-    shed_policy: String,
+    shed_policy: ShedPolicy,
     replication: usize,
     slo_deadline: Ticks,
     out: Option<PathBuf>,
     trace_out: Option<PathBuf>,
 }
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        full: false,
-        arch: "virtual".into(),
-        shots: None,
-        seed: 2023,
-        threads: 0,
-        mode: "closed".into(),
-        workload: "zipfian".into(),
-        arrivals: "poisson".into(),
-        loads: vec![0.5, 1.0, 2.0],
-        spec_skew: 0.0,
-        requests: None,
-        width: None,
-        theta: 0.99,
-        batch: 32,
-        cache: 8,
-        queue: 64,
-        deadline: 20_000,
-        release_policy: "oldest-first".into(),
-        qubit_budget: UNLIMITED_BUDGET,
-        fleet: 0,
-        tenants: 3,
-        front_capacity: 1024,
-        shed_policy: "deadline-priority".into(),
-        replication: 2,
-        slo_deadline: 60_000,
-        out: None,
-        trace_out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+impl Args {
+    /// Parses the flags (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// [`USAGE`] itself for `--help`; otherwise a message naming the
+    /// unknown flag, the missing or malformed value, or the unknown
+    /// name.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args {
+            full: false,
+            arch: "virtual",
+            shots: None,
+            seed: 2023,
+            threads: 0,
+            mode: "closed",
+            workload: "zipfian",
+            arrivals: "poisson",
+            loads: vec![0.5, 1.0, 2.0],
+            spec_skew: 0.0,
+            requests: None,
+            width: None,
+            theta: 0.99,
+            batch: 32,
+            cache: 8,
+            queue: 64,
+            deadline: 20_000,
+            release_policy: ReleasePolicy::OldestFirst,
+            qubit_budget: UNLIMITED_BUDGET,
+            fleet: 0,
+            tenants: 3,
+            front_capacity: 1024,
+            shed_policy: ShedPolicy::DeadlinePriority,
+            replication: 2,
+            slo_deadline: 60_000,
+            out: None,
+            trace_out: None,
         };
-        match flag.as_str() {
-            "--full" => parsed.full = true,
-            "--arch" => parsed.arch = value(),
-            "--shots" => parsed.shots = Some(number(&flag, &value())),
-            "--seed" => parsed.seed = number(&flag, &value()),
-            "--threads" => parsed.threads = number(&flag, &value()),
-            "--mode" => parsed.mode = value(),
-            "--workload" => parsed.workload = value(),
-            "--arrivals" => parsed.arrivals = value(),
-            "--load" => {
-                let list = value();
-                parsed.loads = list.split(',').map(|x| number(&flag, x.trim())).collect();
-                assert!(!parsed.loads.is_empty(), "--load needs at least one value");
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--full" => parsed.full = true,
+                "--arch" => parsed.arch = choose(&flag, &value()?, &ARCHES, |name| *name)?,
+                "--shots" => parsed.shots = Some(number(&flag, &value()?)?),
+                "--seed" => parsed.seed = number(&flag, &value()?)?,
+                "--threads" => parsed.threads = number(&flag, &value()?)?,
+                "--mode" => parsed.mode = choose(&flag, &value()?, &MODES, |name| *name)?,
+                "--workload" => {
+                    parsed.workload = choose(&flag, &value()?, &WORKLOADS, |name| *name)?
+                }
+                "--arrivals" => {
+                    parsed.arrivals = choose(&flag, &value()?, &ARRIVALS, |name| *name)?
+                }
+                "--load" => {
+                    parsed.loads = value()?
+                        .split(',')
+                        .map(|x| number(&flag, x.trim()))
+                        .collect::<Result<_, _>>()?;
+                    if !parsed.loads.iter().all(|&l: &f64| l > 0.0 && l.is_finite()) {
+                        return Err(format!("{flag} takes positive finite load factors"));
+                    }
+                }
+                "--spec-skew" => parsed.spec_skew = number(&flag, &value()?)?,
+                "--requests" => parsed.requests = Some(number(&flag, &value()?)?),
+                "--width" => parsed.width = Some(number(&flag, &value()?)?),
+                "--theta" => parsed.theta = number(&flag, &value()?)?,
+                "--batch" => parsed.batch = number(&flag, &value()?)?,
+                "--cache" => parsed.cache = number(&flag, &value()?)?,
+                "--queue" => parsed.queue = number(&flag, &value()?)?,
+                "--deadline" => parsed.deadline = number(&flag, &value()?)?,
+                "--release-policy" => {
+                    let policies = [ReleasePolicy::OldestFirst, ReleasePolicy::cache_affine()];
+                    parsed.release_policy =
+                        choose(&flag, &value()?, &policies, ReleasePolicy::label)?;
+                }
+                "--qubit-budget" => {
+                    parsed.qubit_budget = match number(&flag, &value()?)? {
+                        0 => UNLIMITED_BUDGET,
+                        budget => budget,
+                    };
+                }
+                "--fleet" => parsed.fleet = number(&flag, &value()?)?,
+                "--tenants" => {
+                    parsed.tenants = number(&flag, &value()?)?;
+                    if parsed.tenants == 0 {
+                        return Err(format!("{flag} needs at least one tenant"));
+                    }
+                }
+                "--front-capacity" => parsed.front_capacity = number(&flag, &value()?)?,
+                "--shed-policy" => {
+                    let policies = [ShedPolicy::TailDrop, ShedPolicy::DeadlinePriority];
+                    parsed.shed_policy = choose(&flag, &value()?, &policies, ShedPolicy::label)?;
+                }
+                "--replication" => parsed.replication = number(&flag, &value()?)?,
+                "--slo-deadline" => parsed.slo_deadline = number(&flag, &value()?)?,
+                "--out" => parsed.out = Some(PathBuf::from(value()?)),
+                "--trace-out" => parsed.trace_out = Some(PathBuf::from(value()?)),
+                "--help" => return Err(USAGE.into()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            "--spec-skew" => parsed.spec_skew = number(&flag, &value()),
-            "--requests" => parsed.requests = Some(number(&flag, &value())),
-            "--width" => parsed.width = Some(number(&flag, &value())),
-            "--theta" => parsed.theta = number(&flag, &value()),
-            "--batch" => parsed.batch = number(&flag, &value()),
-            "--cache" => parsed.cache = number(&flag, &value()),
-            "--queue" => parsed.queue = number(&flag, &value()),
-            "--deadline" => parsed.deadline = number(&flag, &value()),
-            "--release-policy" => parsed.release_policy = value(),
-            "--qubit-budget" => {
-                parsed.qubit_budget = match number(&flag, &value()) {
-                    0 => UNLIMITED_BUDGET,
-                    budget => budget,
-                };
-            }
-            "--fleet" => parsed.fleet = number(&flag, &value()),
-            "--tenants" => {
-                parsed.tenants = number(&flag, &value());
-                assert!(parsed.tenants > 0, "--tenants needs at least one tenant");
-            }
-            "--front-capacity" => parsed.front_capacity = number(&flag, &value()),
-            "--shed-policy" => parsed.shed_policy = value(),
-            "--replication" => parsed.replication = number(&flag, &value()),
-            "--slo-deadline" => parsed.slo_deadline = number(&flag, &value()),
-            "--out" => parsed.out = Some(PathBuf::from(value())),
-            "--trace-out" => parsed.trace_out = Some(PathBuf::from(value())),
-            other => panic!(
-                "unknown flag `{other}` (expected --full, --arch NAME, --shots N, --seed N, \
-                 --threads N, --mode closed|open, --workload NAME, \
-                 --arrivals NAME, --load LIST, --spec-skew X, --requests N, --width N, \
-                 --theta X, --batch N, --cache N, --queue N, --deadline T, \
-                 --release-policy oldest-first|cache-affine, --qubit-budget Q, \
-                 --fleet N, --tenants T, --front-capacity N, \
-                 --shed-policy tail-drop|deadline-priority, --replication N, \
-                 --slo-deadline T, --out FILE, --trace-out FILE)"
-            ),
         }
+        if parsed.fleet > 0 && parsed.mode != "open" {
+            return Err(
+                "--fleet requires --mode open (the fleet controller is an open-loop front door)"
+                    .into(),
+            );
+        }
+        Ok(parsed)
     }
-    parsed
 }
 
 /// Parses the value of a numeric `flag`.
-fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
     text.parse()
-        .unwrap_or_else(|_| panic!("{flag} expects a number, got `{text}`"))
+        .map_err(|_| format!("{flag} expects a number, got `{text}`"))
+}
+
+/// The one of `choices` that `label` names `name`.
+fn choose<T: Copy>(
+    flag: &str,
+    name: &str,
+    choices: &[T],
+    label: impl Fn(&T) -> &'static str,
+) -> Result<T, String> {
+    choices
+        .iter()
+        .copied()
+        .find(|choice| label(choice) == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = choices.iter().map(label).collect();
+            format!("unknown {flag} `{name}` (expected {})", names.join(", "))
+        })
 }
 
 /// The hot circuit shapes the workload cycles over for the selected
@@ -242,8 +302,12 @@ fn number<T: std::str::FromStr>(flag: &str, text: &str) -> T {
 /// the same pipeline — the *planned* representative from the offline
 /// `(k, m)` capacity planner under `--qubit-budget`, not the legacy
 /// `k = 1` hard-coding, so the cross-family comparison is a fair fight.
-fn hot_specs(arch: &str, n: usize, qubit_budget: usize) -> Vec<QuerySpec> {
-    match arch {
+///
+/// # Errors
+///
+/// `mix` under a `--qubit-budget` that fits no family.
+fn hot_specs(arch: &str, n: usize, qubit_budget: usize) -> Result<Vec<QuerySpec>, String> {
+    Ok(match arch {
         "virtual" => {
             let mut specs = vec![QuerySpec::new(1, n - 1)];
             if n >= 3 {
@@ -272,18 +336,19 @@ fn hot_specs(arch: &str, n: usize, qubit_budget: usize) -> Vec<QuerySpec> {
             .collect(),
         "mix" => {
             let planned = planned_families(n, qubit_budget);
-            assert!(
-                !planned.is_empty(),
-                "--qubit-budget {qubit_budget} fits no family at n = {n}; raise the budget"
-            );
+            if planned.is_empty() {
+                return Err(format!(
+                    "--qubit-budget {qubit_budget} fits no family at n = {n}; raise the budget"
+                ));
+            }
             planned.into_iter().map(QuerySpec::of).collect()
         }
-        other => panic!("unknown --arch `{other}` (expected virtual, sqc, fanout, bb, ss, mix)"),
-    }
+        other => unreachable!("--arch `{other}` is not in ARCHES"),
+    })
 }
 
 fn build_workload(args: &Args, n: usize) -> Workload {
-    match args.workload.as_str() {
+    match args.workload {
         "uniform" => Workload::Uniform {
             address_width: n,
             seed: args.seed,
@@ -298,7 +363,7 @@ fn build_workload(args: &Args, n: usize) -> Workload {
             address_width: n,
             target: (1 << n) / 2,
         },
-        other => panic!("unknown workload `{other}` (expected uniform, zipfian, scan, grover)"),
+        other => unreachable!("--workload `{other}` is not in WORKLOADS"),
     }
 }
 
@@ -306,7 +371,7 @@ fn build_workload(args: &Args, n: usize) -> Workload {
 /// ns. `bursty` blends a 4x-fast burst state with a matching slow state
 /// so the *average* load equals the Poisson stream's.
 fn build_arrivals(args: &Args, mean_gap: f64) -> ArrivalProcess {
-    match args.arrivals.as_str() {
+    match args.arrivals {
         "poisson" => ArrivalProcess::Poisson {
             mean_gap,
             seed: args.seed ^ 0x5eed,
@@ -317,7 +382,7 @@ fn build_arrivals(args: &Args, mean_gap: f64) -> ArrivalProcess {
             mean_dwell: 32.0,
             seed: args.seed ^ 0x5eed,
         },
-        other => panic!("unknown arrival process `{other}` (expected poisson, bursty)"),
+        other => unreachable!("--arrivals `{other}` is not in ARRIVALS"),
     }
 }
 
@@ -329,14 +394,6 @@ fn spec_mix(args: &Args) -> SpecMix {
         }
     } else {
         SpecMix::RoundRobin
-    }
-}
-
-fn release_policy(args: &Args) -> ReleasePolicy {
-    match args.release_policy.as_str() {
-        "oldest-first" => ReleasePolicy::OldestFirst,
-        "cache-affine" => ReleasePolicy::cache_affine(),
-        other => panic!("unknown --release-policy `{other}` (expected oldest-first, cache-affine)"),
     }
 }
 
@@ -357,7 +414,7 @@ fn service_config(args: &Args, shots: usize) -> ServiceConfig {
         .with_cache_capacity(args.cache)
         .with_queue_capacity(args.queue)
         .with_deadline(args.deadline)
-        .with_release_policy(release_policy(args))
+        .with_release_policy(args.release_policy)
 }
 
 /// Digest of everything deterministic about a result set: ids,
@@ -701,7 +758,7 @@ struct Summary<'a> {
 /// the mode's trailing sections, and the per-architecture breakdown.
 fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
     let args = ctx.args;
-    let policy = release_policy(args);
+    let policy = args.release_policy;
     let (closed, capacity) = match summary.serving {
         Loop::Closed { requests, batches } => (Some((requests, batches)), None),
         Loop::Open { capacity_rps } => (None, Some(capacity_rps)),
@@ -715,9 +772,9 @@ fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
             "mode",
             Some(if closed.is_some() { "closed" } else { "open" }.into()),
         ),
-        ("arch", Some(args.arch.as_str().into())),
+        ("arch", Some(args.arch.into())),
         ("workload", Some(ctx.workload.name().into())),
-        ("arrivals", open(args.arrivals.as_str().into())),
+        ("arrivals", open(args.arrivals.into())),
         ("spec_mix", Some(mix_name(args).into())),
         ("address_width", Some(ctx.memory.address_width().into())),
         ("requests", closed.map(|(requests, _)| requests.into())),
@@ -796,11 +853,11 @@ fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = exit_on_error(USAGE, Args::parse(std::env::args().skip(1)));
     let n = args.width.unwrap_or(if args.full { 6 } else { 4 });
     let memory = experiment_memory(n, args.seed);
     let workload = build_workload(&args, n);
-    let specs = hot_specs(&args.arch, n, args.qubit_budget);
+    let specs = exit_on_error(USAGE, hot_specs(args.arch, n, args.qubit_budget));
     let ctx = Ctx {
         args: &args,
         memory: &memory,
@@ -809,16 +866,10 @@ fn main() {
         shots: args.shots.unwrap_or(if args.full { 32 } else { 8 }),
         requests: args.requests.unwrap_or(if args.full { 1024 } else { 256 }),
     };
-    match args.mode.as_str() {
-        "closed" => {
-            assert!(
-                args.fleet == 0,
-                "--fleet requires --mode open (the fleet controller is an open-loop front door)"
-            );
-            run_closed(&ctx)
-        }
+    match args.mode {
+        "closed" => run_closed(&ctx),
         "open" => run_open(&ctx),
-        other => panic!("unknown mode `{other}` (expected closed, open)"),
+        other => unreachable!("--mode `{other}` is not in MODES"),
     }
 }
 
@@ -900,7 +951,7 @@ fn run_closed(ctx: &Ctx<'_>) {
     print_row(&["batches".into(), report.batches.len().to_string()]);
     print_row(&[
         "release_policy".into(),
-        release_policy(args).label().to_string(),
+        args.release_policy.label().to_string(),
     ]);
     print_row(&["virtual_rps".into(), format!("{virtual_rps:.1}")]);
     print_row(&["wall_rps".into(), format!("{wall_rps:.1}")]);
@@ -984,7 +1035,7 @@ fn run_open(ctx: &Ctx<'_>) {
             args.fleet,
             ctx.requests,
             args.tenants,
-            args.shed_policy,
+            args.shed_policy.label(),
             args.replication,
             ctx.memory.address_width(),
             args.arch,
@@ -1014,9 +1065,9 @@ fn run_open(ctx: &Ctx<'_>) {
         .iter()
         .map(|&load_factor| {
             let run = if fleet {
-                run_fleet_point(ctx, capacity_rps, load_factor, shed_policy(args))
+                run_fleet_point(ctx, capacity_rps, load_factor, args.shed_policy)
             } else {
-                run_open_point(ctx, capacity_rps, load_factor, release_policy(args))
+                run_open_point(ctx, capacity_rps, load_factor, args.release_policy)
             };
             print_point(load_factor, &run.point);
             run
@@ -1145,15 +1196,6 @@ fn policy_compare(ctx: &Ctx<'_>, capacity_rps: f64) -> Json {
     Json::object(compare)
 }
 
-/// The front-door overflow policy selected by `--shed-policy`.
-fn shed_policy(args: &Args) -> ShedPolicy {
-    match args.shed_policy.as_str() {
-        "tail-drop" => ShedPolicy::TailDrop,
-        "deadline-priority" => ShedPolicy::DeadlinePriority,
-        other => panic!("unknown --shed-policy `{other}` (expected tail-drop, deadline-priority)"),
-    }
-}
-
 /// The fleet topology selected by the flags: `--fleet` shards each
 /// running the bare service configuration, fronted by a
 /// `--front-capacity` door under `--shed-policy`.
@@ -1162,7 +1204,7 @@ fn fleet_config(args: &Args, shots: usize) -> FleetConfig {
         .with_shards(args.fleet)
         .with_shard_base(service_config(args, shots))
         .with_front_capacity(args.front_capacity)
-        .with_shed_policy(shed_policy(args))
+        .with_shed_policy(args.shed_policy)
         .with_replication(args.replication)
 }
 
@@ -1419,7 +1461,7 @@ fn fleet_sections(
         ("fleet_shards", args.fleet.into()),
         ("fleet_tenants", args.tenants.into()),
         ("fleet_front_capacity", args.front_capacity.into()),
-        ("fleet_shed_policy", shed_policy(args).label().into()),
+        ("fleet_shed_policy", args.shed_policy.label().into()),
         ("fleet_replication", args.replication.into()),
         ("fleet_slo_deadline_ns", args.slo_deadline.into()),
         ("fleet_offered", offered.into()),
@@ -1488,5 +1530,131 @@ fn mix_name(args: &Args) -> String {
         format!("zipfian({:.2})", args.spec_skew)
     } else {
         "round_robin".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parses_the_readme_fleet_command() {
+        let args = parse(&[
+            "--mode",
+            "open",
+            "--fleet",
+            "4",
+            "--tenants",
+            "3",
+            "--requests",
+            "350000",
+            "--shots",
+            "0",
+            "--seed",
+            "7",
+            "--threads",
+            "2",
+            "--arch",
+            "mix",
+            "--spec-skew",
+            "0.9",
+            "--cache",
+            "2",
+            "--load",
+            "0.5,1.0,2.0",
+            "--shed-policy",
+            "tail-drop",
+            "--release-policy",
+            "cache-affine",
+        ])
+        .unwrap();
+        assert_eq!(
+            (args.fleet, args.tenants, args.requests),
+            (4, 3, Some(350_000))
+        );
+        assert_eq!(args.loads, [0.5, 1.0, 2.0]);
+        assert_eq!(args.shed_policy, ShedPolicy::TailDrop);
+        assert_eq!(args.release_policy, ReleasePolicy::cache_affine());
+    }
+
+    #[test]
+    fn help_returns_the_usage() {
+        assert_eq!(parse(&["--seed", "7", "--help"]).unwrap_err(), USAGE);
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_or_malformed_values() {
+        for (args, error) in [
+            (&["--fast"][..], "unknown flag `--fast`"),
+            (&["--seed"], "--seed needs a value"),
+            (
+                &["--requests", "many"],
+                "--requests expects a number, got `many`",
+            ),
+            (&["--load", "0.5,x"], "--load expects a number, got `x`"),
+            (
+                &["--load", "0"],
+                "--load takes positive finite load factors",
+            ),
+            (
+                &["--load", "NaN"],
+                "--load takes positive finite load factors",
+            ),
+            (&["--tenants", "0"], "--tenants needs at least one tenant"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_names() {
+        for flag in [
+            "--arch",
+            "--mode",
+            "--workload",
+            "--arrivals",
+            "--release-policy",
+            "--shed-policy",
+        ] {
+            let error = parse(&[flag, "bogus"]).unwrap_err();
+            assert!(
+                error.starts_with(&format!("unknown {flag} `bogus` (expected ")),
+                "{error}"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_needs_open_mode() {
+        assert!(parse(&["--fleet", "2"])
+            .unwrap_err()
+            .contains("--mode open"));
+        assert!(parse(&["--fleet", "2", "--mode", "open"]).is_ok());
+    }
+
+    #[test]
+    fn every_accepted_name_builds() {
+        for arch in ARCHES {
+            assert!(!hot_specs(arch, 4, UNLIMITED_BUDGET).unwrap().is_empty());
+        }
+        for name in WORKLOADS {
+            let args = parse(&["--workload", name]).unwrap();
+            assert_eq!(build_workload(&args, 4).name(), name);
+        }
+        for name in ARRIVALS {
+            let args = parse(&["--arrivals", name]).unwrap();
+            assert_eq!(build_arrivals(&args, 1_000.0).name(), name);
+        }
+    }
+
+    #[test]
+    fn a_budget_that_fits_no_family_is_an_error() {
+        assert!(hot_specs("mix", 4, 1)
+            .unwrap_err()
+            .contains("fits no family"));
     }
 }

@@ -12,7 +12,9 @@
 //! * `--help` — print the usage and exit.
 //!
 //! An unknown flag or a malformed value prints the error and the usage
-//! to standard error and exits with code 2.
+//! to standard error and exits with code 2. [`exit_on_error`] does
+//! this for any binary whose parser returns `Result`, `serve_bench`
+//! included.
 
 use qram_sim::ShotConfig;
 
@@ -50,20 +52,7 @@ impl RunOptions {
     /// malformed value it prints the error and [`USAGE`] to standard
     /// error and exits with code 2.
     pub fn from_args() -> Self {
-        let mut args = std::env::args();
-        let path = args.next().unwrap_or_default();
-        let program = path.rsplit('/').next().unwrap_or_default();
-        match Self::parse(args) {
-            Ok(opts) => opts,
-            Err(e) if e == USAGE => {
-                println!("usage: {program} {USAGE}");
-                std::process::exit(0)
-            }
-            Err(e) => {
-                eprintln!("{program}: {e}\nusage: {program} {USAGE}");
-                std::process::exit(2)
-            }
-        }
+        exit_on_error(USAGE, Self::parse(std::env::args().skip(1)))
     }
 
     /// Parses the shared flag set from an explicit argument list
@@ -101,6 +90,25 @@ impl RunOptions {
             .with_seed(self.seed)
             .with_threads(self.threads)
     }
+}
+
+/// Unwraps a command-line parse, ending the process when it failed.
+/// An error equal to `usage` is a `--help` request: print the usage
+/// and exit with code 0. Any other error is printed with the usage to
+/// standard error, and the process exits with code 2.
+pub fn exit_on_error<T>(usage: &str, parsed: Result<T, String>) -> T {
+    let error = match parsed {
+        Ok(value) => return value,
+        Err(e) => e,
+    };
+    let path = std::env::args().next().unwrap_or_default();
+    let program = path.rsplit('/').next().unwrap_or_default();
+    if error == usage {
+        println!("usage: {program} {usage}");
+        std::process::exit(0)
+    }
+    eprintln!("{program}: {error}\nusage: {program} {usage}");
+    std::process::exit(2)
 }
 
 /// Parses `flag`'s value as an unsigned integer.

@@ -13,6 +13,12 @@
 //! [`ShedPolicy`] picks the victim — tail-drop or SLO-aware deadline
 //! priority.
 //!
+//! The door's `push`, `pop` and shed-victim choice each cost O(log n)
+//! in the parked count (ordered indexes, not a scan), and the router
+//! memoizes each spec's candidate list at the spec's first offer, so
+//! routing a parked head is one hash lookup plus a room probe per
+//! candidate.
+//!
 //! # Determinism contract
 //!
 //! The fleet interleaves shard virtual clocks by *event time*, not by
@@ -349,6 +355,7 @@ impl<R: Recorder> FleetController<R> {
             "address {address} out of range for {} cells",
             self.cells
         );
+        self.router.memoize(spec);
         let arrival = arrival.max(self.now);
         self.advance_to(arrival);
         let seq = self.next_seq;

@@ -13,7 +13,12 @@
 //!   [`qram_plan::planned_families`] (default `0` = unconstrained);
 //! * `--shots N` — shot count execute prices scale with (default 1);
 //! * `--out FILE` — also write the report to `FILE` (always printed to
-//!   stdout).
+//!   stdout);
+//! * `--help` — print the usage and exit.
+//!
+//! An unknown flag or a missing or malformed value prints the error and
+//! the usage to standard error and exits with code 2, as does an
+//! `--out` path that cannot be written (without the usage).
 //!
 //! The report is a pure function of the flags: same flags, same bytes,
 //! same `frontier_digest`, on any host (CI diffs back-to-back runs).
@@ -23,41 +28,141 @@ use std::path::PathBuf;
 use qram_plan::{frontier_json, UNLIMITED_BUDGET};
 use qram_service::CostModel;
 
-fn main() {
-    let mut width = 4usize;
-    let mut qubit_budget = UNLIMITED_BUDGET;
-    let mut shots = 1usize;
-    let mut out: Option<PathBuf> = None;
+/// The flag synopsis printed for `--help` and after a bad flag.
+const USAGE: &str = "[--width N] [--qubit-budget Q] [--shots N] [--out FILE] [--help]";
 
-    let mut args = std::env::args().skip(1);
-    let value = |flag: &str, args: &mut dyn Iterator<Item = String>| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} requires a value"))
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--width" => width = value("--width", &mut args).parse().expect("--width"),
-            "--qubit-budget" => {
-                let budget: usize = value("--qubit-budget", &mut args)
-                    .parse()
-                    .expect("--qubit-budget");
-                qubit_budget = if budget == 0 {
-                    UNLIMITED_BUDGET
-                } else {
-                    budget
-                };
+#[derive(Debug, PartialEq)]
+struct Options {
+    width: usize,
+    qubit_budget: usize,
+    shots: usize,
+    out: Option<PathBuf>,
+}
+
+impl Options {
+    /// Parses the flags (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// [`USAGE`] itself for `--help`; otherwise a message naming the
+    /// unknown flag or the missing or malformed value.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let mut parsed = Options {
+            width: 4,
+            qubit_budget: UNLIMITED_BUDGET,
+            shots: 1,
+            out: None,
+        };
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--width" => parsed.width = number(&flag, value()?)?,
+                "--qubit-budget" => {
+                    parsed.qubit_budget = match number(&flag, value()?)? {
+                        0 => UNLIMITED_BUDGET,
+                        budget => budget,
+                    };
+                }
+                "--shots" => parsed.shots = number(&flag, value()?)?,
+                "--out" => parsed.out = Some(PathBuf::from(value()?)),
+                "--help" => return Err(USAGE.into()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            "--shots" => shots = value("--shots", &mut args).parse().expect("--shots"),
-            "--out" => out = Some(PathBuf::from(value("--out", &mut args))),
-            other => panic!("unknown flag {other}; known: --width --qubit-budget --shots --out"),
         }
+        Ok(parsed)
+    }
+}
+
+/// Parses `flag`'s value as an unsigned integer.
+fn number(flag: &str, value: String) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects an integer, not `{value}`"))
+}
+
+fn main() {
+    let options = match Options::parse(std::env::args().skip(1)) {
+        Ok(options) => options,
+        Err(e) if e == USAGE => {
+            println!("usage: plan_report {USAGE}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("plan_report: {e}\nusage: plan_report {USAGE}");
+            std::process::exit(2)
+        }
+    };
+    let report = frontier_json(
+        options.width,
+        options.qubit_budget,
+        CostModel::default(),
+        options.shots,
+    )
+    .pretty();
+    print!("{report}");
+    if let Some(path) = options.out {
+        if let Err(e) = std::fs::write(&path, &report) {
+            eprintln!("plan_report: cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+        eprintln!("wrote {}", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(|s| s.to_string()))
     }
 
-    let report = frontier_json(width, qubit_budget, CostModel::default(), shots).pretty();
-    print!("{report}");
-    if let Some(path) = out {
-        std::fs::write(&path, &report)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
+    #[test]
+    fn parses_every_flag() {
+        let options = parse(&[
+            "--width",
+            "5",
+            "--qubit-budget",
+            "64",
+            "--shots",
+            "2",
+            "--out",
+            "PLAN.json",
+        ])
+        .unwrap();
+        assert_eq!(
+            options,
+            Options {
+                width: 5,
+                qubit_budget: 64,
+                shots: 2,
+                out: Some(PathBuf::from("PLAN.json")),
+            }
+        );
+        assert_eq!(
+            parse(&["--qubit-budget", "0"]).unwrap().qubit_budget,
+            UNLIMITED_BUDGET
+        );
+    }
+
+    #[test]
+    fn help_returns_the_usage() {
+        assert_eq!(parse(&["--width", "4", "--help"]).unwrap_err(), USAGE);
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_or_malformed_values() {
+        for (args, error) in [
+            (&["--fast"][..], "unknown flag `--fast`"),
+            (&["--width"], "--width needs a value"),
+            (&["--shots", "two"], "--shots expects an integer, not `two`"),
+            (
+                &["--qubit-budget", "-1"],
+                "--qubit-budget expects an integer, not `-1`",
+            ),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
     }
 }
