@@ -163,8 +163,12 @@ fn bench_lane_engine(c: &mut Criterion) {
 /// ideal's traced-out bits. `slab` is the reference loop (per shot
 /// `run_with_faults` on the path slab, then
 /// `PathState::reduced_fidelity`); `lanes` is the shot engine, which
-/// reduces each pass straight from its lane rows. Both run on one
-/// thread and compute the same estimate bit for bit.
+/// walks the shots in one multi-shot pass and reduces each block
+/// straight from its lane rows. Both run on one thread and compute the
+/// same estimate bit for bit. `lanes_phase_flip` runs the same circuit
+/// and shot count under phase-flip noise, where every shot is all-`Z`:
+/// no shot is walked, and one sign walk of the ideal gives every
+/// shot's phases.
 fn bench_reduced_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("reduced_engine");
     let m = 8;
@@ -196,6 +200,17 @@ fn bench_reduced_engine(c: &mut Criterion) {
     });
     let config = ShotConfig::new(shots as usize).with_seed(9).with_threads(1);
     group.bench_function("lanes", |b| {
+        b.iter(|| {
+            monte_carlo_reduced_fidelity_with(gates, &input, &keep, &config, |shot| {
+                sampler.sample_shot(shot)
+            })
+            .unwrap()
+            .mean
+        })
+    });
+    let model = NoiseModel::qubit_per_step(PauliChannel::phase_flip(BASE_ERROR_RATE));
+    let sampler = FaultSampler::new(query.circuit(), model, 9);
+    group.bench_function("lanes_phase_flip", |b| {
         b.iter(|| {
             monte_carlo_reduced_fidelity_with(gates, &input, &keep, &config, |shot| {
                 sampler.sample_shot(shot)

@@ -39,14 +39,17 @@
 //! * `--spec-skew X` — assign specs zipf(θ = X)-skewed instead of
 //!   round-robin (0 = round-robin), stressing LRU eviction;
 //! * `--requests N` — requests to serve (default 256, `--full` 1024);
-//! * `--width N` — memory address width `n` (default 4, `--full` 6);
-//! * `--theta X` — zipf exponent of the *address* stream (default 0.99);
-//! * `--batch N` — scheduler batch limit (default 32);
-//! * `--cache N` — compiled-circuit cache capacity (default 8). Set it
+//! * `--width N` — memory address width `n`, 2 to 24 (default 4,
+//!   `--full` 6);
+//! * `--theta X` — zipf exponent of the *address* stream, non-negative
+//!   (default 0.99);
+//! * `--batch N` — scheduler batch limit, at least 1 (default 32);
+//! * `--cache N` — compiled-circuit cache capacity, at least 1
+//!   (default 8). Set it
 //!   below the hot-spec count to stress eviction — where the release
 //!   policies actually diverge;
-//! * `--queue N` — bounded-queue capacity for open-loop admission
-//!   (default 64; offers beyond it are shed);
+//! * `--queue N` — bounded-queue capacity for open-loop admission, at
+//!   least 1 (default 64; offers beyond it are shed);
 //! * `--deadline T` — batching deadline slack in virtual ns (default
 //!   20000);
 //! * `--release-policy NAME` — which pending group a freed execution
@@ -83,8 +86,9 @@
 //!   canonically-ordered span log plus the metrics registry) as JSON;
 //! * `--help` — print the usage and exit.
 //!
-//! An unknown flag, a missing or malformed value, an unknown name for a
-//! name-valued flag, or a `--qubit-budget` that fits no `mix` family
+//! An unknown flag, a missing, malformed or out-of-range value, an
+//! unknown name for a name-valued flag, or a `--qubit-budget` that fits
+//! no `mix` family
 //! prints the error and the usage to standard error and exits with
 //! code 2.
 //!
@@ -123,6 +127,11 @@ const USAGE: &str = "[--full] [--arch NAME] [--shots N] [--seed N] [--threads N]
 [--release-policy oldest-first|cache-affine] [--qubit-budget Q] [--fleet N] [--tenants T] \
 [--front-capacity N] [--shed-policy tail-drop|deadline-priority] [--replication N] \
 [--slo-deadline T] [--out FILE] [--trace-out FILE] [--help]";
+
+/// The address widths `--width` takes: the hybrids of every family need
+/// a page bit and a tree bit, and a memory holds at most
+/// [`Memory::MAX_ADDRESS_WIDTH`] address bits.
+const WIDTHS: std::ops::RangeInclusive<usize> = 2..=Memory::MAX_ADDRESS_WIDTH;
 
 /// The names each name-valued flag accepts.
 const ARCHES: [&str; 6] = ["virtual", "sqc", "fanout", "bb", "ss", "mix"];
@@ -226,11 +235,26 @@ impl Args {
                 }
                 "--spec-skew" => parsed.spec_skew = number(&flag, &value()?)?,
                 "--requests" => parsed.requests = Some(number(&flag, &value()?)?),
-                "--width" => parsed.width = Some(number(&flag, &value()?)?),
-                "--theta" => parsed.theta = number(&flag, &value()?)?,
-                "--batch" => parsed.batch = number(&flag, &value()?)?,
-                "--cache" => parsed.cache = number(&flag, &value()?)?,
-                "--queue" => parsed.queue = number(&flag, &value()?)?,
+                "--width" => {
+                    let width = number(&flag, &value()?)?;
+                    if !WIDTHS.contains(&width) {
+                        return Err(format!(
+                            "{flag} takes {} to {}, got {width}",
+                            WIDTHS.start(),
+                            WIDTHS.end()
+                        ));
+                    }
+                    parsed.width = Some(width);
+                }
+                "--theta" => {
+                    parsed.theta = number(&flag, &value()?)?;
+                    if !(parsed.theta >= 0.0 && parsed.theta.is_finite()) {
+                        return Err(format!("{flag} takes a non-negative finite exponent"));
+                    }
+                }
+                "--batch" => parsed.batch = positive(&flag, &value()?)?,
+                "--cache" => parsed.cache = positive(&flag, &value()?)?,
+                "--queue" => parsed.queue = positive(&flag, &value()?)?,
                 "--deadline" => parsed.deadline = number(&flag, &value()?)?,
                 "--release-policy" => {
                     let policies = [ReleasePolicy::OldestFirst, ReleasePolicy::cache_affine()];
@@ -277,6 +301,14 @@ impl Args {
 fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
     text.parse()
         .map_err(|_| format!("{flag} expects a number, got `{text}`"))
+}
+
+/// Parses the value of a count `flag` that must be at least 1.
+fn positive(flag: &str, text: &str) -> Result<usize, String> {
+    match number(flag, text)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        count => Ok(count),
+    }
 }
 
 /// The one of `choices` that `label` names `name`.
@@ -1610,6 +1642,30 @@ mod tests {
         }
     }
 
+    /// Values that parse but that the service, the workload or the
+    /// memory cannot take are rejected with the flag's range.
+    #[test]
+    fn rejects_out_of_range_values() {
+        for (args, error) in [
+            (&["--batch", "0"][..], "--batch must be at least 1"),
+            (&["--cache", "0"], "--cache must be at least 1"),
+            (&["--queue", "0"], "--queue must be at least 1"),
+            (
+                &["--theta", "-1"],
+                "--theta takes a non-negative finite exponent",
+            ),
+            (
+                &["--theta", "NaN"],
+                "--theta takes a non-negative finite exponent",
+            ),
+            (&["--width", "0"], "--width takes 2 to 24, got 0"),
+            (&["--width", "1"], "--width takes 2 to 24, got 1"),
+            (&["--width", "40"], "--width takes 2 to 24, got 40"),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
+    }
+
     #[test]
     fn rejects_unknown_names() {
         for flag in [
@@ -1648,6 +1704,18 @@ mod tests {
         for name in ARRIVALS {
             let args = parse(&["--arrivals", name]).unwrap();
             assert_eq!(build_arrivals(&args, 1_000.0).name(), name);
+        }
+    }
+
+    #[test]
+    fn every_family_builds_at_the_narrowest_width() {
+        let n = *WIDTHS.start();
+        assert_eq!(parse(&["--width", "2"]).unwrap().width, Some(n));
+        let memory = experiment_memory(n, 7);
+        for arch in ARCHES {
+            for spec in hot_specs(arch, n, UNLIMITED_BUDGET).unwrap() {
+                spec.arch.instantiate().build(&memory);
+            }
         }
     }
 

@@ -23,15 +23,18 @@ pub struct Memory {
 }
 
 impl Memory {
+    /// The widest address a memory takes: 16 Mi cells, far past any
+    /// simulable size.
+    pub const MAX_ADDRESS_WIDTH: usize = 24;
+
     /// An all-zero memory of `2^address_width` cells.
     ///
     /// # Panics
     ///
-    /// Panics if `address_width` exceeds 24 (16 Mi cells — far past any
-    /// simulable size).
+    /// Panics if `address_width` exceeds [`Memory::MAX_ADDRESS_WIDTH`].
     pub fn zeroed(address_width: usize) -> Self {
         assert!(
-            address_width <= 24,
+            address_width <= Self::MAX_ADDRESS_WIDTH,
             "address width {address_width} unreasonably large"
         );
         Memory {

@@ -8,7 +8,8 @@
 //!
 //! Flags:
 //!
-//! * `--width N` — memory address width `n` to plan for (default 4);
+//! * `--width N` — memory address width `n` to plan for, 2 to 24
+//!   (default 4);
 //! * `--qubit-budget Q` — physical qubit budget constraining
 //!   [`qram_plan::planned_families`] (default `0` = unconstrained);
 //! * `--shots N` — shot count execute prices scale with (default 1);
@@ -16,20 +17,26 @@
 //!   stdout);
 //! * `--help` — print the usage and exit.
 //!
-//! An unknown flag or a missing or malformed value prints the error and
-//! the usage to standard error and exits with code 2, as does an
-//! `--out` path that cannot be written (without the usage).
+//! An unknown flag or a missing, malformed or out-of-range value prints
+//! the error and the usage to standard error and exits with code 2, as
+//! does an `--out` path that cannot be written (without the usage).
 //!
 //! The report is a pure function of the flags: same flags, same bytes,
 //! same `frontier_digest`, on any host (CI diffs back-to-back runs).
 
 use std::path::PathBuf;
 
+use qram_core::Memory;
 use qram_plan::{frontier_json, UNLIMITED_BUDGET};
 use qram_service::CostModel;
 
 /// The flag synopsis printed for `--help` and after a bad flag.
 const USAGE: &str = "[--width N] [--qubit-budget Q] [--shots N] [--out FILE] [--help]";
+
+/// The address widths `--width` takes: every hybrid candidate needs a
+/// page bit and a tree bit, and a memory holds at most
+/// [`Memory::MAX_ADDRESS_WIDTH`] address bits.
+const WIDTHS: std::ops::RangeInclusive<usize> = 2..=Memory::MAX_ADDRESS_WIDTH;
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -45,7 +52,7 @@ impl Options {
     /// # Errors
     ///
     /// [`USAGE`] itself for `--help`; otherwise a message naming the
-    /// unknown flag or the missing or malformed value.
+    /// unknown flag or the missing, malformed or out-of-range value.
     fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut parsed = Options {
             width: 4,
@@ -57,7 +64,17 @@ impl Options {
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or(format!("{flag} needs a value"));
             match flag.as_str() {
-                "--width" => parsed.width = number(&flag, value()?)?,
+                "--width" => {
+                    parsed.width = number(&flag, value()?)?;
+                    if !WIDTHS.contains(&parsed.width) {
+                        return Err(format!(
+                            "{flag} takes {} to {}, got {}",
+                            WIDTHS.start(),
+                            WIDTHS.end(),
+                            parsed.width
+                        ));
+                    }
+                }
                 "--qubit-budget" => {
                     parsed.qubit_budget = match number(&flag, value()?)? {
                         0 => UNLIMITED_BUDGET,
@@ -164,5 +181,14 @@ mod tests {
         ] {
             assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
         }
+    }
+
+    #[test]
+    fn rejects_widths_the_planner_cannot_take() {
+        for width in ["0", "1", "25"] {
+            let error = format!("--width takes 2 to 24, got {width}");
+            assert_eq!(parse(&["--width", width]).unwrap_err(), error);
+        }
+        assert_eq!(parse(&["--width", "2"]).unwrap().width, 2);
     }
 }

@@ -1,6 +1,6 @@
 //! Sharded, deterministic parallel Monte-Carlo shot engine: threads
-//! across *shots*, and within a shot one bit-sliced [`Lanes`] pass with
-//! one lane per input path.
+//! across *shots*, and within a shard bit-sliced [`Lanes`] walks that
+//! each serve many shots.
 //!
 //! The engine splits a run of `shots` trajectories into per-thread
 //! *shards* executed under [`std::thread::scope`] — no work stealing, no
@@ -20,34 +20,75 @@
 //! reproduction binaries.
 //!
 //! No gate of the QRAM family splits a path (Sec. 6.2), so a
-//! superposition input is a fixed set of lanes. The ideal run and every
-//! replayed shot are one lane pass each: the input's paths are
-//! transposed into lanes, and the shot's plan is scheduled once for the
-//! whole pass. What happens to the final lanes depends on the overlap:
+//! superposition input is a fixed set of lanes, one per path. Each call
+//! transposes the input into a row image once, walks a copy of it for
+//! the ideal output, and hands both to its shards. A shard samples its
+//! shots in order and sends each replayed shot (one with a non-empty
+//! plan) one of two ways:
 //!
-//! * the full overlap transposes them back into a [`PathState`] in input
-//!   path order, with every bit and amplitude [`crate::run_with_faults`]
-//!   gives, so the unchanged [`PathState::fidelity`] gives the slab's
-//!   sample bit for bit;
-//! * the fidelity reduced to `keep` reads the lane rows directly (the
-//!   `reduce` module), with no transpose back and no per-path key
-//!   extraction. Its groups, their accumulation order and the order of
-//!   their sum are those of the slab's [`PathState::reduced_fidelity`],
-//!   so every sample is bit-identical too. The reference (the ideal's
-//!   kept-bits map and rows) depends only on the ideal output and `keep`,
-//!   so each shard builds it once, at its first replayed shot, where its
-//!   "entangled non-kept qubits" assertion fired before.
+//! * **All-`Z` shots are not walked.** A `Z` flips no bit, and every gate
+//!   is classical-reversible or Pauli, so such a shot ends in the ideal's
+//!   bits with each lane's power of `i` moved by `2·s`, where `s` is the
+//!   parity of the ideal's bits at the shot's fault locations. The shard
+//!   keeps only the shot's firing faults, as taps. One sign walk per
+//!   window of up to [`WINDOW_SHOTS`] shots walks the ideal with every
+//!   tap merged in gate order, and at each tap XORs the ideal's row of
+//!   that qubit into that shot's sign row (the Pauli-frame idea of Stim:
+//!   Gidney, Quantum 5, 497, 2021).
+//! * **Every other shot joins a multi-shot pass.** A pass holds up to
+//!   [`PASS_WORDS`] lane words: one block of `⌈paths / 64⌉` words per
+//!   shot, each a copy of the image, with each shot's faults masked to
+//!   its block. One walk serves every shot of the pass. A pass runs once
+//!   it is full, and a window's last partial pass at the window's end.
 //!
-//! Each shard reuses one [`Lanes`] buffer across its shots, and either
-//! one output [`PathState`] or the reduction's scratch.
+//! Each shot's block is then reduced on its own, and every sample equals
+//! the slab's bit for bit:
+//!
+//! * the fidelity reduced to `keep` reads the block's rows in place (the
+//!   `reduce` module), after one sweep of the pass's rows for all its
+//!   blocks; an all-`Z` shot reads no row, only the ideal's phases and
+//!   its sign row. The reduction's reference depends only on
+//!   the ideal output and `keep`: one call builds it once, and its shards
+//!   share it read-only. Its first use stays at each shard's first
+//!   replayed shot, so its panics fire where the slab reduction would
+//!   first run;
+//! * the full overlap transposes a walked block back into a
+//!   [`PathState`] in input path order and calls the unchanged
+//!   [`PathState::fidelity`]. For an all-`Z` shot the ideal and noisy
+//!   bits coincide path by path, so it sums `conj(ideal) · amp` in path
+//!   order from [`Amplitude::ZERO`], as that overlap does.
+//!
+//! Errors. The ideal walk checks every gate first. A shard then returns
+//! the error of its first shot whose plan fires a fault on an
+//! out-of-range qubit: the fault with the smallest (gate index, plan
+//! position), found as the shot is sampled. A fault past the end never
+//! fires and is never checked. When a replayed shot precedes the erroring
+//! one, the reference's panic fires first. Across shards the lowest
+//! shard's error wins, and a shard's panic is re-raised with its own
+//! payload, so it reads the same at any thread count.
+//!
+//! Each shard keeps one [`Lanes`] buffer for its sign walks and passes,
+//! one reduction scratch, one output [`PathState`], and its window's
+//! taps and sign rows.
 
 use std::num::NonZeroUsize;
+use std::panic;
+use std::sync::OnceLock;
 use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::reduce::LaneReduction;
-use crate::{FaultPlan, FidelityEstimate, Lanes, PathState, Pauli, SimError};
+use crate::lanes::SignTap;
+use crate::reduce::{KeptReference, LaneReduction};
+use crate::{Amplitude, FaultPlan, FidelityEstimate, Lanes, PathState, Pauli, SimError};
+
+/// Shots per sign walk: a window's all-`Z` shots wait for its sign walk
+/// as taps, so a window bounds the taps held at any shot count.
+const WINDOW_SHOTS: usize = 1024;
+
+/// Lane words of a multi-shot pass: 8 shots of 256 paths, or 1 shot of
+/// 2,048 or more.
+const PASS_WORDS: usize = 32;
 
 fn available_cores() -> usize {
     thread::available_parallelism()
@@ -185,9 +226,10 @@ impl ShotStats {
 /// to hold. Shots whose plan is empty short-circuit to fidelity 1 without
 /// replaying the circuit.
 ///
-/// Each shot is one [`Lanes`] pass with one lane per input path (see the
-/// module docs). The estimate is bit-identical for every thread count:
-/// shot sharding only re-partitions which thread runs a shot.
+/// A shard's shots share [`Lanes`] walks: all-`Z` shots one sign walk,
+/// every other shot a multi-shot pass (see the module docs). The
+/// estimate is bit-identical for every thread count: shot sharding only
+/// re-partitions which thread runs a shot.
 ///
 /// # Errors
 ///
@@ -220,9 +262,15 @@ pub fn run_shots_stats(
     config: &ShotConfig,
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<(FidelityEstimate, ShotStats), SimError> {
-    let mut lanes = Lanes::default();
+    // The input's row image, transposed once; the ideal walks a copy.
+    let mut image = Lanes::default();
+    image.load_paths(input);
     let mut ideal = PathState::zero_vector(input.num_qubits());
-    lanes.run_paths(gates, input, &FaultPlan::new(), &mut ideal)?;
+    {
+        let mut lanes = image.clone();
+        lanes.run(gates)?;
+        lanes.block(0).store_paths(input, &mut ideal);
+    }
 
     let shots = config.shots;
     if shots == 0 {
@@ -231,36 +279,39 @@ pub fn run_shots_stats(
     let threads = config.resolved_threads().min(shots).max(1);
     let mut samples = vec![0.0f64; shots];
     let mut stats = ShotStats::default();
+    let call = Call {
+        gates,
+        input,
+        image: &image,
+        ideal: &ideal,
+        keep,
+        reference: OnceLock::new(),
+    };
 
     if threads == 1 {
-        stats = run_shard(gates, input, &ideal, keep, 0, &mut samples, sample_plan)?;
+        stats = run_shard(&call, 0, &mut samples, sample_plan)?;
     } else {
         // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
         // Shot indices are global, so the shard boundaries never influence
         // which plan a shot receives.
         let chunk = shots.div_ceil(threads);
-        let ideal_ref = &ideal;
+        let call = &call;
         let results: Vec<Result<ShotStats, SimError>> = thread::scope(|scope| {
             let handles: Vec<_> = samples
                 .chunks_mut(chunk)
                 .enumerate()
                 .map(|(i, out)| {
-                    scope.spawn(move || {
-                        run_shard(
-                            gates,
-                            input,
-                            ideal_ref,
-                            keep,
-                            (i * chunk) as u64,
-                            out,
-                            sample_plan,
-                        )
-                    })
+                    scope.spawn(move || run_shard(call, (i * chunk) as u64, out, sample_plan))
                 })
                 .collect();
+            // Joined in shard order; a shard's panic goes on with its own
+            // payload, as it would on one thread.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shot shard panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
                 .collect()
         });
         for result in results {
@@ -270,56 +321,217 @@ pub fn run_shots_stats(
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
 
+/// What every shard of one call reads.
+struct Call<'a> {
+    gates: &'a [Gate],
+    input: &'a PathState,
+    /// The input's paths as lane rows, one lane per path.
+    image: &'a Lanes,
+    ideal: &'a PathState,
+    keep: Option<&'a [Qubit]>,
+    /// The reduction's reference, built by the first shard to reach a
+    /// replayed shot.
+    reference: OnceLock<KeptReference>,
+}
+
+impl Call<'_> {
+    /// The reduction's reference when the fidelity is reduced, built at
+    /// its first use.
+    ///
+    /// # Panics
+    ///
+    /// As [`KeptReference::new`].
+    fn reference(&self) -> Option<&KeptReference> {
+        let keep = self.keep?;
+        Some(
+            self.reference
+                .get_or_init(|| KeptReference::new(self.ideal, keep)),
+        )
+    }
+}
+
 /// Runs one shard's contiguous shot range, writing fidelities into `out`.
 ///
-/// Each noisy shot is one lane pass over the input's paths. The full
-/// overlap reads the pass back into a scratch state and reduces it in
-/// path order; the reduced fidelity reads it straight from the lane
-/// rows. Either way the sample is bit-identical to the slab engine's.
+/// It samples the shots in order and settles empty plans and errors. A
+/// shot that has any `X` or `Y` fault waits for a multi-shot pass, which
+/// runs once it is full. An all-`Z` shot leaves only its firing faults,
+/// as taps of the window's sign walk, which runs with the window's last
+/// partial pass at the window's end. Every sample is bit-identical to
+/// the slab engine's.
 fn run_shard(
-    gates: &[Gate],
-    input: &PathState,
-    ideal: &PathState,
-    keep: Option<&[Qubit]>,
+    call: &Call<'_>,
     first_shot: u64,
     out: &mut [f64],
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<ShotStats, SimError> {
-    // One lane buffer per shard, reused per shot, and the full overlap's
-    // output state.
-    let mut lanes = Lanes::default();
-    let mut noisy: Option<PathState> = None;
-    // Built at the shard's first replayed shot, as the slab reduction
-    // would first run there.
-    let mut reduction: Option<LaneReduction> = None;
+    let (end, num_qubits) = (call.gates.len(), call.input.num_qubits());
+    let per_pass = (PASS_WORDS / call.input.num_paths().div_ceil(64).max(1)).max(1);
+    let mut shard = Shard {
+        lanes: Lanes::default(),
+        reduction: LaneReduction::default(),
+        noisy: PathState::zero_vector(num_qubits),
+        taps: Vec::new(),
+        signs: Vec::new(),
+    };
     let mut stats = ShotStats::default();
-    for (i, slot) in out.iter_mut().enumerate() {
-        let plan = sample_plan(first_shot + i as u64);
-        stats.shots += 1;
-        if plan.is_empty() {
-            // Fault-free shot: fidelity is exactly 1; skip the replay.
-            *slot = 1.0;
-            continue;
+    // The places in the window of the sign walk's shots, in sign row
+    // order, and the shots waiting for the next pass, with their plans.
+    let (mut signed, mut walked): (Vec<usize>, Vec<(usize, FaultPlan)>) = (Vec::new(), Vec::new());
+    for (window, out) in out.chunks_mut(WINDOW_SHOTS).enumerate() {
+        let first = first_shot + (window * WINDOW_SHOTS) as u64;
+        for i in 0..out.len() {
+            let plan = sample_plan(first + i as u64);
+            stats.shots += 1;
+            if plan.is_empty() {
+                // Fault-free shot: fidelity is exactly 1; skip the replay.
+                out[i] = 1.0;
+                continue;
+            }
+            if let Some(error) = plan_error(&plan, end, num_qubits) {
+                return Err(error);
+            }
+            if stats.replayed == 0 {
+                // The reference is first used here, where the slab
+                // reduction first ran, so its panics fire at this shot.
+                call.reference();
+            }
+            // Model counts: an all-Z shot counts as replayed, with every
+            // gate applied, though nothing walks it.
+            stats.replayed += 1;
+            stats.faults += plan.len() as u64;
+            stats.gate_applications += end as u64;
+            if plan.faults().iter().all(|f| f.pauli == Pauli::Z) {
+                // Its faults past the end never fire.
+                let slot = u32::try_from(signed.len()).expect("a window of shots");
+                let firing = plan.faults().iter().filter(|f| f.gate_index <= end);
+                shard.taps.extend(firing.map(|f| SignTap {
+                    index:
+                        u32::try_from(f.gate_index).expect("the ideal walk took under 2^32 gates"),
+                    qubit: f.qubit,
+                    slot,
+                }));
+                signed.push(i);
+            } else {
+                walked.push((i, plan));
+                if walked.len() == per_pass {
+                    shard.pass(call, &walked, out)?;
+                    walked.clear();
+                }
+            }
         }
-        stats.replayed += 1;
-        stats.faults += plan.len() as u64;
-        stats.gate_applications += gates.len() as u64;
-        *slot = match keep {
-            None => {
-                let noisy = noisy.get_or_insert_with(|| PathState::zero_vector(input.num_qubits()));
-                lanes.run_paths(gates, input, &plan, noisy)?;
-                ideal.fidelity(noisy)
-            }
-            Some(keep) => {
-                lanes.walk_paths(gates, input, &plan)?;
-                let phase_only = plan.faults().iter().all(|f| f.pauli == Pauli::Z);
-                reduction
-                    .get_or_insert_with(|| LaneReduction::new(ideal, keep))
-                    .fidelity(&lanes, input.amplitudes(), phase_only)
-            }
-        };
+        shard.pass(call, &walked, out)?;
+        shard.sign_walk(call, &signed, out)?;
+        walked.clear();
+        signed.clear();
     }
     Ok(stats)
+}
+
+/// The error the walk of `plan` stops at, the gates being good: its first
+/// firing fault, in (gate index, plan position) order, on a qubit past
+/// `num_qubits`. A fault past `end` never fires, so it is never checked.
+fn plan_error(plan: &FaultPlan, end: usize, num_qubits: usize) -> Option<SimError> {
+    plan.faults()
+        .iter()
+        .filter(|f| f.gate_index <= end && f.qubit.index() >= num_qubits)
+        .min_by_key(|f| f.gate_index)
+        .map(|f| SimError::QubitOutOfRange {
+            index: f.qubit.index(),
+            num_qubits,
+        })
+}
+
+/// One shard's buffers, reused across its windows.
+struct Shard {
+    /// The lane buffer of every sign walk and pass.
+    lanes: Lanes,
+    reduction: LaneReduction,
+    /// The full overlap's noisy state.
+    noisy: PathState,
+    /// The window's sign walk taps, and its sign rows.
+    taps: Vec<SignTap>,
+    signs: Vec<u64>,
+}
+
+impl Shard {
+    /// Runs the window's sign walk, whose sign rows hold the all-`Z`
+    /// shots at `places` of `out` in order, and writes each one's
+    /// fidelity there.
+    fn sign_walk(
+        &mut self,
+        call: &Call<'_>,
+        places: &[usize],
+        out: &mut [f64],
+    ) -> Result<(), SimError> {
+        if places.is_empty() {
+            return Ok(());
+        }
+        // Taps at one index change no lane, so their order there is
+        // immaterial.
+        self.taps.sort_unstable_by_key(|tap| tap.index);
+        self.lanes.load_blocks(call.image, 1);
+        let words = call.input.num_paths().div_ceil(64);
+        self.signs.clear();
+        self.signs.resize(places.len() * words, 0);
+        let walked = self
+            .lanes
+            .walk_signs(call.gates, &self.taps, &mut self.signs);
+        self.taps.clear();
+        walked?;
+        let (reference, amps) = (call.reference(), call.input.amplitudes());
+        for (slot, &i) in places.iter().enumerate() {
+            let block = self
+                .lanes
+                .signed(&self.signs[slot * words..(slot + 1) * words]);
+            out[i] = match reference {
+                Some(reference) => self.reduction.phase_fidelity(reference, block, amps),
+                None => {
+                    // PathState::fidelity's sum, each noisy path found
+                    // at its ideal path's place.
+                    let mut overlap = Amplitude::ZERO;
+                    for (p, (ideal, &a)) in call.ideal.amplitudes().iter().zip(amps).enumerate() {
+                        overlap += ideal.conj() * block.amplitude(p, a);
+                    }
+                    overlap.norm_sqr()
+                }
+            };
+        }
+        Ok(())
+    }
+
+    /// Runs `shots` as one multi-shot pass, one block per shot, and
+    /// writes each one's fidelity into `out`.
+    fn pass(
+        &mut self,
+        call: &Call<'_>,
+        shots: &[(usize, FaultPlan)],
+        out: &mut [f64],
+    ) -> Result<(), SimError> {
+        if shots.is_empty() {
+            return Ok(());
+        }
+        self.lanes.load_blocks(call.image, shots.len());
+        for (block, (_, plan)) in shots.iter().enumerate() {
+            self.lanes.add_block_faults(block, plan);
+        }
+        self.lanes.run(call.gates)?;
+        let (reference, amps) = (call.reference(), call.input.amplitudes());
+        if let Some(reference) = reference {
+            self.reduction.sweep(reference, &self.lanes, shots.len());
+        }
+        for (block, &(i, _)) in shots.iter().enumerate() {
+            out[i] = match reference {
+                Some(reference) => self.reduction.fidelity(reference, &self.lanes, block, amps),
+                None => {
+                    self.lanes
+                        .block(block)
+                        .store_paths(call.input, &mut self.noisy);
+                    call.ideal.fidelity(&self.noisy)
+                }
+            };
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -585,23 +797,222 @@ mod tests {
         );
     }
 
+    /// A panic payload's message.
+    fn message(payload: &(dyn std::any::Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("")
+    }
+
+    /// A CX that entangles the traced-out qubit 1 with the kept qubit 0,
+    /// so the reduced reference is ill-defined.
+    fn entangled_case() -> (Circuit, PathState, [Qubit; 1]) {
+        let mut c = Circuit::new(2);
+        c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(1)));
+        (c, PathState::uniform_over(2, &[Qubit(0)]), [Qubit(0)])
+    }
+
     /// The reduced reference is checked where the slab reduction first
     /// ran, at the first replayed shot: a traced-out qubit entangled
     /// with a kept one goes unnoticed while no shot replays, and panics
-    /// once one does.
+    /// once one does, here an all-`Z` shot that no lane walks. The panic
+    /// reads the same at 1, 2 and 3 threads.
     #[test]
     #[should_panic(expected = "reference state has entangled non-kept qubits")]
     fn an_entangled_reference_panics_at_the_first_replayed_shot() {
-        let mut c = Circuit::new(2);
-        c.push(qram_circuit::Gate::cx(Qubit(0), Qubit(1)));
-        let input = PathState::uniform_over(2, &[Qubit(0)]);
-        let (keep, config) = ([Qubit(0)], ShotConfig::serial(4));
-        let clean = run_shots(c.gates(), &input, Some(&keep), &config, &|_| {
-            FaultPlan::new()
-        });
+        let (c, input, keep) = entangled_case();
+        let clean = run_shots(
+            c.gates(),
+            &input,
+            Some(&keep),
+            &ShotConfig::serial(4),
+            &|_| FaultPlan::new(),
+        );
         assert_eq!(clean.unwrap().mean, 1.0);
         let z: FaultPlan = [Fault::new(0, Qubit(0), Pauli::Z)].into_iter().collect();
-        let _ = run_shots(c.gates(), &input, Some(&keep), &config, &|_| z.clone());
+        let run = |threads| {
+            let config = ShotConfig::new(4).with_threads(threads);
+            run_shots(c.gates(), &input, Some(&keep), &config, &|_| z.clone())
+        };
+        for threads in [1, 2] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(threads)))
+                .expect_err("an entangled reference panics");
+            let want = "reference state has entangled non-kept qubits";
+            assert_eq!(message(payload.as_ref()), want, "threads={threads}");
+        }
+        let _ = run(3);
+    }
+
+    /// A replayed shot before the first erroring one builds the reference,
+    /// so its panic wins over the error.
+    #[test]
+    #[should_panic(expected = "reference state has entangled non-kept qubits")]
+    fn a_replayed_shot_before_the_error_panics_first() {
+        let (c, input, keep) = entangled_case();
+        let plan = |shot: u64| -> FaultPlan {
+            let fault = match shot {
+                0 => Fault::new(1, Qubit(1), Pauli::X),
+                _ => Fault::new(0, Qubit(9), Pauli::Z),
+            };
+            [fault].into_iter().collect()
+        };
+        let _ = run_shots(
+            c.gates(),
+            &input,
+            Some(&keep),
+            &ShotConfig::serial(3),
+            &plan,
+        );
+    }
+
+    /// An erroring first replayed shot returns its error before the
+    /// reference is built: the fault with the smallest gate index, and
+    /// at one index the first in plan order.
+    #[test]
+    fn an_erroring_first_replayed_shot_returns_before_the_reference() {
+        let (c, input, keep) = entangled_case();
+        let plan = |shot: u64| -> FaultPlan {
+            match shot {
+                0 => FaultPlan::new(),
+                _ => [
+                    Fault::new(1, Qubit(7), Pauli::X),
+                    Fault::new(0, Qubit(5), Pauli::Z),
+                    Fault::new(0, Qubit(6), Pauli::X),
+                ]
+                .into_iter()
+                .collect(),
+            }
+        };
+        let err = run_shots(
+            c.gates(),
+            &input,
+            Some(&keep),
+            &ShotConfig::serial(3),
+            &plan,
+        );
+        let (index, num_qubits) = (5, 2);
+        assert_eq!(err, Err(SimError::QubitOutOfRange { index, num_qubits }));
+    }
+
+    /// Checks one plan, repeated over `shots` shots, against the slab
+    /// loop: both overlaps, 1, 65 and 130 paths, 1 and 3 threads.
+    fn assert_plan_matches_slab(plan: &FaultPlan, shots: u64) {
+        let gates = wide_gates();
+        let keep: Vec<Qubit> = (0..70)
+            .filter(|q| ![67, 69].contains(q))
+            .map(Qubit)
+            .collect();
+        for paths in [1usize, 65, 130] {
+            let input = wide_input(paths);
+            for keep in [None, Some(keep.as_slice())] {
+                let reference = slab_estimate(&gates, &input, keep, shots, |_| plan.clone());
+                for threads in [1, 3] {
+                    let config = ShotConfig::new(shots as usize).with_threads(threads);
+                    let (est, stats) =
+                        run_shots_stats(&gates, &input, keep, &config, &|_| plan.clone()).unwrap();
+                    let at = format!("paths={paths} threads={threads} reduced={}", keep.is_some());
+                    assert_eq!(bits(&est), bits(&reference), "{at}");
+                    assert_eq!(stats.replayed, shots, "{at}");
+                    assert_eq!(stats.faults, shots * plan.len() as u64, "{at}");
+                    assert_eq!(stats.gate_applications, shots * gates.len() as u64, "{at}");
+                }
+            }
+        }
+    }
+
+    /// An all-`Z` shot whose faults all lie past the end, one on a qubit
+    /// that does not exist: nothing fires or is checked, yet the shot
+    /// counts as replayed with every gate applied.
+    #[test]
+    fn an_all_z_shot_past_the_end_is_replayed_and_unchanged() {
+        let end = wide_gates().len();
+        let plan: FaultPlan = [
+            Fault::new(end + 1, Qubit(3), Pauli::Z),
+            Fault::new(end + 4, Qubit(99), Pauli::Z),
+        ]
+        .into_iter()
+        .collect();
+        assert_plan_matches_slab(&plan, 5);
+    }
+
+    /// `Z·Z` on one qubit at one location cancels in the sign row.
+    #[test]
+    fn z_z_at_one_location_cancels() {
+        let plan: FaultPlan = [
+            Fault::new(2, Qubit(66), Pauli::Z),
+            Fault::new(2, Qubit(66), Pauli::Z),
+            Fault::new(4, Qubit(1), Pauli::Z),
+        ]
+        .into_iter()
+        .collect();
+        assert_plan_matches_slab(&plan, 4);
+    }
+
+    /// A `Z` at `gates.len()` taps the final row, after the last gate.
+    #[test]
+    fn a_z_fault_at_the_end_taps_the_final_row() {
+        let end = wide_gates().len();
+        // Qubit 6 is flipped by the last gate, qubit 66 set on some paths.
+        let plan: FaultPlan = [
+            Fault::new(end, Qubit(6), Pauli::Z),
+            Fault::new(end, Qubit(66), Pauli::Z),
+        ]
+        .into_iter()
+        .collect();
+        assert_plan_matches_slab(&plan, 3);
+    }
+
+    /// A 0-path input (every amplitude pruned): the passes and the sign
+    /// walk have no lane, every sample is the slab's empty overlap, and
+    /// a firing out-of-range fault still errors.
+    #[test]
+    fn a_zero_path_input_samples_the_empty_overlap() {
+        let gates = wide_gates();
+        let input = PathState::zero_vector(70);
+        let keep: Vec<Qubit> = (0..60).map(Qubit).collect();
+        for keep in [None, Some(keep.as_slice())] {
+            let reference = slab_estimate(&gates, &input, keep, 40, wide_plan);
+            for threads in [1, 3] {
+                let config = ShotConfig::new(40).with_threads(threads);
+                let est = run_shots(&gates, &input, keep, &config, &wide_plan).unwrap();
+                assert_eq!(bits(&est), bits(&reference), "threads={threads}");
+            }
+        }
+        let bad =
+            |_: u64| -> FaultPlan { [Fault::new(1, Qubit(70), Pauli::Z)].into_iter().collect() };
+        let err = run_shots(&gates, &input, None, &ShotConfig::serial(2), &bad);
+        let (index, num_qubits) = (70, 70);
+        assert_eq!(err, Err(SimError::QubitOutOfRange { index, num_qubits }));
+    }
+
+    /// More shots than a window, with every kind of plan, at two paths
+    /// per word count: several windows, passes and sign walks, each
+    /// sample the slab's.
+    #[test]
+    fn windows_passes_and_sign_walks_match_the_slab() {
+        let gates = wide_gates();
+        let shots = WINDOW_SHOTS as u64 + 70;
+        let plan = |shot: u64| -> FaultPlan {
+            let mut plan = wide_plan(shot);
+            if shot % 5 < 2 {
+                // All-Z shots, some of them past the end.
+                plan = plan
+                    .faults()
+                    .iter()
+                    .map(|f| Fault::new(f.gate_index + (shot % 2) as usize * 8, f.qubit, Pauli::Z))
+                    .collect();
+            }
+            plan
+        };
+        for paths in [64usize, 130] {
+            let input = wide_input(paths);
+            let reference = slab_estimate(&gates, &input, None, shots, plan);
+            let config = ShotConfig::new(shots as usize).with_threads(1);
+            let est = run_shots(&gates, &input, None, &config, &plan).unwrap();
+            assert_eq!(bits(&est), bits(&reference), "paths={paths}");
+        }
     }
 
     #[test]

@@ -437,16 +437,20 @@ pub(crate) mod tests {
         assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
-    /// The shot engine's lane pass of `input` under `plan`.
+    /// A lane pass of `input` under `plan`, one lane per path, read back
+    /// into a state.
     fn lane_run(
         gates: &[Gate],
         input: &PathState,
         plan: &FaultPlan,
     ) -> Result<PathState, SimError> {
+        let mut lanes = crate::Lanes::default();
+        lanes.load_paths(input);
+        lanes.add_block_faults(0, plan);
+        lanes.run(gates)?;
         let mut out = PathState::zero_vector(input.num_qubits());
-        crate::Lanes::default()
-            .run_paths(gates, input, plan, &mut out)
-            .map(|()| out)
+        lanes.block(0).store_paths(input, &mut out);
+        Ok(out)
     }
 
     /// Every path's bits and amplitude bits, in slab order.

@@ -22,16 +22,33 @@
 //! (pinned by this module's tests and by `tests/property_based.rs`).
 //!
 //! No gate splits a path, so a superposition input is a fixed set of
-//! lanes too: the shot engine runs each of its shots as one pass with
-//! one lane per input path, the shot's faults scheduled once for every
-//! lane. For the full overlap it reads the pass back into a
-//! [`PathState`]; the reduced fidelity reads the rows where they lie.
+//! lanes too: one lane per input path, `⌈paths / 64⌉` words per row.
+//! The shot engine transposes the input into such a row image once per
+//! call and walks copies of it:
+//!
+//! * A *multi-shot pass* lays several copies side by side, one *block*
+//!   of row words per shot ([`Lanes::load_blocks`]), and masks each
+//!   shot's faults to its block's word range
+//!   ([`Lanes::add_block_faults`]), next to the one-lane mask of
+//!   [`Lanes::add_faults`]; the one block of a single-shot pass is every
+//!   lane. One walk then serves every shot of the pass. A [`LaneBlock`]
+//!   reads one block in place: rows, phases, and the paths stored back
+//!   into a [`PathState`].
+//! * A *sign walk* ([`Lanes::walk_signs`]) is a fault-free walk that
+//!   taps `Z` faults instead of applying them. A `Z` flips no bit, and
+//!   every later gate's phase update reads only bits and the low phase
+//!   bit, so a shot whose faults are all `Z` ends in the fault-free
+//!   walk's bits, with `2·s` added to each lane's power of `i`, where
+//!   `s` is the parity of the lane's bits at the shot's fault locations.
+//!   At each tap the walk XORs the qubit's row, as it stands there, into
+//!   the shot's sign row, and [`Lanes::signed`] reads the result.
 
 use qram_circuit::{Control, Gate, Qubit};
 
 use crate::{Amplitude, FaultPlan, PathState, Pauli, SimError};
 
-/// One scheduled fault: of one lane, or of every lane of the pass.
+/// One scheduled fault: a Pauli on one lane, on one shot's block or on
+/// every lane of the pass.
 #[derive(Debug, Clone, Copy)]
 struct LaneFault {
     /// The fault's gate index (saturated at `u32::MAX`) in the high
@@ -39,10 +56,27 @@ struct LaneFault {
     /// schedule runs in (gate index, scheduling order), which keeps each
     /// lane's plan order at one index.
     key: u64,
-    /// The faulted lane; `None` faults every lane.
-    lane: Option<u32>,
+    /// The row words it acts on, `start..end`.
+    start: u32,
+    end: u32,
     qubit: Qubit,
+    /// Within those words, bit `lane` only, or every bit when it is
+    /// [`EVERY_LANE`].
+    lane: u8,
     pauli: Pauli,
+}
+
+/// [`LaneFault::lane`] for a fault on every lane of its words.
+const EVERY_LANE: u8 = 64;
+
+/// One tap of a sign walk ([`Lanes::walk_signs`]): before gate `index`,
+/// or after the last gate when `index` is the circuit's length, `qubit`'s
+/// row is XORed into sign row `slot`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SignTap {
+    pub(crate) index: u32,
+    pub(crate) qubit: Qubit,
+    pub(crate) slot: u32,
 }
 
 /// A bit-sliced batch of single-path trajectories of one circuit.
@@ -74,6 +108,9 @@ pub struct Lanes {
     lanes: usize,
     /// `u64` words per qubit row: `⌈lanes / 64⌉`.
     words: usize,
+    /// Words per block: one shot's share of a row in a multi-shot pass,
+    /// and the whole row in any other pass.
+    block_words: usize,
     /// Qubit-major bits: qubit `q`, lane `l` is bit `l % 64` of
     /// `bits[q · words + l / 64]`.
     bits: Vec<u64>,
@@ -97,11 +134,19 @@ impl Lanes {
     /// `|0…0⟩` with phase `i⁰` and no faults scheduled, reusing the
     /// buffers.
     pub fn reset(&mut self, num_qubits: usize, lanes: usize) {
+        self.shape(num_qubits, lanes);
+        self.bits.clear();
+        self.bits.resize(num_qubits * self.words, 0);
+    }
+
+    /// [`reset`](Lanes::reset), except that the bits are left for the
+    /// caller to overwrite: every lane at phase `i⁰`, one block, no
+    /// faults scheduled.
+    fn shape(&mut self, num_qubits: usize, lanes: usize) {
         self.num_qubits = num_qubits;
         self.lanes = lanes;
         self.words = lanes.div_ceil(64);
-        self.bits.clear();
-        self.bits.resize(num_qubits * self.words, 0);
+        self.block_words = self.words;
         self.phase_lo.clear();
         self.phase_lo.resize(self.words, 0);
         self.phase_hi.clear();
@@ -168,61 +213,47 @@ impl Lanes {
     /// Panics if `lane` is out of range.
     pub fn add_faults(&mut self, lane: usize, plan: &FaultPlan) {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        let lane = u32::try_from(lane).expect("under 2^32 lanes");
-        self.schedule(Some(lane), plan);
+        let w = word_index(lane / 64);
+        self.schedule(w, w + 1, (lane % 64) as u8, plan);
     }
 
-    /// Schedules `plan`'s faults on `lane`, or on every lane when `lane`
-    /// is `None`: one entry per fault either way.
-    fn schedule(&mut self, lane: Option<u32>, plan: &FaultPlan) {
+    /// Schedules `plan`'s faults on every lane of block `block` of a
+    /// multi-shot pass ([`Lanes::load_blocks`]): one entry per fault,
+    /// fired on the block's row words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub(crate) fn add_block_faults(&mut self, block: usize, plan: &FaultPlan) {
+        let start = block * self.block_words;
+        assert!(start < self.words.max(1), "block {block} out of range");
+        let (start, end) = (word_index(start), word_index(start + self.block_words));
+        self.schedule(start, end, EVERY_LANE, plan);
+    }
+
+    /// Schedules `plan`'s faults on bit `lane` of row words `start..end`,
+    /// or on every bit for [`EVERY_LANE`]: one entry per fault.
+    fn schedule(&mut self, start: u32, end: u32, lane: u8, plan: &FaultPlan) {
         for f in plan.faults() {
             let position = u32::try_from(self.faults.len()).expect("under 2^32 faults per run");
             let index = f.gate_index.min(u32::MAX as usize) as u64;
             self.faults.push(LaneFault {
                 key: index << 32 | u64::from(position),
-                lane,
+                start,
+                end,
                 qubit: f.qubit,
+                lane,
                 pauli: f.pauli,
             });
         }
     }
 
-    /// Runs `gates` under `plan` on every path of `input`, one lane per
-    /// path in slab order, and writes the result to `out`: the same
-    /// paths, in the same order, with the bits and amplitudes
-    /// [`crate::run_with_faults`] gives `input` under `plan`, bit for
-    /// bit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Lanes::run`]; `out` is then unspecified.
-    pub(crate) fn run_paths(
-        &mut self,
-        gates: &[Gate],
-        input: &PathState,
-        plan: &FaultPlan,
-        out: &mut PathState,
-    ) -> Result<(), SimError> {
-        self.walk_paths(gates, input, plan)?;
-        self.store_paths(input, out);
-        Ok(())
-    }
-
-    /// Runs `gates` under `plan` on every path of `input`, one lane per
-    /// path in slab order, and leaves the result in the lanes. The input
-    /// is transposed in a word at a time, visiting only the set bits of
-    /// each 64-bit word, and the shot's plan is scheduled once for the
-    /// whole pass.
-    ///
-    /// # Errors
-    ///
-    /// As [`Lanes::run`].
-    pub(crate) fn walk_paths(
-        &mut self,
-        gates: &[Gate],
-        input: &PathState,
-        plan: &FaultPlan,
-    ) -> Result<(), SimError> {
+    /// Loads `input`'s paths, one lane per path in slab order: a single
+    /// block, every lane at phase `i⁰`, no faults scheduled. The input is
+    /// transposed in a word at a time, visiting only the set bits of each
+    /// 64-bit word. The result is the row image that
+    /// [`Lanes::load_blocks`] copies.
+    pub(crate) fn load_paths(&mut self, input: &PathState) {
         let paths = input.num_paths();
         self.reset(input.num_qubits(), paths);
         let words = self.words;
@@ -237,67 +268,107 @@ impl Lanes {
                 }
             }
         }
-        // The shot's plan applies to every path: one schedule entry per
-        // fault, fired on whole words.
-        self.schedule(None, plan);
-        self.run(gates)
     }
 
-    /// Transposes a [`walk_paths`](Lanes::walk_paths) pass over `input`
-    /// back into `out`, a word at a time, each amplitude through
-    /// [`amplitude`](Lanes::amplitude).
-    pub(crate) fn store_paths(&self, input: &PathState, out: &mut PathState) {
-        let (num_qubits, paths, words) = (self.num_qubits, self.lanes, self.words);
-        let (slab, amps) = out.reset_paths(num_qubits, paths);
-        let stride = num_qubits.div_ceil(64);
-        for q in 0..num_qubits {
-            let (j, qubit_bit) = (q / 64, 1u64 << (q % 64));
-            for (w, &word) in self.bits[q * words..(q + 1) * words].iter().enumerate() {
-                // Bits past the last lane belong to no path.
-                let mut rest = word & lane_mask(paths, w);
-                while rest != 0 {
-                    let p = w * 64 + rest.trailing_zeros() as usize;
-                    slab[p * stride + j] |= qubit_bit;
-                    rest &= rest - 1;
-                }
+    /// Loads `blocks` copies of `image`'s rows side by side for a
+    /// multi-shot pass: each row of the pass holds one block of
+    /// `image`'s row words per shot, every lane at phase `i⁰`, no faults
+    /// scheduled. Image lanes past the last path stay padding in every
+    /// block.
+    pub(crate) fn load_blocks(&mut self, image: &Lanes, blocks: usize) {
+        let block_words = image.words;
+        self.shape(image.num_qubits, blocks * block_words * 64);
+        self.block_words = block_words;
+        if block_words == 0 {
+            self.bits.clear();
+            return;
+        }
+        // Every word is overwritten below.
+        self.bits.resize(self.num_qubits * self.words, 0);
+        let rows = self.bits.chunks_exact_mut(self.words);
+        for (row, src) in rows.zip(image.bits.chunks_exact(block_words)) {
+            for block in row.chunks_exact_mut(block_words) {
+                block.copy_from_slice(src);
             }
         }
-        for (p, (amp, &a)) in amps.iter_mut().zip(input.amplitudes()).enumerate() {
-            *amp = self.amplitude(p, a);
-        }
     }
 
-    /// `lane`'s amplitude for an input amplitude `a`: `a · iᵏ`, applied
-    /// with the slab's own maps (`−`, [`crate::Amplitude::mul_i`],
-    /// [`crate::Amplitude::mul_neg_i`]). Each is an exact signed
-    /// permutation of `(re, im)` and they compose as powers of `i`, so
-    /// the slab's per-gate sequence and this single map agree in every
-    /// bit, signed zeros included.
+    /// Block `block` of the pass, read in place.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range.
-    pub(crate) fn amplitude(&self, lane: usize, a: Amplitude) -> Amplitude {
-        match self.phase(lane) {
-            0 => a,
-            1 => a.mul_i(),
-            2 => -a,
-            _ => a.mul_neg_i(),
+    /// Panics if `block` is out of range.
+    pub(crate) fn block(&self, block: usize) -> LaneBlock<'_> {
+        let start = block * self.block_words;
+        assert!(start < self.words.max(1), "block {block} out of range");
+        LaneBlock {
+            lanes: self,
+            start,
+            sign: None,
         }
     }
 
-    /// The number of lanes.
-    pub(crate) fn len(&self) -> usize {
-        self.lanes
-    }
-
-    /// Every qubit's row, in qubit order.
+    /// The single block of a sign walk, with `sign`, one sign row of
+    /// [`Lanes::walk_signs`], adding 2 to the power of `i` of every lane
+    /// whose bit it sets: the lanes of the shot whose `Z` faults were
+    /// tapped into that row.
     ///
     /// # Panics
     ///
-    /// Panics if there are no lanes.
-    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.bits.chunks_exact(self.words)
+    /// Panics unless `sign` is one row long.
+    pub(crate) fn signed<'a>(&'a self, sign: &'a [u64]) -> LaneBlock<'a> {
+        assert_eq!(sign.len(), self.words, "one sign row");
+        LaneBlock {
+            lanes: self,
+            start: 0,
+            sign: Some(sign),
+        }
+    }
+
+    /// Walks `gates` once with no fault, and at each of `taps`, in gate
+    /// index order, XORs the tapped qubit's row as it stands there into
+    /// that tap's sign row of `signs`, `words` words per row (see the
+    /// module docs). Taps sharing an index may come in any order: they
+    /// change no lane.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lanes::run`]: a tap on a qubit out of range, or a bad gate,
+    /// whichever comes first in execution order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the taps are out of index order, a tap lies past
+    /// `gates.len()`, or a sign row past `signs`.
+    pub(crate) fn walk_signs(
+        &mut self,
+        gates: &[Gate],
+        taps: &[SignTap],
+        signs: &mut [u64],
+    ) -> Result<(), SimError> {
+        let (words, mut at) = (self.words, 0);
+        for tap in taps {
+            let index = tap.index as usize;
+            for gate in &gates[at..index] {
+                self.apply(gate)?;
+            }
+            at = index;
+            let q = tap.qubit.index();
+            if q >= self.num_qubits {
+                return Err(SimError::QubitOutOfRange {
+                    index: q,
+                    num_qubits: self.num_qubits,
+                });
+            }
+            let sign = &mut signs[tap.slot as usize * words..][..words];
+            for (s, &b) in sign.iter_mut().zip(&self.bits[q * words..(q + 1) * words]) {
+                *s ^= b;
+            }
+        }
+        for gate in &gates[at..] {
+            self.apply(gate)?;
+        }
+        Ok(())
     }
 
     /// Walks `gates` once over every lane, firing the scheduled faults:
@@ -363,12 +434,11 @@ impl Lanes {
                     num_qubits: self.num_qubits,
                 });
             }
-            let (range, mask) = match f.lane {
-                Some(lane) => {
-                    let w = lane as usize / 64;
-                    (w..w + 1, 1u64 << (lane % 64))
-                }
-                None => (0..self.words, !0),
+            let row = f.qubit.index() * self.words;
+            let mask = if f.lane == EVERY_LANE {
+                !0
+            } else {
+                1u64 << f.lane
             };
             // One update for all three Paulis: X flips the bit; Z adds 2
             // to the power of i where the bit is set; Y = iXZ adds 1 on
@@ -378,8 +448,7 @@ impl Lanes {
                 Pauli::Y => (mask, mask, 0),
                 Pauli::Z => (0, 0, mask),
             };
-            let row = f.qubit.index() * self.words;
-            for w in range {
+            for w in f.start as usize..f.end as usize {
                 let bit = self.bits[row + w] & (y | z);
                 self.phase_hi[w] ^= bit ^ (self.phase_lo[w] & y);
                 self.phase_lo[w] ^= y;
@@ -493,6 +562,91 @@ impl Lanes {
             self.num_qubits
         );
         (qubit.index() * self.words + lane / 64, 1u64 << (lane % 64))
+    }
+}
+
+/// A row word index as a fault target holds it.
+fn word_index(w: usize) -> u32 {
+    u32::try_from(w).expect("under 2^32 row words")
+}
+
+/// `a · iᵏ`, applied with the slab's own maps (`−`,
+/// [`Amplitude::mul_i`], [`Amplitude::mul_neg_i`]). Each is an exact
+/// signed permutation of `(re, im)` and they compose as powers of `i`, so
+/// the slab's per-gate sequence and this single map agree in every bit,
+/// signed zeros included.
+fn times_i_to(k: u8, a: Amplitude) -> Amplitude {
+    match k {
+        0 => a,
+        1 => a.mul_i(),
+        2 => -a,
+        _ => a.mul_neg_i(),
+    }
+}
+
+/// One block of a pass, read in place: words `start..start +
+/// block_words` of every row and of the phase rows, plus a sign walk's
+/// sign row when it has one.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneBlock<'a> {
+    lanes: &'a Lanes,
+    start: usize,
+    sign: Option<&'a [u64]>,
+}
+
+impl<'a> LaneBlock<'a> {
+    /// Its words per qubit row: `⌈paths / 64⌉` of the image loaded.
+    pub(crate) fn row_words(&self) -> usize {
+        self.lanes.block_words
+    }
+
+    /// `qubit`'s row within the block; bits past the last path belong to
+    /// no path.
+    pub(crate) fn row(&self, qubit: Qubit) -> &'a [u64] {
+        let at = qubit.index() * self.lanes.words + self.start;
+        &self.lanes.bits[at..at + self.lanes.block_words]
+    }
+
+    /// Every qubit's row within the block, in qubit order.
+    pub(crate) fn rows(self) -> impl Iterator<Item = &'a [u64]> {
+        (0..self.lanes.num_qubits).map(move |q| self.row(Qubit(q as u32)))
+    }
+
+    /// `lane`'s amplitude for an input amplitude `a`: `a · iᵏ`, with `k`
+    /// the lane's power of `i` plus twice its sign bit.
+    pub(crate) fn amplitude(&self, lane: usize, a: Amplitude) -> Amplitude {
+        let (w, shift) = (self.start + lane / 64, lane % 64);
+        let lo = (self.lanes.phase_lo[w] >> shift) & 1;
+        let mut hi = (self.lanes.phase_hi[w] >> shift) & 1;
+        if let Some(sign) = self.sign {
+            hi ^= (sign[lane / 64] >> shift) & 1;
+        }
+        times_i_to((lo | hi << 1) as u8, a)
+    }
+
+    /// Transposes the block, a pass over `input`, back into `out`: the
+    /// same paths, in the same order, each amplitude through
+    /// [`amplitude`](LaneBlock::amplitude). A word at a time, visiting
+    /// only the set bits of each row word.
+    pub(crate) fn store_paths(&self, input: &PathState, out: &mut PathState) {
+        let (num_qubits, paths) = (self.lanes.num_qubits, input.num_paths());
+        let (slab, amps) = out.reset_paths(num_qubits, paths);
+        let stride = num_qubits.div_ceil(64);
+        for (q, row) in self.rows().enumerate() {
+            let (j, qubit_bit) = (q / 64, 1u64 << (q % 64));
+            for (w, &word) in row.iter().enumerate() {
+                // Bits past the last lane belong to no path.
+                let mut rest = word & lane_mask(paths, w);
+                while rest != 0 {
+                    let p = w * 64 + rest.trailing_zeros() as usize;
+                    slab[p * stride + j] |= qubit_bit;
+                    rest &= rest - 1;
+                }
+            }
+        }
+        for (p, (amp, &a)) in amps.iter_mut().zip(input.amplitudes()).enumerate() {
+            *amp = self.amplitude(p, a);
+        }
     }
 }
 
@@ -648,6 +802,80 @@ mod tests {
             Err(SimError::QubitOutOfRange {
                 index: 6,
                 num_qubits: 2
+            })
+        );
+    }
+
+    /// A sign walk leaves every bit as the fault-free walk does, and its
+    /// signed blocks give every lane the phase that walking its shot's
+    /// `Z` faults gives it: taps at index 0, at the end, twice at one
+    /// location, and on a qubit another gate flips later.
+    #[test]
+    fn a_sign_walk_matches_walked_z_faults() {
+        let gates = mixed_circuit();
+        let end = gates.len();
+        let plans = [
+            plan(&[(0, 0, Pauli::Z)]),
+            plan(&[(end, 3, Pauli::Z), (4, 2, Pauli::Z), (4, 2, Pauli::Z)]),
+            plan(&[(7, 4, Pauli::Z), (1, 1, Pauli::Z), (3, 4, Pauli::Z)]),
+        ];
+        let mut image = Lanes::new(5, 32);
+        for lane in 0..32 {
+            for q in 0..5 {
+                image.set(lane, Qubit(q), lane >> q & 1 == 1);
+            }
+        }
+        let mut taps: Vec<SignTap> = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(slot, plan)| {
+                plan.faults().iter().map(move |f| SignTap {
+                    index: f.gate_index as u32,
+                    qubit: f.qubit,
+                    slot: slot as u32,
+                })
+            })
+            .collect();
+        taps.sort_by_key(|tap| tap.index);
+        let mut signs = vec![0; plans.len()];
+        let mut signed = Lanes::default();
+        signed.load_blocks(&image, 1);
+        signed.walk_signs(&gates, &taps, &mut signs).unwrap();
+        let mut ideal = Lanes::default();
+        ideal.load_blocks(&image, 1);
+        ideal.run(&gates).unwrap();
+        for q in 0..5 {
+            assert_eq!(signed.row(Qubit(q)), ideal.row(Qubit(q)), "qubit {q}");
+        }
+        for (slot, plan) in plans.iter().enumerate() {
+            let mut walked = Lanes::default();
+            walked.load_blocks(&image, 1);
+            walked.add_block_faults(0, plan);
+            walked.run(&gates).unwrap();
+            let sign = signed.signed(&signs[slot..slot + 1]);
+            for lane in 0..32 {
+                let (got, want) = (
+                    sign.amplitude(lane, Amplitude::I),
+                    walked.block(0).amplitude(lane, Amplitude::I),
+                );
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "slot {slot} lane {lane}"
+                );
+            }
+        }
+        // A tap on a qubit past the last fails like a fault there.
+        let bad = [SignTap {
+            index: 2,
+            qubit: Qubit(9),
+            slot: 0,
+        }];
+        assert_eq!(
+            signed.walk_signs(&gates, &bad, &mut signs),
+            Err(SimError::QubitOutOfRange {
+                index: 9,
+                num_qubits: 5
             })
         );
     }

@@ -3,16 +3,22 @@
 //! [`PathState::reduced_fidelity`] groups a noisy state's paths by their
 //! traced-out bits and overlaps each group with the ideal's kept-bits
 //! state: `F = Σ_z |Σ_{p : rest(p) = z} conj(ideal(kept(p))) · amp(p)|²`.
-//! A shot's lane pass holds those paths qubit-major, one lane per path,
-//! so [`LaneReduction`] computes the same sum from the [`Lanes`] rows
-//! without transposing the pass back into a [`PathState`]:
+//! A shot's block of a lane pass ([`LaneBlock`]) holds those paths
+//! qubit-major, one lane per path: its block of a multi-shot pass, or,
+//! for a shot whose faults are all `Z`, the sign walk's fault-free block
+//! with the shot's sign row. [`LaneReduction`] computes the same sum from
+//! the block's rows in place, without transposing it back into a
+//! [`PathState`]:
 //!
 //! * Word-wide masks find two kinds of lane. An *own* lane's kept bits
 //!   equal its own ideal path's, so it reuses that path's reference
 //!   amplitude with no lookup. A *clean* lane's traced-out bits equal the
 //!   ideal's constant rest, so all clean lanes share one group, which
-//!   needs no key. A shot whose faults are all `Z` flips no bit, so every
-//!   lane is both and no row is read.
+//!   needs no key. One sweep over a multi-shot pass's rows finds both
+//!   kinds, and the rows where some lane leaves the rest, for every
+//!   block of the pass at once ([`LaneReduction::sweep`]). A shot whose
+//!   faults are all `Z` flips no bit, so every lane is both and no row
+//!   is read: only the phases and the sign row.
 //! * Every other lane gets its keys from the rows, 64 rows by 64 lanes at
 //!   a time through a bit-matrix transpose, into buffers reused across
 //!   shots. A lane that is not own looks its kept key up in a hash table
@@ -34,17 +40,24 @@
 //! `amp` is the input amplitude times `iᵏ` through the slab's own maps,
 //! and the groups' `norm_sqr` values are summed with `f64`'s `Sum` in
 //! sorted key order, the clean group at its own sorted place.
+//!
+//! The [`KeptReference`] (the ideal's kept bits, rows and amplitudes)
+//! depends only on the ideal output and `keep`, so one call builds it
+//! once and its shards read it; each shard keeps its own
+//! [`LaneReduction`] scratch.
 
 use qram_circuit::Qubit;
 
-use crate::lanes::lane_mask;
+use crate::lanes::{lane_mask, LaneBlock};
 use crate::state::{extract_bits, word_get};
 use crate::{Amplitude, Lanes, PathState};
 
-/// One shard's reduction of its shots' lane passes against the ideal
-/// output: the reference, built once, and scratch reused across shots.
-pub(crate) struct LaneReduction {
-    /// Lanes per pass: the ideal's path count.
+/// The reference a reduction compares lane passes against: the ideal
+/// output's kept bits, constant rest and kept-bits amplitudes. It depends
+/// only on the ideal and `keep`, so one call builds it once and every
+/// shard reads it.
+pub(crate) struct KeptReference {
+    /// Lanes per block: the ideal's path count.
     lanes: usize,
     /// Per row word, the bits that hold a lane.
     valid: Vec<u64>,
@@ -64,32 +77,9 @@ pub(crate) struct LaneReduction {
     /// each.
     kept_table: KeyTable,
     kept_amps: Vec<Amplitude>,
-
-    // Per-shot scratch, reused across shots.
-    own: Vec<u64>,
-    clean: Vec<u64>,
-    /// Lanes that are not own but whose kept bits the reference has.
-    hit: Vec<u64>,
-    /// Contributing lanes that are not clean.
-    dirty: Vec<u64>,
-    kept_keys: Vec<u64>,
-    hit_amps: Vec<Amplitude>,
-    /// The rows some lane leaves the constant rest on; in the order the
-    /// slab's keys compare their bits once there are dirty lanes.
-    active: Vec<Qubit>,
-    /// The clean group's traced-out key over the active rows.
-    clean_key: Vec<u64>,
-    rest_keys: Vec<u64>,
-    /// The dirty lanes' distinct traced-out keys, and each group's sum.
-    groups: KeyTable,
-    group_sums: Vec<Amplitude>,
-    /// Group numbers in sorted key order.
-    group_order: Vec<u32>,
-    /// The groups' `norm_sqr` values in sorted key order.
-    norms: Vec<f64>,
 }
 
-impl LaneReduction {
+impl KeptReference {
     /// Builds the reference for passes over `ideal`'s paths, with the
     /// checks [`PathState::reduced_fidelity`] makes of its reference.
     ///
@@ -150,7 +140,7 @@ impl LaneReduction {
             rest[q] = Some(if set { !0 } else { 0 });
             rest_pos[q] = r;
         }
-        LaneReduction {
+        KeptReference {
             lanes,
             valid: (0..words).map(|w| lane_mask(lanes, w)).collect(),
             keep: keep.to_vec(),
@@ -160,72 +150,166 @@ impl LaneReduction {
             own_amps: own_keys.iter().map(|&e| kept_amps[e]).collect(),
             kept_table,
             kept_amps,
-            own: vec![0; words],
-            clean: vec![0; words],
-            hit: vec![0; words],
-            dirty: vec![0; words],
-            kept_keys: Vec::new(),
-            hit_amps: vec![Amplitude::ZERO; lanes],
-            active: Vec::new(),
-            clean_key: Vec::new(),
-            rest_keys: Vec::new(),
-            groups: KeyTable::default(),
-            group_sums: Vec::new(),
-            group_order: Vec::new(),
-            norms: Vec::new(),
+        }
+    }
+}
+
+/// One shard's scratch for reducing lane blocks against a
+/// [`KeptReference`], reused across shots.
+#[derive(Default)]
+pub(crate) struct LaneReduction {
+    /// Per block of the pass last swept, its own and clean lanes.
+    pass_own: Vec<u64>,
+    pass_clean: Vec<u64>,
+    /// Per qubit, bit `b` set when some lane of block `b` of that pass
+    /// leaves the constant rest on it.
+    row_blocks: Vec<u32>,
+
+    // The block being reduced.
+    own: Vec<u64>,
+    clean: Vec<u64>,
+    /// Lanes that are not own but whose kept bits the reference has.
+    hit: Vec<u64>,
+    /// Contributing lanes that are not clean.
+    dirty: Vec<u64>,
+    kept_keys: Vec<u64>,
+    hit_amps: Vec<Amplitude>,
+    /// The rows some lane leaves the constant rest on; in the order the
+    /// slab's keys compare their bits once there are dirty lanes.
+    active: Vec<Qubit>,
+    /// The clean group's traced-out key over the active rows.
+    clean_key: Vec<u64>,
+    rest_keys: Vec<u64>,
+    /// The dirty lanes' distinct traced-out keys, and each group's sum.
+    groups: KeyTable,
+    group_sums: Vec<Amplitude>,
+    /// Group numbers in sorted key order.
+    group_order: Vec<u32>,
+    /// The groups' `norm_sqr` values in sorted key order.
+    norms: Vec<f64>,
+}
+
+impl LaneReduction {
+    /// Sweeps every block of `lanes`, a pass of `blocks` blocks over the
+    /// ideal's input ([`Lanes::load_blocks`]), for each block's own and
+    /// clean lanes and the rows its lanes leave the constant rest on,
+    /// reading each row once for all the blocks;
+    /// [`LaneReduction::fidelity`] then reduces the blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than 32 blocks, or if a block does not hold one
+    /// lane per ideal path.
+    ///
+    /// [`Lanes::load_blocks`]: crate::Lanes::load_blocks
+    pub(crate) fn sweep(&mut self, reference: &KeptReference, lanes: &Lanes, blocks: usize) {
+        let r = reference;
+        let words = r.valid.len();
+        assert!(blocks <= 32, "{blocks} blocks in a pass");
+        assert_eq!(lanes.block(0).row_words(), words, "one lane per ideal path");
+        self.pass_own.clear();
+        self.pass_clean.clear();
+        for _ in 0..blocks {
+            self.pass_own.extend_from_slice(&r.valid);
+            self.pass_clean.extend_from_slice(&r.valid);
+        }
+        self.row_blocks.clear();
+        self.row_blocks.resize(r.rest.len(), 0);
+        if words == 0 {
+            return;
+        }
+        // Own lanes: every kept bit equals the lane's own ideal path's.
+        for (k, &q) in r.keep.iter().enumerate() {
+            let ideal = &r.ideal_kept[k * words..(k + 1) * words];
+            let own = self.pass_own.chunks_exact_mut(words);
+            for (own, row) in own.zip(lanes.row(q).chunks_exact(words)) {
+                for ((own, &b), &i) in own.iter_mut().zip(row).zip(ideal) {
+                    *own &= !(b ^ i);
+                }
+            }
+        }
+        // Clean lanes: every traced-out bit equals the constant rest.
+        for (q, (&c, off)) in r.rest.iter().zip(&mut self.row_blocks).enumerate() {
+            let Some(c) = c else { continue };
+            let row = lanes.row(Qubit(q as u32)).chunks_exact(words);
+            for (b, (clean, row)) in self.pass_clean.chunks_exact_mut(words).zip(row).enumerate() {
+                let mut any = 0;
+                for ((clean, &x), &v) in clean.iter_mut().zip(row).zip(&r.valid) {
+                    let d = (x ^ c) & v;
+                    *clean &= !d;
+                    any |= d;
+                }
+                *off |= u32::from(any != 0) << b;
+            }
         }
     }
 
-    /// The reduced fidelity of a pass over the ideal's input, whose
-    /// amplitudes are `amps`: what [`PathState::reduced_fidelity`] gives
-    /// for the pass read back into a [`PathState`], bit for bit.
+    /// The reduced fidelity of block `block` of `lanes`, the pass last
+    /// [swept](LaneReduction::sweep), whose input amplitudes are `amps`:
+    /// what [`PathState::reduced_fidelity`] gives for the block read back
+    /// into a [`PathState`], bit for bit.
+    pub(crate) fn fidelity(
+        &mut self,
+        reference: &KeptReference,
+        lanes: &Lanes,
+        block: usize,
+        amps: &[Amplitude],
+    ) -> f64 {
+        let words = reference.valid.len();
+        let at = block * words..(block + 1) * words;
+        self.own.clear();
+        self.own.extend_from_slice(&self.pass_own[at.clone()]);
+        self.clean.clear();
+        self.clean.extend_from_slice(&self.pass_clean[at]);
+        self.reduce(reference, lanes.block(block), amps, Some(block))
+    }
+
+    /// The reduced fidelity of `lanes`, a sign walk's block with one
+    /// all-`Z` shot's sign row ([`Lanes::signed`]): no fault flipped a
+    /// bit, so every lane holds its ideal path's bits, every lane is own
+    /// and clean, and no row needs a look.
     ///
-    /// `phase_only` says that no fault of the pass flipped a bit (every
-    /// fault was a `Z`), so every lane holds its ideal path's bits: every
-    /// lane is then own and clean, and no row needs a look.
+    /// [`Lanes::signed`]: crate::Lanes::signed
+    pub(crate) fn phase_fidelity(
+        &mut self,
+        reference: &KeptReference,
+        lanes: LaneBlock<'_>,
+        amps: &[Amplitude],
+    ) -> f64 {
+        self.own.clone_from(&reference.valid);
+        self.clean.clone_from(&reference.valid);
+        self.reduce(reference, lanes, amps, None)
+    }
+
+    /// Reduces `lanes` with its own and clean lanes set. Its active rows
+    /// are those of block `swept` of the pass last swept, or none.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` does not hold one lane per ideal path.
-    pub(crate) fn fidelity(&mut self, lanes: &Lanes, amps: &[Amplitude], phase_only: bool) -> f64 {
-        assert_eq!(lanes.len(), self.lanes, "one lane per ideal path");
-        let words = self.valid.len();
-        self.own.copy_from_slice(&self.valid);
-        self.clean.copy_from_slice(&self.valid);
-        self.active.clear();
-        if !phase_only && words > 0 {
-            // Own lanes: every kept bit equals the lane's own ideal
-            // path's.
-            for (k, &q) in self.keep.iter().enumerate() {
-                let ideal = &self.ideal_kept[k * words..(k + 1) * words];
-                for ((own, &b), &i) in self.own.iter_mut().zip(lanes.row(q)).zip(ideal) {
-                    *own &= !(b ^ i);
-                }
-            }
-            // Clean lanes: every traced-out bit equals the constant rest.
-            for (q, (row, &c)) in lanes.rows().zip(&self.rest).enumerate() {
-                let Some(c) = c else { continue };
-                let mut any = 0;
-                for ((clean, &b), &v) in self.clean.iter_mut().zip(row).zip(&self.valid) {
-                    let d = (b ^ c) & v;
-                    *clean &= !d;
-                    any |= d;
-                }
-                if any != 0 {
-                    self.active.push(Qubit(q as u32));
-                }
-            }
-        }
+    fn reduce(
+        &mut self,
+        reference: &KeptReference,
+        lanes: LaneBlock<'_>,
+        amps: &[Amplitude],
+        swept: Option<usize>,
+    ) -> f64 {
+        let r = reference;
+        let words = r.valid.len();
+        assert_eq!(lanes.row_words(), words, "one lane per ideal path");
+        self.hit.resize(words, 0);
+        self.dirty.resize(words, 0);
+        self.hit_amps.resize(r.lanes, Amplitude::ZERO);
 
         // The lanes that are not own look their kept bits up.
-        let ks = self.keep.len().div_ceil(64);
-        for ((hit, &own), &v) in self.hit.iter_mut().zip(&self.own).zip(&self.valid) {
+        let ks = r.keep.len().div_ceil(64);
+        for ((hit, &own), &v) in self.hit.iter_mut().zip(&self.own).zip(&r.valid) {
             *hit = v & !own;
         }
         if self.hit.iter().any(|&w| w != 0) {
-            pack_keys(lanes, &self.keep, false, &self.hit, &mut self.kept_keys);
-            let (keys, table) = (&self.kept_keys, &self.kept_table);
-            let (kept_amps, hit_amps) = (&self.kept_amps, &mut self.hit_amps);
+            pack_keys(lanes, &r.keep, false, &self.hit, &mut self.kept_keys);
+            let (keys, table) = (&self.kept_keys, &r.kept_table);
+            let (kept_amps, hit_amps) = (&r.kept_amps, &mut self.hit_amps);
             for (w, hit) in self.hit.iter_mut().enumerate() {
                 let lookups = std::mem::take(hit);
                 for_each_lane(lookups, w, |p| {
@@ -237,7 +321,7 @@ impl LaneReduction {
             }
         }
 
-        let (own, own_amps, hit_amps) = (&self.own, &self.own_amps, &self.hit_amps);
+        let (own, own_amps, hit_amps) = (&self.own, &r.own_amps, &self.hit_amps);
         let term = |p: usize| {
             let ideal = if own[p / 64] >> (p % 64) & 1 == 1 {
                 own_amps[p]
@@ -263,9 +347,16 @@ impl LaneReduction {
         self.group_sums.clear();
         self.group_order.clear();
         if self.dirty.iter().any(|&w| w != 0) {
+            // A dirty lane leaves the constant rest, so the block was
+            // swept.
+            let b = swept.expect("a block with dirty lanes was swept");
+            self.active.clear();
+            let rows = self.row_blocks.iter().enumerate();
+            let active = rows.filter(|&(_, &off)| off >> b & 1 == 1);
+            self.active.extend(active.map(|(q, _)| Qubit(q as u32)));
             // Key bit r is qubit rest_idx[r], at bit r % 64 of word
             // r / 64, and the higher bit of a word decides first.
-            let rest_pos = &self.rest_pos;
+            let rest_pos = &r.rest_pos;
             for run in self
                 .active
                 .chunk_by_mut(|a, b| rest_pos[a.index()] / 64 == rest_pos[b.index()] / 64)
@@ -276,7 +367,7 @@ impl LaneReduction {
             self.clean_key.clear();
             self.clean_key.resize(rs, 0);
             for (t, q) in self.active.iter().enumerate() {
-                let c = self.rest[q.index()].unwrap_or(0);
+                let c = r.rest[q.index()].unwrap_or(0);
                 self.clean_key[t / 64] |= c & 1 << (63 - t % 64);
             }
             pack_keys(lanes, &self.active, true, &self.dirty, &mut self.rest_keys);
@@ -407,7 +498,7 @@ fn for_each_lane(word: u64, w: usize, mut f: impl FnMut(usize)) {
 /// `wanted` has a lane are packed; the keys of the other lanes are
 /// unspecified. The rows go 64 at a time through a bit-matrix transpose.
 fn pack_keys(
-    lanes: &Lanes,
+    lanes: LaneBlock<'_>,
     qubits: &[Qubit],
     msb_first: bool,
     wanted: &[u64],
@@ -452,7 +543,7 @@ fn transpose64(m: &mut [u64; 64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fault, FaultPlan, Pauli};
+    use crate::{Fault, FaultPlan, Lanes, Pauli};
     use qram_circuit::Gate;
 
     fn qubits(range: std::ops::Range<u32>) -> Vec<Qubit> {
@@ -473,7 +564,9 @@ mod tests {
     /// A pass of `gates` under `plan` over `input`, left in the lanes.
     fn pass(gates: &[Gate], input: &PathState, plan: &FaultPlan) -> Lanes {
         let mut lanes = Lanes::default();
-        lanes.walk_paths(gates, input, plan).unwrap();
+        lanes.load_paths(input);
+        lanes.add_block_faults(0, plan);
+        lanes.run(gates).unwrap();
         lanes
     }
 
@@ -482,17 +575,20 @@ mod tests {
     /// give the same bits. Returns the sample.
     fn reduce_both(ideal: &PathState, keep: &[Qubit], input: &PathState, lanes: &Lanes) -> f64 {
         let mut out = PathState::zero_vector(input.num_qubits());
-        lanes.store_paths(input, &mut out);
+        lanes.block(0).store_paths(input, &mut out);
         let slab = ideal.reduced_fidelity(&out, keep);
-        let mut reduction = LaneReduction::new(ideal, keep);
-        let got = reduction.fidelity(lanes, input.amplitudes(), false);
+        let reference = KeptReference::new(ideal, keep);
+        let mut reduction = LaneReduction::default();
+        reduction.sweep(&reference, lanes, 1);
+        let got = reduction.fidelity(&reference, lanes, 0, input.amplitudes());
         assert_eq!(
             got.to_bits(),
             slab.to_bits(),
             "lanes {got:e}, slab {slab:e}"
         );
         // A second shot through the same scratch gives the same bits.
-        let again = reduction.fidelity(lanes, input.amplitudes(), false);
+        reduction.sweep(&reference, lanes, 1);
+        let again = reduction.fidelity(&reference, lanes, 0, input.amplitudes());
         assert_eq!(again.to_bits(), slab.to_bits(), "reused scratch");
         got
     }
@@ -647,6 +743,60 @@ mod tests {
         }
     }
 
+    /// A pass of several blocks, swept once, reduces each block as a pass
+    /// of that block's shot alone: each block's own and clean lanes and
+    /// active rows are its own, padding lanes included.
+    #[test]
+    fn each_block_of_a_swept_pass_reduces_as_its_own_pass() {
+        let gates = [
+            Gate::x(Qubit(10)),
+            Gate::cx(Qubit(0), Qubit(11)),
+            Gate::x(Qubit(2)),
+            Gate::cx(Qubit(0), Qubit(11)),
+        ];
+        let keep = qubits(0..9);
+        let plans: Vec<FaultPlan> = [
+            vec![Fault::new(1, Qubit(10), Pauli::X)],
+            vec![],
+            vec![
+                Fault::new(2, Qubit(0), Pauli::Y),
+                Fault::new(4, Qubit(3), Pauli::X),
+            ],
+            vec![
+                Fault::new(0, Qubit(8), Pauli::X),
+                Fault::new(3, Qubit(11), Pauli::X),
+                Fault::new(4, Qubit(12), Pauli::Z),
+            ],
+        ]
+        .into_iter()
+        .map(FaultPlan::from_iter)
+        .collect();
+        for paths in [65usize, 130] {
+            let parts: Vec<(f64, f64)> = (0..paths)
+                .map(|v| (0.1 + v as f64 * 0.013, if v % 3 == 0 { -0.0 } else { 0.07 }))
+                .collect();
+            let input = state(13, 9, &[12], &amps(&parts));
+            let mut ideal = input.clone();
+            crate::run(&gates, &mut ideal).unwrap();
+            let reference = KeptReference::new(&ideal, &keep);
+            let mut image = Lanes::default();
+            image.load_paths(&input);
+            let mut lanes = Lanes::default();
+            lanes.load_blocks(&image, plans.len());
+            for (block, plan) in plans.iter().enumerate() {
+                lanes.add_block_faults(block, plan);
+            }
+            lanes.run(&gates).unwrap();
+            let mut reduction = LaneReduction::default();
+            reduction.sweep(&reference, &lanes, plans.len());
+            for (block, plan) in plans.iter().enumerate() {
+                let want = reduce_both(&ideal, &keep, &input, &pass(&gates, &input, plan));
+                let got = reduction.fidelity(&reference, &lanes, block, input.amplitudes());
+                assert_eq!(got.to_bits(), want.to_bits(), "paths={paths} block={block}");
+            }
+        }
+    }
+
     #[test]
     fn signed_zero_amplitudes_match_the_slab() {
         // Signed zeros in the input, and Y and Z phases that move them
@@ -692,7 +842,11 @@ mod tests {
         .collect();
         let lanes = pass(&[], &input, &plan);
         let full = reduce_both(&input, &keep, &input, &lanes);
-        let short = LaneReduction::new(&input, &keep).fidelity(&lanes, input.amplitudes(), true);
+        let short = LaneReduction::default().phase_fidelity(
+            &KeptReference::new(&input, &keep),
+            lanes.block(0),
+            input.amplitudes(),
+        );
         assert_eq!(short.to_bits(), full.to_bits());
     }
 }

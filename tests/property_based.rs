@@ -588,6 +588,31 @@ mod shot_engine_equivalence {
             .prop_map(|plans| plans.into_iter().map(FaultPlan::from_iter).collect())
     }
 
+    /// One plan per shot (1–40 shots), weighted 3:2:2 to all-`Z`, mixed
+    /// and `X`-only plans of 0–3 faults, at indices `0..=len + 1`. One
+    /// fault in 128 sits on qubit `n`, `n + 1` or `n + 2`: where it fires
+    /// it errors, and at `len + 1` it never fires.
+    fn arb_weighted_plans(n: usize, len: usize) -> impl Strategy<Value = Vec<FaultPlan>> {
+        let n = n as u32;
+        let fault = (0..len + 2, 0..n, 0usize..3, 0u32..128);
+        let plan =
+            (0usize..7, prop::collection::vec(fault, 0..4)).prop_map(move |(kind, faults)| {
+                faults
+                    .into_iter()
+                    .map(|(i, q, p, bad)| {
+                        let pauli = match kind {
+                            0..=2 => Pauli::Z,
+                            3 | 4 => PAULIS[p],
+                            _ => Pauli::X,
+                        };
+                        let q = if bad == 0 { n + q % 3 } else { q };
+                        Fault::new(i, Qubit(q), pauli)
+                    })
+                    .collect::<FaultPlan>()
+            });
+        prop::collection::vec(plan, 1..41)
+    }
+
     /// The slab reference loop, with the shot engine's counters and its
     /// rule that a shot with an empty plan samples 1.
     fn slab_loop(
@@ -783,6 +808,39 @@ mod shot_engine_equivalence {
                     })
                     .collect();
                 assert_engine_matches_slab(circuit.gates(), &input, Some(&keep), &plans);
+            }
+        }
+
+        /// Shot sets weighted to all-`Z` shots, which share one sign walk
+        /// per shard, and mixed and `X`-only shots, which share
+        /// multi-shot passes, a partial last one included; 40 shots over
+        /// 3 threads give each shard several passes. Faults on qubits
+        /// past the last error where they fire. Both overlaps, on the
+        /// mirror circuit's 1- to 130-path input and on a 0-path input
+        /// (every amplitude pruned).
+        #[test]
+        fn engine_matches_the_slab_loop_on_weighted_shot_sets(
+            circuit in arb_circuit(70, 30),
+            case in arb_kept_state(),
+            plans in arb_weighted_plans(70, 60),
+        ) {
+            let (keep, input) = case;
+            let mut gates = circuit.gates().to_vec();
+            gates.extend_from_slice(circuit.inverted().gates());
+            // Re-aim the indices at this circuit's length.
+            let span = gates.len() + 2;
+            let plans: Vec<FaultPlan> = plans
+                .iter()
+                .map(|p| {
+                    p.faults()
+                        .iter()
+                        .map(|f| Fault::new(f.gate_index * span / 62, f.qubit, f.pauli))
+                        .collect()
+                })
+                .collect();
+            for input in [input, PathState::zero_vector(70)] {
+                assert_engine_matches_slab(&gates, &input, None, &plans);
+                assert_engine_matches_slab(&gates, &input, Some(&keep), &plans);
             }
         }
 
