@@ -1,13 +1,17 @@
-//! Criterion benches: circuit generation and 2D embedding throughput.
+//! Criterion benches: circuit generation, pricing, structural verify and
+//! 2D embedding throughput.
 //!
 //! Resource-estimation workflows (Tables 1-2) regenerate circuits many
-//! times; these benches track the cost of compiling each architecture and
-//! of building/validating H-tree embeddings.
+//! times, and the serving stack builds, prices and verifies a circuit on
+//! every cache miss; these benches track the cost of compiling each
+//! architecture, of pricing and verifying one, and of building/validating
+//! H-tree embeddings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
-use qram_core::{BucketBrigadeQram, QueryArchitecture, SelectSwapQram, Sqc, VirtualQram};
+use qram_core::{ArchSpec, BucketBrigadeQram, QueryArchitecture, SelectSwapQram, Sqc, VirtualQram};
 use qram_layout::HTreeEmbedding;
+use qram_verify::{verify_query, VerifyLevel};
 
 fn bench_circuit_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("circuit_generation");
@@ -25,12 +29,19 @@ fn bench_circuit_generation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two stages a cache miss pays after the build: pricing and the
+/// structural verify.
 fn bench_resource_counting(c: &mut Criterion) {
     let (k, m) = (2usize, 6usize);
     let memory = experiment_memory(k + m, 6);
     let query = VirtualQram::new(k, m).build(&memory);
     c.bench_function("resource_count_virtual_k2_m6", |b| {
         b.iter(|| query.resources().t_count)
+    });
+    let family = ArchSpec::virtual_all(k, m).family();
+    let claimed = query.resources();
+    c.bench_function("verify_structural_virtual_k2_m6", |b| {
+        b.iter(|| verify_query(family, &query, &claimed, VerifyLevel::Structural).is_ok())
     });
 }
 

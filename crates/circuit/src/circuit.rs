@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::resources::ResourceCount;
 use crate::schedule::Schedule;
 use crate::{CircuitError, Gate, Qubit};
 
@@ -140,14 +141,20 @@ impl Circuit {
         census
     }
 
-    /// Summary statistics (gate count, depth, census, ...).
+    /// Summary statistics (gate count, depth, census, ...), from one
+    /// layering walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate names a qubit outside the circuit.
     pub fn stats(&self) -> CircuitStats {
+        let counted = ResourceCount::of(self);
         CircuitStats {
             num_qubits: self.num_qubits,
-            num_gates: self.len(),
-            depth: self.schedule().depth(),
-            census: self
-                .gate_census()
+            num_gates: counted.num_gates,
+            depth: counted.depth,
+            census: counted
+                .census
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),

@@ -277,6 +277,33 @@ impl Gate {
         matches!(self, Gate::Barrier)
     }
 
+    /// The mnemonic of each gate kind, indexed by [`Gate::kind`]: the one
+    /// kind table behind fixed-array gate censuses and gate-set bitmasks.
+    /// [`Gate::name`] spells the same mnemonics out on its own, so the
+    /// resource certifier, which counts by name, does not share it.
+    pub const KIND_NAMES: [&'static str; 13] = [
+        "x", "y", "z", "h", "cx", "ccx", "mcx", "swap", "cswap", "clx", "clcx", "clswap", "barrier",
+    ];
+
+    /// The gate's kind: its variant as an index into [`Gate::KIND_NAMES`].
+    pub fn kind(&self) -> usize {
+        match self {
+            Gate::X(_) => 0,
+            Gate::Y(_) => 1,
+            Gate::Z(_) => 2,
+            Gate::H(_) => 3,
+            Gate::Cx { .. } => 4,
+            Gate::Ccx { .. } => 5,
+            Gate::Mcx { .. } => 6,
+            Gate::Swap(..) => 7,
+            Gate::Cswap { .. } => 8,
+            Gate::ClX(_) => 9,
+            Gate::ClCx { .. } => 10,
+            Gate::ClSwap(..) => 11,
+            Gate::Barrier => 12,
+        }
+    }
+
     /// Short mnemonic used in debug dumps and gate censuses.
     pub fn name(&self) -> &'static str {
         match self {
@@ -396,6 +423,34 @@ mod tests {
         assert!(Gate::Barrier.qubits().is_empty());
         assert!(Gate::Barrier.is_barrier());
         assert_eq!(Gate::Barrier.arity(), 0);
+    }
+
+    /// One gate of every variant, in kind order, with its mnemonic: the
+    /// kind table must agree with `Gate::name` slot by slot.
+    #[test]
+    fn kind_table_pins_every_mnemonic() {
+        let (a, b, c) = (Qubit(0), Qubit(1), Qubit(2));
+        let every = [
+            (Gate::x(a), "x"),
+            (Gate::y(a), "y"),
+            (Gate::z(a), "z"),
+            (Gate::H(a), "h"),
+            (Gate::cx(a, b), "cx"),
+            (Gate::ccx(a, b, c), "ccx"),
+            (Gate::mcx([a, b], c), "mcx"),
+            (Gate::swap(a, b), "swap"),
+            (Gate::cswap(a, b, c), "cswap"),
+            (Gate::ClX(a), "clx"),
+            (Gate::clcx(a, b), "clcx"),
+            (Gate::ClSwap(a, b), "clswap"),
+            (Gate::Barrier, "barrier"),
+        ];
+        assert_eq!(every.len(), Gate::KIND_NAMES.len());
+        for (kind, (gate, name)) in every.iter().enumerate() {
+            assert_eq!(gate.kind(), kind, "{gate}");
+            assert_eq!(gate.name(), *name, "{gate}");
+            assert_eq!(Gate::KIND_NAMES[kind], *name, "{gate}");
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`schedule::Schedule`] — greedy as-soon-as-possible layering used for
 //!   depth accounting; barriers model *unpipelined* schedules so the
 //!   paper's pipelining optimization (Sec. 3.2.3) can be toggled.
+//!   [`schedule::layer_gates`] is the one ASAP walk behind it, the
+//!   resource count and the fault sampler's qubit-per-step trials.
 //! * [`resources::ResourceCount`] — gate census and Clifford+T cost model
 //!   (T-count, T-depth, Clifford depth) via standard decompositions.
 //! * [`decompose`] — lowering of multi-controlled gates to Clifford+T.

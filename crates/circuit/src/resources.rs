@@ -14,13 +14,15 @@
 //!   gates) is Clifford with zero T cost.
 //!
 //! Depth-like quantities are computed as *weighted critical paths* over the
-//! qubit-conflict DAG (the same recurrence as ASAP scheduling, with each
-//! gate contributing its decomposition depth instead of 1). The
-//! [`crate::decompose`] module provides an exact lowering that tests use to
-//! validate these closed-form weights.
+//! qubit-conflict DAG, in the same walk that ASAP-schedules the circuit
+//! ([`crate::schedule::layer_gates`]): each gate contributes its
+//! decomposition depth instead of 1. The [`crate::decompose`] module
+//! provides an exact lowering that tests use to validate these
+//! closed-form weights.
 
 use std::collections::BTreeMap;
 
+use crate::schedule::layer_gates;
 use crate::{Circuit, Gate};
 
 /// Fault-tolerant price of a single gate.
@@ -140,98 +142,15 @@ pub struct ResourceCount {
 
 impl ResourceCount {
     /// Prices `circuit` (see module docs for the cost model).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`layer_gates`] returns an error or panics: a gate
+    /// naming a qubit outside the circuit, or a circuit too deep for its
+    /// 32-bit ready times.
     pub fn of(circuit: &Circuit) -> ResourceCount {
-        let n = circuit.num_qubits();
-        // Weighted critical paths, one per metric, sharing a single pass.
-        let mut busy_unit = vec![0usize; n];
-        let mut busy_t = vec![0usize; n];
-        let mut busy_cliff = vec![0usize; n];
-        let mut busy_full = vec![0usize; n];
-        let (mut floor_unit, mut floor_t, mut floor_cliff, mut floor_full) = (0, 0, 0, 0);
-
-        let mut t_count = 0usize;
-        let mut classically_controlled = 0usize;
-        let mut mcx_ancillas = 0usize;
-        let mut census: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let mut num_gates = 0usize;
-
-        let path = |busy: &mut [usize], floor: usize, qs: &[crate::Qubit], w: usize| -> usize {
-            let start = qs
-                .iter()
-                .map(|q| busy[q.index()])
-                .max()
-                .unwrap_or(floor)
-                .max(floor);
-            let end = start + w;
-            for q in qs {
-                busy[q.index()] = end;
-            }
-            end
-        };
-
-        for gate in circuit.gates() {
-            if gate.is_barrier() {
-                floor_unit = busy_unit
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(floor_unit)
-                    .max(floor_unit);
-                floor_t = busy_t.iter().copied().max().unwrap_or(floor_t).max(floor_t);
-                floor_cliff = busy_cliff
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(floor_cliff)
-                    .max(floor_cliff);
-                floor_full = busy_full
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(floor_full)
-                    .max(floor_full);
-                continue;
-            }
-            let cost = cost_of(gate);
-            let qs = gate.qubits();
-            num_gates += 1;
-            t_count += cost.t_count;
-            if gate.is_classically_controlled() {
-                classically_controlled += 1;
-            }
-            mcx_ancillas = mcx_ancillas.max(cost.ancillas);
-            *census.entry(gate.name()).or_insert(0) += 1;
-
-            path(&mut busy_unit, floor_unit, &qs, 1);
-            path(&mut busy_t, floor_t, &qs, cost.t_depth);
-            path(&mut busy_cliff, floor_cliff, &qs, cost.clifford_depth);
-            path(&mut busy_full, floor_full, &qs, cost.full_depth);
-        }
-
-        ResourceCount {
-            num_qubits: n,
-            num_gates,
-            depth: busy_unit
-                .into_iter()
-                .max()
-                .unwrap_or(floor_unit)
-                .max(floor_unit),
-            t_count,
-            t_depth: busy_t.into_iter().max().unwrap_or(floor_t).max(floor_t),
-            clifford_depth: busy_cliff
-                .into_iter()
-                .max()
-                .unwrap_or(floor_cliff)
-                .max(floor_cliff),
-            lowered_depth: busy_full
-                .into_iter()
-                .max()
-                .unwrap_or(floor_full)
-                .max(floor_full),
-            classically_controlled,
-            mcx_ancillas,
-            census,
-        }
+        layer_gates(circuit.num_qubits(), circuit.gates(), |_, _, _| {})
+            .unwrap_or_else(|e| panic!("cannot price an invalid circuit: {e}"))
     }
 }
 

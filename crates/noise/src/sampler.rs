@@ -1,6 +1,7 @@
 //! Monte-Carlo fault sampling: noise model × circuit → per-shot fault
 //! plans.
 
+use qram_circuit::schedule::layer_gates;
 use qram_circuit::{Circuit, Qubit};
 use qram_sim::{Fault, FaultPlan};
 use rand::rngs::StdRng;
@@ -218,38 +219,37 @@ fn per_gate_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
 /// `l` is placed after the last gate on `q` scheduled at a layer ≤ `l`
 /// (before the first gate if none) — Pauli errors commute freely across
 /// idle wire segments, so this placement is trajectory-exact.
+///
+/// # Panics
+///
+/// Panics if a gate names a qubit outside the circuit.
 fn qubit_per_step_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
-    let num_qubits = circuit.num_qubits();
-    // Re-run the ASAP recurrence to learn each gate's layer.
-    let mut busy = vec![0usize; num_qubits];
-    let mut floor = 0usize;
-    let mut depth = 0usize;
-    // events[q] = [(layer, flat index after the gate)], ascending in layer.
-    let mut events: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_qubits];
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        if gate.is_barrier() {
-            floor = depth;
-            continue;
-        }
-        let mut layer = floor;
-        gate.for_each_qubit(|q| layer = layer.max(busy[q.index()]));
-        gate.for_each_qubit(|q| {
-            busy[q.index()] = layer + 1;
-            events[q.index()].push((layer, i + 1));
-        });
-        depth = depth.max(layer + 1);
+    let gates = circuit.gates();
+    let mut gate_layers = Vec::with_capacity(gates.len());
+    let depth = layer_gates(circuit.num_qubits(), gates, |i, _, layer| {
+        gate_layers.push((i, layer));
+    })
+    .unwrap_or_else(|e| panic!("cannot sample an invalid circuit: {e}"))
+    .depth;
+    if depth == 0 {
+        return Vec::new();
     }
-
-    let mut locations = Vec::with_capacity(num_qubits * depth);
-    for (q, evs) in events.iter().enumerate() {
-        let mut cursor = 0usize; // next event to pass
-        let mut placement = 0usize; // before the first gate
-        for layer in 0..depth {
-            while cursor < evs.len() && evs[cursor].0 <= layer {
-                placement = evs[cursor].1;
-                cursor += 1;
+    // Trial q·depth + l is placed after the gate on q at layer l (a
+    // qubit's gates sit at distinct layers); a layer without one keeps
+    // the placement of the layer before it, and 0 is before every gate.
+    let mut locations: Vec<(usize, Qubit)> = (0..circuit.num_qubits() as u32)
+        .flat_map(|q| std::iter::repeat_n((0, Qubit(q)), depth))
+        .collect();
+    for (i, layer) in gate_layers {
+        gates[i].for_each_qubit(|q| locations[q.index() * depth + layer].0 = i + 1);
+    }
+    for row in locations.chunks_exact_mut(depth) {
+        let mut placement = 0;
+        for (at, _) in row {
+            if *at != 0 {
+                placement = *at;
             }
-            locations.push((placement, Qubit(q as u32)));
+            *at = placement;
         }
     }
     locations

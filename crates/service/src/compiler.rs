@@ -16,6 +16,11 @@
 //! 3. **estimate** — the [`CostModel`] converts those resources into
 //!    the virtual-time [`CostEstimate`] the scheduler charges.
 //!
+//! [`Compiler::try_compile`], the serving path, runs the structural
+//! verifier between stages 1 and 2: pricing walks the gate list by
+//! qubit index, so only a circuit whose gates name its own qubits is
+//! priced.
+//!
 //! The output is a [`CompiledQuery`] — the artifact the circuit cache
 //! stores and batches execute against. Because the cost estimate is
 //! derived from the *measured resources of the compiled circuit*,
@@ -27,7 +32,7 @@
 
 use qram_circuit::resources::ResourceCount;
 use qram_core::{Memory, QueryCircuit};
-use qram_verify::{verify_query, VerifyError, VerifyLevel};
+use qram_verify::{verify_query, verify_structure, VerifyError, VerifyLevel};
 
 use crate::{CostModel, QuerySpec, Ticks};
 
@@ -92,21 +97,14 @@ impl Compiler {
     /// Panics if `spec`'s address width disagrees with the memory's
     /// (the architecture constructors and builders validate).
     pub fn compile(&self, spec: QuerySpec, memory: &Memory) -> CompiledQuery {
-        let arch = spec.arch.instantiate();
-        let circuit = arch.build(memory);
-        let resources = circuit.resources();
-        let cost = self.estimate(&resources);
-        CompiledQuery {
-            spec,
-            circuit,
-            resources,
-            cost,
-        }
+        self.price(spec, spec.arch.instantiate().build(memory))
     }
 
-    /// Runs the full pipeline for `spec` over `memory`, then verifies
-    /// the artifact with the `qram-verify` circuit analyzer at `level`
-    /// before releasing it. The serving path compiles through this, so
+    /// Runs the full pipeline for `spec` over `memory` under the
+    /// `qram-verify` circuit analyzer at `level`. The structural checks
+    /// run on the built circuit before it is priced, so a malformed
+    /// circuit comes back as their findings; the deep passes then check
+    /// the priced artifact. The serving path compiles through this, so
     /// a circuit that fails static verification never reaches the
     /// [`crate::CircuitCache`] or a worker.
     ///
@@ -120,14 +118,38 @@ impl Compiler {
         memory: &Memory,
         level: VerifyLevel,
     ) -> Result<CompiledQuery, VerifyError> {
-        let compiled = self.compile(spec, memory);
-        verify_query(
-            spec.arch.family(),
-            &compiled.circuit,
-            &compiled.resources,
-            level,
-        )?;
+        let circuit = spec.arch.instantiate().build(memory);
+        self.checked_price(spec, circuit, level)
+    }
+
+    /// Stages 2–3 of [`try_compile`](Compiler::try_compile) on a built
+    /// `circuit`: structural checks, pricing, then the deep passes if
+    /// `level` asks for them.
+    fn checked_price(
+        &self,
+        spec: QuerySpec,
+        circuit: QueryCircuit,
+        level: VerifyLevel,
+    ) -> Result<CompiledQuery, VerifyError> {
+        let family = spec.arch.family();
+        verify_structure(family, circuit.circuit())?;
+        let compiled = self.price(spec, circuit);
+        if level == VerifyLevel::Deep {
+            verify_query(family, &compiled.circuit, &compiled.resources, level)?;
+        }
         Ok(compiled)
+    }
+
+    /// Stages 2–3: measures `circuit` and estimates its cost.
+    fn price(&self, spec: QuerySpec, circuit: QueryCircuit) -> CompiledQuery {
+        let resources = circuit.resources();
+        let cost = self.estimate(&resources);
+        CompiledQuery {
+            spec,
+            circuit,
+            resources,
+            cost,
+        }
     }
 
     /// Stage 3 alone: prices a measured [`ResourceCount`] (exposed so
@@ -152,8 +174,62 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qram_circuit::{Circuit, Gate, Qubit, QubitAllocator};
+    use qram_verify::Finding;
+
     fn memory() -> Memory {
         Memory::from_bits((0..8).map(|i| i % 3 == 0))
+    }
+
+    /// A 2-qubit query circuit (one address qubit and the bus) holding
+    /// `gate`; `Circuit::push` checks the gate only in debug builds.
+    fn two_qubit_query(gate: Gate) -> QueryCircuit {
+        let mut alloc = QubitAllocator::new();
+        let address = alloc.register("address", 1);
+        let bus = alloc.register("bus", 1);
+        let mut circuit = Circuit::new(2);
+        circuit.push(gate);
+        QueryCircuit::new(circuit, address, bus, alloc)
+    }
+
+    #[test]
+    fn structural_findings_come_back_before_pricing() {
+        let compiler = Compiler::new(CostModel::default(), 1);
+        let spec = QuerySpec::of(qram_core::ArchSpec::Sqc { n: 1 });
+        let query = two_qubit_query(Gate::cx(Qubit(0), Qubit(1)));
+        for level in [VerifyLevel::Structural, VerifyLevel::Deep] {
+            let err = compiler
+                .checked_price(spec, query.clone(), level)
+                .unwrap_err();
+            assert!(
+                matches!(err.findings[..], [Finding::IllegalGate { .. }]),
+                "{err}"
+            );
+        }
+    }
+
+    /// Release builds let a malformed gate into a circuit; the compiler
+    /// must return the verifier's finding rather than panic in pricing.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn an_out_of_range_gate_is_a_finding_not_a_pricing_panic() {
+        let compiler = Compiler::new(CostModel::default(), 1);
+        let spec = QuerySpec::of(qram_core::ArchSpec::Fanout { m: 1 });
+        let query = two_qubit_query(Gate::cx(Qubit(0), Qubit(5)));
+        let err = compiler
+            .checked_price(spec, query, VerifyLevel::Structural)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err.findings[..],
+                [Finding::QubitOutOfRange {
+                    qubit: 5,
+                    num_qubits: 2,
+                    ..
+                }]
+            ),
+            "{err}"
+        );
     }
 
     #[test]

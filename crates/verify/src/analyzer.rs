@@ -6,12 +6,16 @@
 //! * [`check_gates`] — per-gate well-formedness (index bounds, operand
 //!   overlap) at the raw gate-slice level. [`qram_circuit::Circuit`]
 //!   validates pushes with `debug_assert!` only, so a malformed gate can
-//!   reach a release-build artifact; this pass is the release-mode gate.
+//!   reach a release-build artifact; this pass is the release-mode gate,
+//!   and it must pass before a circuit is priced or scheduled. It
+//!   allocates nothing per gate, and renders a gate only when it has a
+//!   finding.
 //! * [`check_gate_set`] — family legality: every generator emits a fixed
 //!   gate vocabulary (the SQC QROM is nothing but MCX units, the fanout
 //!   tree never routes with plain SWAPs, …), so a gate outside the
 //!   family's set means the artifact was not produced by its claimed
-//!   generator.
+//!   generator. The vocabulary becomes a bitmask over [`Gate::kind`]
+//!   once per call.
 //! * [`check_ancillas`] — the ancilla-hygiene invariant of the
 //!   bucket-brigade line of work: every non-output qubit must leave the
 //!   circuit exactly as it entered. Statically, writes to an ancilla
@@ -28,8 +32,9 @@
 //!   walk) and diffs it field by field against what the compiler claims.
 //!
 //! [`verify_query`] combines them at two [`VerifyLevel`]s: `Structural`
-//! (bounds + overlap + gate set — cheap, always on in the serving path)
-//! and `Deep` (adds ancilla lifecycle and resource certification).
+//! (bounds + overlap + gate set — cheap, always on in the serving path;
+//! [`verify_structure`] alone) and `Deep` (adds ancilla lifecycle and
+//! resource certification).
 
 use std::collections::BTreeMap;
 
@@ -194,6 +199,17 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+impl VerifyError {
+    /// `Ok` when `findings` is empty, else the error carrying them.
+    fn check(findings: Vec<Finding>) -> Result<(), VerifyError> {
+        if findings.is_empty() {
+            Ok(())
+        } else {
+            Err(VerifyError { findings })
+        }
+    }
+}
+
 /// Bounds and overlap checks over a raw gate slice.
 ///
 /// Operates below [`Circuit`] on purpose: `Circuit::push` only
@@ -209,29 +225,48 @@ impl std::error::Error for VerifyError {}
 /// ```
 pub fn check_gates(num_qubits: usize, gates: &[Gate]) -> Vec<Finding> {
     let mut findings = Vec::new();
+    // seen[q] = 1 + the index of the last gate naming q: one table for
+    // every gate, and a qubit a gate repeats already holds its stamp.
+    let mut seen = vec![0usize; num_qubits];
     for (gate_index, gate) in gates.iter().enumerate() {
-        let qs = gate.qubits();
-        for q in &qs {
-            if q.index() >= num_qubits {
-                findings.push(Finding::QubitOutOfRange {
-                    gate_index,
-                    gate: gate.to_string(),
-                    qubit: q.0,
-                    num_qubits,
-                });
-            }
-        }
-        for (i, a) in qs.iter().enumerate() {
-            if qs[..i].contains(a) {
-                findings.push(Finding::OverlappingOperands {
-                    gate_index,
-                    gate: gate.to_string(),
-                    qubit: a.0,
-                });
-            }
+        let stamp = gate_index + 1;
+        let mut clean = true;
+        gate.for_each_qubit(|q| match seen.get_mut(q.index()) {
+            Some(s) if *s != stamp => *s = stamp,
+            _ => clean = false,
+        });
+        if !clean {
+            gate_findings(num_qubits, gate_index, gate, &mut findings);
         }
     }
     findings
+}
+
+/// Every bounds and overlap finding of one gate that has one: each
+/// out-of-range operand, then each operand repeating an earlier one, in
+/// operand order.
+fn gate_findings(num_qubits: usize, gate_index: usize, gate: &Gate, findings: &mut Vec<Finding>) {
+    let qs = gate.qubits();
+    let rendered = gate.to_string();
+    for q in &qs {
+        if q.index() >= num_qubits {
+            findings.push(Finding::QubitOutOfRange {
+                gate_index,
+                gate: rendered.clone(),
+                qubit: q.0,
+                num_qubits,
+            });
+        }
+    }
+    for (i, a) in qs.iter().enumerate() {
+        if qs[..i].contains(a) {
+            findings.push(Finding::OverlappingOperands {
+                gate_index,
+                gate: rendered.clone(),
+                qubit: a.0,
+            });
+        }
+    }
 }
 
 /// The legal gate vocabulary of an architecture family, by mnemonic
@@ -255,16 +290,27 @@ pub fn allowed_gates(family: &str) -> Option<&'static [&'static str]> {
     }
 }
 
+/// Bitmask over [`Gate::kind`] of the gate mnemonics `names`, with the
+/// barrier's bit always set.
+fn kind_mask(names: &[&str]) -> u32 {
+    Gate::KIND_NAMES
+        .iter()
+        .enumerate()
+        .filter(|&(kind, name)| kind == Gate::Barrier.kind() || names.contains(name))
+        .fold(0, |mask, (kind, _)| mask | 1 << kind)
+}
+
 /// Flags every gate outside `family`'s vocabulary (see
 /// [`allowed_gates`]). Unknown families produce no findings.
 pub fn check_gate_set(family: &str, gates: &[Gate]) -> Vec<Finding> {
     let Some(allowed) = allowed_gates(family) else {
         return Vec::new();
     };
+    let legal = kind_mask(allowed);
     gates
         .iter()
         .enumerate()
-        .filter(|(_, gate)| !gate.is_barrier() && !allowed.contains(&gate.name()))
+        .filter(|(_, gate)| legal >> gate.kind() & 1 == 0)
         .map(|(gate_index, gate)| Finding::IllegalGate {
             gate_index,
             gate: gate.to_string(),
@@ -458,8 +504,10 @@ fn weights_of(gate: &Gate) -> Weights {
 }
 
 /// Weighted ASAP critical path with barrier floors — the certifier's own
-/// walk, one pass per metric (unlike the production counter's shared
-/// pass).
+/// walk, one pass per metric. The production counter
+/// (`qram_circuit::schedule::layer_gates`) walks all four metrics, the
+/// schedule and the census at once; keeping this copy apart means
+/// certification never checks that pass against itself.
 fn weighted_depth(circuit: &Circuit, weight: impl Fn(&Gate) -> usize) -> usize {
     let mut ready = vec![0usize; circuit.num_qubits()];
     let mut floor = 0usize;
@@ -594,17 +642,37 @@ pub fn verify_query(
     level: VerifyLevel,
 ) -> Result<(), VerifyError> {
     let circuit = query.circuit();
-    let mut findings = check_gates(circuit.num_qubits(), circuit.gates());
-    findings.extend(check_gate_set(family, circuit.gates()));
+    let mut findings = structural_findings(family, circuit);
     if level == VerifyLevel::Deep {
         findings.extend(check_ancillas(query));
         findings.extend(certify_resources(circuit, claimed));
     }
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(VerifyError { findings })
-    }
+    VerifyError::check(findings)
+}
+
+/// The structural checks alone, [`check_gates`] and [`check_gate_set`]:
+/// what a circuit must pass before it can be priced or scheduled.
+///
+/// # Errors
+///
+/// Returns every finding of the two checks.
+///
+/// ```
+/// use qram_circuit::{Circuit, Gate, Qubit};
+/// use qram_verify::verify_structure;
+/// let mut c = Circuit::new(2);
+/// c.push(Gate::cx(Qubit(0), Qubit(1)));
+/// assert!(verify_structure("fanout", &c).is_ok());
+/// assert!(verify_structure("sqc", &c).is_err()); // the QROM is MCX only
+/// ```
+pub fn verify_structure(family: &str, circuit: &Circuit) -> Result<(), VerifyError> {
+    VerifyError::check(structural_findings(family, circuit))
+}
+
+fn structural_findings(family: &str, circuit: &Circuit) -> Vec<Finding> {
+    let mut findings = check_gates(circuit.num_qubits(), circuit.gates());
+    findings.extend(check_gate_set(family, circuit.gates()));
+    findings
 }
 
 #[cfg(test)]
@@ -620,6 +688,49 @@ mod tests {
             Gate::Barrier,
         ];
         assert!(check_gates(3, &gates).is_empty());
+    }
+
+    #[test]
+    fn every_family_vocabulary_is_in_the_kind_table() {
+        for family in ["sqc", "fanout", "bucket_brigade", "select_swap", "virtual"] {
+            let allowed = allowed_gates(family).unwrap();
+            let mask = kind_mask(allowed);
+            assert_eq!(mask.count_ones() as usize, allowed.len() + 1, "{family}");
+            for (kind, name) in Gate::KIND_NAMES.iter().enumerate() {
+                let legal = mask >> kind & 1 == 1;
+                assert_eq!(legal, *name == "barrier" || allowed.contains(name));
+            }
+        }
+    }
+
+    #[test]
+    fn wide_mcx_repeats_are_found_in_operand_order() {
+        // An 8-control MCX repeating q2 (twice) and naming q9 on 9 qubits.
+        let controls = [0, 1, 2, 3, 2, 4, 9, 2].map(Qubit);
+        let gates = [Gate::mcx(controls, Qubit(5)), Gate::x(Qubit(2))];
+        let findings = check_gates(9, &gates);
+        let rendered = gates[0].to_string();
+        assert_eq!(
+            findings,
+            [
+                Finding::QubitOutOfRange {
+                    gate_index: 0,
+                    gate: rendered.clone(),
+                    qubit: 9,
+                    num_qubits: 9
+                },
+                Finding::OverlappingOperands {
+                    gate_index: 0,
+                    gate: rendered.clone(),
+                    qubit: 2
+                },
+                Finding::OverlappingOperands {
+                    gate_index: 0,
+                    gate: rendered,
+                    qubit: 2
+                },
+            ]
+        );
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //!      compiler-claimed [`ResourceCount`], so the cost estimates the
 //!      scheduler charges are provably derived from the real artifact.
 //!
-//!    [`verify_query`] bundles these for one compiled query;
-//!    `qram-service`'s `Compiler::try_compile` runs it on every artifact
-//!    before it may enter the circuit cache (structural checks always,
-//!    the deep passes behind the service's `deep_verify` flag).
+//!    [`verify_query`] bundles these for one compiled query, and
+//!    [`verify_structure`] runs the structural checks alone.
+//!    `qram-service`'s `Compiler::try_compile` runs them on every
+//!    artifact before it may enter the circuit cache: the structural
+//!    checks on the built circuit before it is priced, the deep passes
+//!    on the priced artifact behind the service's `deep_verify` flag.
 //!
 //! 2. **Determinism lint** ([`lint`]) — a textual scan of workspace
 //!    sources for patterns that undermine the bit-identical-results
@@ -48,7 +50,7 @@ pub mod analyzer;
 pub mod lint;
 
 pub use analyzer::{
-    certify_resources, check_ancillas, check_gate_set, check_gates, recount, verify_query, Finding,
-    VerifyError, VerifyLevel,
+    certify_resources, check_ancillas, check_gate_set, check_gates, recount, verify_query,
+    verify_structure, Finding, VerifyError, VerifyLevel,
 };
 pub use lint::{lint_file, lint_workspace, workspace_root, Allowlist, LintFinding, LintReport};
