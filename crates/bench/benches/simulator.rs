@@ -4,17 +4,18 @@
 //! in memory *constant in circuit depth* because the gate family is
 //! classical-reversible — the interesting cost is time per (gate × path).
 //! These benches measure full-query simulation and one Monte-Carlo shot
-//! across QRAM widths, and the engine against the slab reference loop on
+//! across QRAM widths, the engine against the slab reference loop on
 //! the full overlap (`lane_engine`) and the reduced one
-//! (`reduced_engine`).
+//! (`reduced_engine`), and the served-shot stage of the query service
+//! (`served_run`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qram_bench::experiment_memory;
-use qram_core::{QueryArchitecture, VirtualQram};
-use qram_noise::{FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
+use qram_core::{ArchSpec, QueryArchitecture, VirtualQram};
+use qram_noise::{derive_stream_seed, FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
 use qram_sim::{
-    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, run, run_with_faults,
-    FidelityEstimate, ShotConfig,
+    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, run, run_with_faults, FaultPlan,
+    FidelityEstimate, Lanes, Pauli, ShotConfig,
 };
 
 fn bench_noiseless_query(c: &mut Criterion) {
@@ -222,6 +223,69 @@ fn bench_reduced_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served-shot stage of the query service at `n = 10`: one run of
+/// 7 requests with 8 shots each, as the executor serves it under the
+/// service's default noise (per-gate depolarizing at
+/// [`BASE_ERROR_RATE`]). An iteration samples the 56 shots into reused
+/// plans, gives each request an ideal lane and each shot whose plan
+/// flips a bit a lane with only its `X` and `Y` faults, and walks the
+/// 63-lane pass once. Each iteration draws fresh request streams.
+fn bench_served_run(c: &mut Criterion) {
+    const REQUESTS: u64 = 7;
+    const SHOTS: u64 = 8;
+    let mut group = c.benchmark_group("served_run");
+    let memory = experiment_memory(10, 5);
+    let model = NoiseModel::per_gate(PauliChannel::depolarizing(BASE_ERROR_RATE));
+    for (name, spec) in [
+        (
+            "bucket_brigade_k1_m9",
+            ArchSpec::BucketBrigade { k: 1, m: 9 },
+        ),
+        ("virtual_k1_m9", ArchSpec::virtual_all(1, 9)),
+    ] {
+        let query = spec.instantiate().build(&memory);
+        let (gates, address, bus) = (query.circuit().gates(), query.address(), query.bus());
+        let sampler = FaultSampler::new(query.circuit(), model, 11);
+        let mut plans = vec![FaultPlan::new(); (REQUESTS * SHOTS) as usize];
+        let mut lanes = Lanes::default();
+        let mut id = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for (j, shot_plans) in plans.chunks_exact_mut(SHOTS as usize).enumerate() {
+                    let master = derive_stream_seed(11, id + j as u64);
+                    for (shot, plan) in (0..).zip(shot_plans) {
+                        sampler.sample_shot_into(master, shot, plan);
+                    }
+                }
+                let flips = |plan: &FaultPlan| plan.faults().iter().any(|f| f.pauli != Pauli::Z);
+                let walked = plans.iter().filter(|plan| flips(plan)).count();
+                lanes.reset(query.num_qubits(), REQUESTS as usize + walked);
+                let mut lane = REQUESTS as usize;
+                for (j, shot_plans) in plans.chunks_exact(SHOTS as usize).enumerate() {
+                    let value = (id + j as u64).wrapping_mul(0x9E37) % 1024;
+                    let write_address = |lanes: &mut Lanes, lane: usize| {
+                        for (i, q) in address.iter().enumerate() {
+                            lanes.set(lane, q, (value >> (address.len() - 1 - i)) & 1 == 1);
+                        }
+                    };
+                    write_address(&mut lanes, j);
+                    for plan in shot_plans.iter().filter(|plan| flips(plan)) {
+                        write_address(&mut lanes, lane);
+                        for fault in plan.faults().iter().filter(|f| f.pauli != Pauli::Z) {
+                            lanes.add_fault(lane, fault);
+                        }
+                        lane += 1;
+                    }
+                }
+                lanes.run(gates).unwrap();
+                id += REQUESTS;
+                lanes.row(bus).iter().map(|w| w.count_ones()).sum::<u32>()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_noiseless_query,
@@ -229,6 +293,7 @@ criterion_group!(
     bench_fault_sampling,
     bench_shot_engine,
     bench_lane_engine,
-    bench_reduced_engine
+    bench_reduced_engine,
+    bench_served_run
 );
 criterion_main!(benches);

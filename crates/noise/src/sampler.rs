@@ -1,5 +1,14 @@
 //! Monte-Carlo fault sampling: noise model × circuit → per-shot fault
 //! plans.
+//!
+//! The trial table stores each trial's gate index as a `u32`, so a
+//! uniform trial is 8 bytes (index and qubit), and the random reads of
+//! geometric skipping touch half the memory a `usize` index would. Each
+//! placement builds the 32-bit table directly. A circuit of `2³² − 1` or
+//! more gates, which [`qram_sim::Lanes::run`] refuses too, panics at
+//! build. [`FaultSampler::sample_shot_into`] samples into a caller's
+//! [`FaultPlan`], so a consumer that samples many shots reuses one
+//! buffer per plan.
 
 use qram_circuit::schedule::layer_gates;
 use qram_circuit::{Circuit, Qubit};
@@ -45,16 +54,18 @@ pub struct FaultSampler {
     seed: u64,
 }
 
+/// Each trial's gate index (as [`Fault::gate_index`]) is a `u32`; see
+/// [`check_gate_count`].
 #[derive(Debug, Clone)]
 enum Trials {
     /// All trials share one channel; geometric skipping applies.
     Uniform {
         channel: PauliChannel,
-        locations: Vec<(usize, Qubit)>,
+        locations: Vec<(u32, Qubit)>,
     },
     /// Heterogeneous channels (device models); sampled trial by trial.
     PerTrial {
-        entries: Vec<(usize, Qubit, PauliChannel)>,
+        entries: Vec<(u32, Qubit, PauliChannel)>,
     },
 }
 
@@ -74,12 +85,18 @@ pub fn derive_stream_seed(master: u64, stream: u64) -> u64 {
 impl FaultSampler {
     /// Builds a sampler for `circuit` under a uniform noise `model`, with
     /// all shot streams derived from the master `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has `2³² − 1` or more gates, or (for
+    /// qubit-per-step placement) a gate names a qubit outside it.
     pub fn new(circuit: &Circuit, model: NoiseModel, seed: u64) -> Self {
+        check_gate_count(circuit.len());
         let locations = match model.placement {
             NoisePlacement::PerGate => per_gate_locations(circuit),
             NoisePlacement::QubitPerStep => qubit_per_step_locations(circuit),
             NoisePlacement::PerQubitOnce => (0..circuit.num_qubits())
-                .map(|q| (0usize, Qubit(q as u32)))
+                .map(|q| (0, Qubit(q as u32)))
                 .collect(),
         };
         FaultSampler {
@@ -93,20 +110,25 @@ impl FaultSampler {
 
     /// Builds a per-gate sampler whose channel strength depends on gate
     /// arity, as specified by `device`, with rates scaled down by `er`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has `2³² − 1` or more gates.
     pub fn for_device(
         circuit: &Circuit,
         device: &DeviceModel,
         er: ErrorReductionFactor,
         seed: u64,
     ) -> Self {
+        check_gate_count(circuit.len());
         let scale = 1.0 / er.0;
         let mut entries = Vec::with_capacity(support_size(circuit));
-        for (i, gate) in circuit.gates().iter().enumerate() {
+        for (after, gate) in (1..).zip(circuit.gates()) {
             if gate.is_barrier() {
                 continue;
             }
             let channel = device.channel_for_arity(gate.arity()).scaled(scale);
-            gate.for_each_qubit(|q| entries.push((i + 1, q, channel)));
+            gate.for_each_qubit(|q| entries.push((after, q, channel)));
         }
         FaultSampler {
             trials: Trials::PerTrial { entries },
@@ -139,21 +161,30 @@ impl FaultSampler {
     /// `qram-service`) can share one precomputed trial table without
     /// cloning or rebuilding the sampler.
     pub fn sample_shot_from(&self, master: u64, shot: u64) -> FaultPlan {
-        let mut rng = StdRng::seed_from_u64(derive_stream_seed(master, shot));
         let mut plan = FaultPlan::new();
+        self.sample_shot_into(master, shot, &mut plan);
+        plan
+    }
+
+    /// [`FaultSampler::sample_shot_from`] into `plan`: clears it, then
+    /// draws the same stream into it, so a caller sampling many shots
+    /// keeps one buffer per plan.
+    pub fn sample_shot_into(&self, master: u64, shot: u64, plan: &mut FaultPlan) {
+        plan.clear();
+        let mut rng = StdRng::seed_from_u64(derive_stream_seed(master, shot));
         match &self.trials {
             Trials::Uniform { channel, locations } => {
                 let p = channel.total();
                 if p <= 0.0 {
-                    return plan;
+                    return;
                 }
                 if p >= 1.0 {
                     for &(idx, q) in locations {
                         if let Some(pauli) = channel.sample(&mut rng) {
-                            plan.push(Fault::new(idx, q, pauli));
+                            plan.push(Fault::new(idx as usize, q, pauli));
                         }
                     }
-                    return plan;
+                    return;
                 }
                 // Geometric skipping: the gap to the next erroring trial is
                 // ⌊ln(1−U)/ln(1−p)⌋.
@@ -167,7 +198,11 @@ impl FaultSampler {
                     }
                     t += gap as usize;
                     let (idx, q) = locations[t];
-                    plan.push(Fault::new(idx, q, conditional_pauli(channel, &mut rng)));
+                    plan.push(Fault::new(
+                        idx as usize,
+                        q,
+                        conditional_pauli(channel, &mut rng),
+                    ));
                     t += 1;
                     if t >= locations.len() {
                         break;
@@ -177,13 +212,26 @@ impl FaultSampler {
             Trials::PerTrial { entries } => {
                 for &(idx, q, channel) in entries {
                     if let Some(pauli) = channel.sample(&mut rng) {
-                        plan.push(Fault::new(idx, q, pauli));
+                        plan.push(Fault::new(idx as usize, q, pauli));
                     }
                 }
             }
         }
-        plan
     }
+}
+
+/// Checks that a circuit of `gates` gates has 32-bit trial indices: every
+/// index `0..=gates` is a `u32` below `u32::MAX`, the range
+/// [`qram_sim::Lanes::run`] fires in.
+///
+/// # Panics
+///
+/// Panics if `gates` is `2³² − 1` or more.
+fn check_gate_count(gates: usize) {
+    assert!(
+        gates < u32::MAX as usize,
+        "cannot sample a circuit of {gates} gates: trial indices are 32-bit"
+    );
 }
 
 /// Samples which Pauli struck, conditioned on *some* error striking.
@@ -207,10 +255,11 @@ fn support_size(circuit: &Circuit) -> usize {
 }
 
 /// One trial per (gate, support qubit); faults strike after the gate.
-fn per_gate_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
+/// The caller has checked the length with [`check_gate_count`].
+fn per_gate_locations(circuit: &Circuit) -> Vec<(u32, Qubit)> {
     let mut locations = Vec::with_capacity(support_size(circuit));
-    for (i, gate) in circuit.gates().iter().enumerate() {
-        gate.for_each_qubit(|q| locations.push((i + 1, q)));
+    for (after, gate) in (1..).zip(circuit.gates()) {
+        gate.for_each_qubit(|q| locations.push((after, q)));
     }
     locations
 }
@@ -218,16 +267,18 @@ fn per_gate_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
 /// One trial per (qubit, schedule layer). An error on qubit `q` at layer
 /// `l` is placed after the last gate on `q` scheduled at a layer ≤ `l`
 /// (before the first gate if none) — Pauli errors commute freely across
-/// idle wire segments, so this placement is trajectory-exact.
+/// idle wire segments, so this placement is trajectory-exact. The caller
+/// has checked the length with [`check_gate_count`].
 ///
 /// # Panics
 ///
 /// Panics if a gate names a qubit outside the circuit.
-fn qubit_per_step_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
+fn qubit_per_step_locations(circuit: &Circuit) -> Vec<(u32, Qubit)> {
     let gates = circuit.gates();
-    let mut gate_layers = Vec::with_capacity(gates.len());
+    // (gate index, layer), both under the 32-bit bound checked at build.
+    let mut gate_layers: Vec<(u32, u32)> = Vec::with_capacity(gates.len());
     let depth = layer_gates(circuit.num_qubits(), gates, |i, _, layer| {
-        gate_layers.push((i, layer));
+        gate_layers.push((i as u32, layer as u32));
     })
     .unwrap_or_else(|e| panic!("cannot sample an invalid circuit: {e}"))
     .depth;
@@ -237,11 +288,12 @@ fn qubit_per_step_locations(circuit: &Circuit) -> Vec<(usize, Qubit)> {
     // Trial q·depth + l is placed after the gate on q at layer l (a
     // qubit's gates sit at distinct layers); a layer without one keeps
     // the placement of the layer before it, and 0 is before every gate.
-    let mut locations: Vec<(usize, Qubit)> = (0..circuit.num_qubits() as u32)
+    let mut locations: Vec<(u32, Qubit)> = (0..circuit.num_qubits() as u32)
         .flat_map(|q| std::iter::repeat_n((0, Qubit(q)), depth))
         .collect();
     for (i, layer) in gate_layers {
-        gates[i].for_each_qubit(|q| locations[q.index() * depth + layer].0 = i + 1);
+        gates[i as usize]
+            .for_each_qubit(|q| locations[q.index() * depth + layer as usize].0 = i + 1);
     }
     for row in locations.chunks_exact_mut(depth) {
         let mut placement = 0;
@@ -367,6 +419,100 @@ mod tests {
         let q0: Vec<_> = locations.iter().filter(|(_, q)| q.index() == 0).collect();
         assert_eq!(q0[0].0, 1);
         assert_eq!(q0[1].0, 1); // idles at layer 1; error stays after gate 0
+    }
+
+    /// The trial tables of a small circuit, pinned: 8-byte uniform
+    /// trials, indices as `Fault::gate_index` reads them.
+    #[test]
+    fn trial_tables_are_pinned() {
+        assert_eq!(std::mem::size_of::<(u32, Qubit)>(), 8);
+        let mut c = chain_circuit();
+        c.push(Gate::Barrier);
+        c.push(Gate::x(Qubit(0)));
+        let table = |model: NoiseModel| match FaultSampler::new(&c, model, 0).trials {
+            Trials::Uniform { locations, .. } => locations,
+            Trials::PerTrial { .. } => unreachable!("uniform model"),
+        };
+        let channel = PauliChannel::depolarizing(0.1);
+        let q = Qubit;
+        assert_eq!(
+            table(NoiseModel::per_gate(channel)),
+            [(1, q(0)), (1, q(1)), (2, q(1)), (2, q(2)), (4, q(0))]
+        );
+        // Layers: CX(0,1) at 0, CX(1,2) at 1, X(0) at 2 (after the barrier).
+        assert_eq!(
+            table(NoiseModel::qubit_per_step(channel)),
+            [
+                (1, q(0)),
+                (1, q(0)),
+                (4, q(0)),
+                (1, q(1)),
+                (2, q(1)),
+                (2, q(1)),
+                (0, q(2)),
+                (2, q(2)),
+                (2, q(2)),
+            ]
+        );
+        assert_eq!(
+            table(NoiseModel::per_qubit_once(channel)),
+            [(0, q(0)), (0, q(1)), (0, q(2))]
+        );
+        let device = crate::ibm_perth();
+        let s = FaultSampler::for_device(&c, &device, ErrorReductionFactor(1.0), 0);
+        let Trials::PerTrial { entries } = s.trials else {
+            unreachable!("device model")
+        };
+        let located: Vec<_> = entries.iter().map(|&(i, q, _)| (i, q)).collect();
+        assert_eq!(
+            located,
+            [(1, q(0)), (1, q(1)), (2, q(1)), (2, q(2)), (4, q(0))]
+        );
+        assert_eq!(entries[4].2, device.channel_for_arity(1));
+        assert_eq!(entries[0].2, device.channel_for_arity(2));
+    }
+
+    /// Sampling into a buffer that held a longer plan gives the plan
+    /// `sample_shot_from` gives, for every placement and the device model.
+    #[test]
+    fn sampling_into_a_used_plan_equals_a_fresh_one() {
+        let mut c = Circuit::new(4);
+        for i in 0..40u32 {
+            c.push(Gate::cx(Qubit(i % 4), Qubit((i + 1) % 4)));
+            c.push(Gate::x(Qubit(i % 3)));
+        }
+        let channel = PauliChannel::depolarizing(0.2);
+        let samplers = [
+            FaultSampler::new(&c, NoiseModel::per_gate(channel), 3),
+            FaultSampler::new(&c, NoiseModel::qubit_per_step(channel), 3),
+            FaultSampler::new(&c, NoiseModel::per_qubit_once(channel), 3),
+            FaultSampler::for_device(&c, &crate::ibm_perth(), ErrorReductionFactor(0.05), 3),
+        ];
+        for (k, s) in samplers.iter().enumerate() {
+            let long: FaultPlan = (0..500)
+                .map(|i| Fault::new(i, Qubit(9), qram_sim::Pauli::Y))
+                .collect();
+            let mut plan = long.clone();
+            for shot in 0..40 {
+                let want = s.sample_shot_from(17, shot);
+                s.sample_shot_into(17, shot, &mut plan);
+                assert_eq!(plan, want, "sampler {k} shot {shot}");
+                if shot % 2 == 0 {
+                    plan = long.clone();
+                }
+            }
+            assert!(
+                (0..40).any(|shot| !s.sample_shot_from(17, shot).is_empty()),
+                "sampler {k} draws faults"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trial indices are 32-bit")]
+    fn a_circuit_of_2_pow_32_minus_1_gates_panics_at_build() {
+        check_gate_count(u32::MAX as usize - 1);
+        check_gate_count(u32::MAX as usize);
     }
 
     #[test]

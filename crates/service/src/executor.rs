@@ -14,15 +14,23 @@
 //! one) that share one compiled artifact. A run is one
 //! [`qram_sim::Lanes`] pass over the circuit's gates. Each request gets
 //! an *ideal* lane, whose bus bit is the readout and whose work qubits
-//! must end clean, plus one lane per shot whose fault plan is non-empty.
-//! A shot with an empty plan samples `1.0` without a lane. A replayed
-//! shot samples `1.0` if its lane's address and bus bits equal the ideal
-//! lane's, else `-0.0`. Both are bit for bit what
+//! must end clean, plus one lane per shot whose fault plan flips a bit.
+//! A replayed shot samples `1.0` if its lane's address and bus bits
+//! equal the ideal lane's, else `-0.0`. Both are bit for bit what
 //! [`qram_sim::PathState::reduced_fidelity`] gives a single path: a unit
 //! amplitude's overlap is exactly 1, and a mismatch leaves an empty sum,
-//! which is `-0.0`. The estimate and [`ShotStats`] therefore equal those
-//! of the slab reference (per shot [`qram_sim::run_with_faults`], then
-//! the reduced fidelity) on the request's basis input, and so those of
+//! which is `-0.0`.
+//!
+//! A sample reads only bits, so a shot's `Z` faults are never
+//! scheduled: a `Z` fault, like a `Z` gate, changes only a lane's phase,
+//! and no gate reads a phase to change a bit (`H` is rejected). A `Y`
+//! flips the bit, so it stays. A shot with an empty plan, or whose
+//! faults are all `Z`, samples `1.0` without a lane: its bits end as the
+//! ideal lane's. [`ShotStats`] stays a model count: every non-empty plan
+//! is replayed, with all its faults (`Z` included) and every gate
+//! applied. The estimate and the stats therefore equal those of the
+//! slab reference (per shot [`qram_sim::run_with_faults`], then the
+//! reduced fidelity) on the request's basis input, and so those of
 //! [`qram_sim::run_shots_stats`], whose shots are lane passes too.
 //!
 //! # Dispatch
@@ -31,10 +39,11 @@
 //! per run before any worker starts. `workers − 1` threads are spawned
 //! and the calling thread works too; each pulls the next run off a
 //! shared queue, writes only that run's slots, and reuses one lane
-//! buffer across the runs it takes. A fired batch's work is now a few
-//! milliseconds, so a spawned thread less counts. Results never live in
-//! storage a worker allocated: glibc keeps a worker arena's high-water
-//! mark, and per-worker result vectors showed up in peak RSS.
+//! buffer and one buffer per shot plan across the runs it takes. A fired
+//! batch's work is now a few milliseconds, so a spawned thread less
+//! counts. Results never live in storage a worker allocated: glibc keeps
+//! a worker arena's high-water mark, and per-worker result vectors
+//! showed up in peak RSS.
 //!
 //! # Determinism
 //!
@@ -53,7 +62,7 @@ use std::thread;
 use qram_circuit::Qubit;
 use qram_core::QueryError;
 use qram_noise::{derive_stream_seed, FaultSampler};
-use qram_sim::{FaultPlan, FidelityEstimate, Lanes, ShotStats};
+use qram_sim::{FaultPlan, FidelityEstimate, Lanes, Pauli, ShotStats};
 
 use crate::{CompiledQuery, Latency, QueryRequest, QueryResult, ServiceConfig, Ticks};
 
@@ -138,7 +147,8 @@ pub(crate) fn dispatch(
 #[derive(Default)]
 struct Scratch {
     lanes: Lanes,
-    /// Request `j`'s shot plans sit at `[j·shots, (j+1)·shots)`.
+    /// Request `j`'s shot plans sit at `[j·shots, (j+1)·shots)`; each is
+    /// sampled into in place, and entries past the run's are spare.
     plans: Vec<FaultPlan>,
     /// Per lane word: set where some work qubit is `|1⟩`.
     garbage: Vec<u64>,
@@ -169,19 +179,25 @@ fn execute_run(
         0
     };
 
-    plans.clear();
-    for item in run {
+    if plans.len() < run.len() * shots {
+        plans.resize_with(run.len() * shots, FaultPlan::new);
+    }
+    let plans = &mut plans[..run.len() * shots];
+    for (item, shot_plans) in run.iter().zip(plans.chunks_exact_mut(shots.max(1))) {
         if let Some(sampler) = item.sampler.as_deref() {
             let master = derive_stream_seed(config.seed, item.request.id);
-            plans.extend((0..shots as u64).map(|shot| sampler.sample_shot_from(master, shot)));
+            for (shot, plan) in (0..).zip(shot_plans) {
+                sampler.sample_shot_into(master, shot, plan);
+            }
         }
     }
-    let replayed = plans.iter().filter(|p| !p.is_empty()).count();
+    let walked = plans.iter().filter(|plan| flips_a_bit(plan)).count();
 
-    // Lanes 0..run.len() are the ideal lanes; the replayed shots follow
-    // in (request, shot) order. Every lane of a request starts at its
-    // address, written MSB first like `QueryCircuit::input_state`.
-    lanes.reset(circuit.num_qubits(), run.len() + replayed);
+    // Lanes 0..run.len() are the ideal lanes; the shots whose plans flip
+    // a bit follow in (request, shot) order, with only their bit-flipping
+    // faults. Every lane of a request starts at its address, written MSB
+    // first like `QueryCircuit::input_state`.
+    lanes.reset(circuit.num_qubits(), run.len() + walked);
     let width = address.len();
     let write_address = |lanes: &mut Lanes, lane: usize, value: u64| {
         for (i, q) in address.iter().enumerate() {
@@ -194,9 +210,11 @@ fn execute_run(
         assert!(value < (1u64 << width), "address {value} out of range");
         write_address(lanes, j, value);
         for plan in &plans[j * shots..(j + 1) * shots] {
-            if !plan.is_empty() {
+            if flips_a_bit(plan) {
                 write_address(lanes, lane, value);
-                lanes.add_faults(lane, plan);
+                for fault in plan.faults().iter().filter(|f| f.pauli != Pauli::Z) {
+                    lanes.add_fault(lane, fault);
+                }
                 lane += 1;
             }
         }
@@ -241,6 +259,11 @@ fn execute_run(
             stats.replayed += 1;
             stats.faults += plan.len() as u64;
             stats.gate_applications += gates.len() as u64;
+            if !flips_a_bit(plan) {
+                // All Z: its bits end as the ideal lane's.
+                samples.push(1.0);
+                continue;
+            }
             // A mismatch samples -0.0: the empty group sum that
             // `reduced_fidelity` returns for it.
             samples.push(if kept_bits_agree(lanes, lane, j) {
@@ -263,6 +286,11 @@ fn execute_run(
         };
         *slot = Some((result, stats));
     }
+}
+
+/// Whether `plan` has a fault that flips a bit: an `X` or a `Y`.
+fn flips_a_bit(plan: &FaultPlan) -> bool {
+    plan.faults().iter().any(|f| f.pauli != Pauli::Z)
 }
 
 #[cfg(test)]
@@ -420,6 +448,51 @@ mod tests {
             let (items, config) = fire(&mixed_memory(), &specs, 9, shots, default_noise());
             let served = assert_served_like_the_slab(&items, &config);
             assert!(served.iter().all(|(r, _)| r.fidelity.shots == shots));
+        }
+    }
+
+    /// Every channel a `Y` or `Z` changes the scheduling of, at one word
+    /// of shots and at two: phase flips (every replayed shot all `Z`),
+    /// `Y` only, bit flips and depolarizing noise.
+    #[test]
+    fn every_channel_serves_what_the_slab_serves() {
+        let specs = [
+            QuerySpec::new(1, 2),
+            QuerySpec::of(ArchSpec::BucketBrigade { k: 1, m: 2 }),
+        ];
+        let channels = [
+            PauliChannel::phase_flip(0.05),
+            PauliChannel::new(0.0, 0.05, 0.0),
+            PauliChannel::bit_flip(0.05),
+            PauliChannel::depolarizing(0.05),
+        ];
+        for channel in channels {
+            for shots in [8, 100] {
+                let noise = NoiseModel::per_gate(channel);
+                let (items, config) = fire(&mixed_memory(), &specs, 9, shots, noise);
+                let served = assert_served_like_the_slab(&items, &config);
+                let replayed: u64 = served.iter().map(|(_, stats)| stats.replayed).sum();
+                assert!(replayed > 0, "{channel:?} at {shots} shots replays");
+                let lost = served.iter().any(|(r, _)| r.fidelity.mean < 1.0);
+                assert_eq!(lost, channel.pz == 0.0 || channel.px > 0.0, "{channel:?}");
+            }
+        }
+    }
+
+    /// Under phase flips no shot gets a lane: a run of one request at
+    /// 100 shots stays within one lane word, where 64 or more shot lanes
+    /// would need two.
+    #[test]
+    fn all_z_shots_walk_no_lane() {
+        let noise = NoiseModel::per_gate(PauliChannel::phase_flip(0.05));
+        let (items, config) = fire(&mixed_memory(), &[QuerySpec::new(1, 2)], 3, 100, noise);
+        let mut scratch = Scratch::default();
+        for item in &items {
+            let mut out = [None];
+            execute_run(std::slice::from_ref(item), &mut out, &config, &mut scratch);
+            let (_, stats) = out[0].as_ref().expect("served");
+            assert!(stats.replayed >= 64, "{stats:?}");
+            assert_eq!(scratch.lanes.row(item.compiled.circuit.bus()).len(), 1);
         }
     }
 

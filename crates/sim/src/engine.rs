@@ -78,7 +78,7 @@ use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
-use crate::lanes::SignTap;
+use crate::lanes::{order_by_index, SignTap};
 use crate::reduce::{KeptReference, LaneReduction};
 use crate::{Amplitude, FaultPlan, FidelityEstimate, Lanes, PathState, Pauli, SimError};
 
@@ -371,6 +371,7 @@ fn run_shard(
         reduction: LaneReduction::default(),
         noisy: PathState::zero_vector(num_qubits),
         taps: Vec::new(),
+        spare_taps: Vec::new(),
         signs: Vec::new(),
     };
     let mut stats = ShotStats::default();
@@ -448,8 +449,10 @@ struct Shard {
     reduction: LaneReduction,
     /// The full overlap's noisy state.
     noisy: PathState,
-    /// The window's sign walk taps, and its sign rows.
+    /// The window's sign walk taps, the buffer they are ordered through,
+    /// and the window's sign rows.
     taps: Vec<SignTap>,
+    spare_taps: Vec<SignTap>,
     signs: Vec<u64>,
 }
 
@@ -466,9 +469,12 @@ impl Shard {
         if places.is_empty() {
             return Ok(());
         }
-        // Taps at one index change no lane, so their order there is
-        // immaterial.
-        self.taps.sort_unstable_by_key(|tap| tap.index);
+        order_by_index(
+            &mut self.taps,
+            &mut self.spare_taps,
+            call.gates.len(),
+            |tap| tap.index,
+        );
         self.lanes.load_blocks(call.image, 1);
         let words = call.input.num_paths().div_ceil(64);
         self.signs.clear();

@@ -101,6 +101,11 @@ impl FaultPlan {
         self.faults.push(fault);
     }
 
+    /// Removes every fault, keeping the buffer for the next shot.
+    pub fn clear(&mut self) {
+        self.faults.clear();
+    }
+
     /// Number of faults in the plan.
     pub fn len(&self) -> usize {
         self.faults.len()

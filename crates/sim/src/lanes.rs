@@ -20,6 +20,11 @@
 //! [`crate::run_with_faults`] fires it, so every lane ends in the basis
 //! state and phase the slab engine gives that lane's input and plan
 //! (pinned by this module's tests and by `tests/property_based.rs`).
+//! [`Lanes::run`] puts its schedule in gate index order in linear time:
+//! a stable radix sort on the index, one byte per pass, with only as
+//! many passes as the circuit's length needs (`order_by_index`, which
+//! orders a sign walk's taps too). Faults at one index fire in the order
+//! they were scheduled.
 //!
 //! No gate splits a path, so a superposition input is a fixed set of
 //! lanes too: one lane per input path, `⌈paths / 64⌉` words per row.
@@ -45,17 +50,15 @@
 
 use qram_circuit::{Control, Gate, Qubit};
 
-use crate::{Amplitude, FaultPlan, PathState, Pauli, SimError};
+use crate::{Amplitude, Fault, FaultPlan, PathState, Pauli, SimError};
 
 /// One scheduled fault: a Pauli on one lane, on one shot's block or on
 /// every lane of the pass.
 #[derive(Debug, Clone, Copy)]
 struct LaneFault {
-    /// The fault's gate index (saturated at `u32::MAX`) in the high
-    /// half, its scheduling position in the low half. Sorted by key, the
-    /// schedule runs in (gate index, scheduling order), which keeps each
-    /// lane's plan order at one index.
-    key: u64,
+    /// The fault's gate index, saturated at `u32::MAX`, which lies past
+    /// the end of every circuit [`Lanes::run`] takes.
+    index: u32,
     /// The row words it acts on, `start..end`.
     start: u32,
     end: u32,
@@ -118,8 +121,10 @@ pub struct Lanes {
     phase_lo: Vec<u64>,
     /// High bit of each lane's power of `i`.
     phase_hi: Vec<u64>,
-    /// Faults scheduled for the next [`Lanes::run`].
+    /// Faults scheduled for the next [`Lanes::run`], in scheduling order.
     faults: Vec<LaneFault>,
+    /// The radix sort's other buffer.
+    spare: Vec<LaneFault>,
 }
 
 impl Lanes {
@@ -204,17 +209,30 @@ impl Lanes {
     }
 
     /// Schedules `plan`'s faults on `lane` for the next
-    /// [`run`](Lanes::run). Fault qubits are checked when a fault fires,
-    /// as in [`crate::run_with_faults`], so a fault past the circuit's
-    /// end is never validated.
+    /// [`run`](Lanes::run), one [`add_fault`](Lanes::add_fault) each.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn add_faults(&mut self, lane: usize, plan: &FaultPlan) {
+        for fault in plan.faults() {
+            self.add_fault(lane, fault);
+        }
+    }
+
+    /// Schedules `fault` on `lane` for the next [`run`](Lanes::run),
+    /// after every fault already scheduled at its gate index. Fault
+    /// qubits are checked when a fault fires, as in
+    /// [`crate::run_with_faults`], so a fault past the circuit's end is
+    /// never validated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn add_fault(&mut self, lane: usize, fault: &Fault) {
         assert!(lane < self.lanes, "lane {lane} out of range");
         let w = word_index(lane / 64);
-        self.schedule(w, w + 1, (lane % 64) as u8, plan);
+        self.schedule(w, w + 1, (lane % 64) as u8, fault);
     }
 
     /// Schedules `plan`'s faults on every lane of block `block` of a
@@ -228,24 +246,22 @@ impl Lanes {
         let start = block * self.block_words;
         assert!(start < self.words.max(1), "block {block} out of range");
         let (start, end) = (word_index(start), word_index(start + self.block_words));
-        self.schedule(start, end, EVERY_LANE, plan);
+        for fault in plan.faults() {
+            self.schedule(start, end, EVERY_LANE, fault);
+        }
     }
 
-    /// Schedules `plan`'s faults on bit `lane` of row words `start..end`,
-    /// or on every bit for [`EVERY_LANE`]: one entry per fault.
-    fn schedule(&mut self, start: u32, end: u32, lane: u8, plan: &FaultPlan) {
-        for f in plan.faults() {
-            let position = u32::try_from(self.faults.len()).expect("under 2^32 faults per run");
-            let index = f.gate_index.min(u32::MAX as usize) as u64;
-            self.faults.push(LaneFault {
-                key: index << 32 | u64::from(position),
-                start,
-                end,
-                qubit: f.qubit,
-                lane,
-                pauli: f.pauli,
-            });
-        }
+    /// Schedules `fault` on bit `lane` of row words `start..end`, or on
+    /// every bit for [`EVERY_LANE`]: one entry.
+    fn schedule(&mut self, start: u32, end: u32, lane: u8, fault: &Fault) {
+        self.faults.push(LaneFault {
+            index: fault.gate_index.min(u32::MAX as usize) as u32,
+            start,
+            end,
+            qubit: fault.qubit,
+            lane,
+            pauli: fault.pauli,
+        });
     }
 
     /// Loads `input`'s paths, one lane per path in slab order: a single
@@ -326,10 +342,10 @@ impl Lanes {
     }
 
     /// Walks `gates` once with no fault, and at each of `taps`, in gate
-    /// index order, XORs the tapped qubit's row as it stands there into
-    /// that tap's sign row of `signs`, `words` words per row (see the
-    /// module docs). Taps sharing an index may come in any order: they
-    /// change no lane.
+    /// index order ([`order_by_index`]), XORs the tapped qubit's row as
+    /// it stands there into that tap's sign row of `signs`, `words` words
+    /// per row (see the module docs). Taps sharing an index may come in
+    /// any order: they change no lane.
     ///
     /// # Errors
     ///
@@ -349,9 +365,7 @@ impl Lanes {
         let (words, mut at) = (self.words, 0);
         for tap in taps {
             let index = tap.index as usize;
-            for gate in &gates[at..index] {
-                self.apply(gate)?;
-            }
+            self.apply_all(&gates[at..index])?;
             at = index;
             let q = tap.qubit.index();
             if q >= self.num_qubits {
@@ -365,10 +379,7 @@ impl Lanes {
                 *s ^= b;
             }
         }
-        for gate in &gates[at..] {
-            self.apply(gate)?;
-        }
-        Ok(())
+        self.apply_all(&gates[at..])
     }
 
     /// Walks `gates` once over every lane, firing the scheduled faults:
@@ -386,15 +397,13 @@ impl Lanes {
     /// then [`SimError::NonReversibleGate`] for `H`. On error the lanes
     /// hold a partial run.
     pub fn run(&mut self, gates: &[Gate]) -> Result<(), SimError> {
-        // A saturated key index (a fault at u32::MAX or later) then lies
-        // past the end, where it never fires.
+        // A saturated index (a fault at u32::MAX or later) then lies past
+        // the end, where it never fires.
         assert!(
             gates.len() < u32::MAX as usize,
             "circuit too long for lanes"
         );
-        // The keys are distinct, so the unstable sort is deterministic,
-        // and it needs no scratch.
-        self.faults.sort_unstable_by_key(|f| f.key);
+        order_by_index(&mut self.faults, &mut self.spare, gates.len(), |f| f.index);
         let result = self.walk(gates);
         self.faults.clear();
         result
@@ -409,10 +418,8 @@ impl Lanes {
             let stop = self
                 .faults
                 .get(next)
-                .map_or(end, |f| ((f.key >> 32) as usize).min(end));
-            for gate in &gates[at..stop] {
-                self.apply(gate)?;
-            }
+                .map_or(end, |f| (f.index as usize).min(end));
+            self.apply_all(&gates[at..stop])?;
             next = self.fire(next, stop)?;
             if stop == end {
                 return Ok(());
@@ -425,7 +432,7 @@ impl Lanes {
     /// returns the next unfired one.
     fn fire(&mut self, mut next: usize, index: usize) -> Result<usize, SimError> {
         while let Some(&f) = self.faults.get(next) {
-            if f.key >> 32 > index as u64 {
+            if f.index as usize > index {
                 break;
             }
             if f.qubit.index() >= self.num_qubits {
@@ -442,12 +449,14 @@ impl Lanes {
             };
             // One update for all three Paulis: X flips the bit; Z adds 2
             // to the power of i where the bit is set; Y = iXZ adds 1 on
-            // |0⟩ and 3 on |1⟩, then flips.
-            let (x, y, z) = match f.pauli {
-                Pauli::X => (mask, 0, 0),
-                Pauli::Y => (mask, mask, 0),
-                Pauli::Z => (0, 0, mask),
-            };
+            // |0⟩ and 3 on |1⟩, then flips. The masks are computed, not
+            // branched on.
+            let when = |on: bool| mask & 0u64.wrapping_sub(u64::from(on));
+            let (x, y, z) = (
+                when(f.pauli != Pauli::Z),
+                when(f.pauli == Pauli::Y),
+                when(f.pauli == Pauli::Z),
+            );
             for w in f.start as usize..f.end as usize {
                 let bit = self.bits[row + w] & (y | z);
                 self.phase_hi[w] ^= bit ^ (self.phase_lo[w] & y);
@@ -459,11 +468,25 @@ impl Lanes {
         Ok(next)
     }
 
-    /// Applies one gate to every lane. Operands are bounds-checked in
-    /// [`Gate::for_each_qubit`] order before the gate acts, as on the
-    /// slab.
-    fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
-        let (n, num_qubits) = (self.words, self.num_qubits);
+    /// Applies `gates` in order to every lane. A pass of one word per row
+    /// (at most 64 lanes, as every served run is) takes a copy of
+    /// [`Lanes::apply`] with the word count fixed, whose row loops
+    /// compile to single word operations.
+    fn apply_all(&mut self, gates: &[Gate]) -> Result<(), SimError> {
+        if self.words == 1 {
+            gates.iter().try_for_each(|gate| self.apply::<1>(gate))
+        } else {
+            gates.iter().try_for_each(|gate| self.apply::<0>(gate))
+        }
+    }
+
+    /// Applies one gate to every lane, over `WORDS` words per row, or
+    /// over the pass's word count when `WORDS` is 0. Operands are
+    /// bounds-checked in [`Gate::for_each_qubit`] order before the gate
+    /// acts, as on the slab.
+    fn apply<const WORDS: usize>(&mut self, gate: &Gate) -> Result<(), SimError> {
+        let n = if WORDS == 0 { self.words } else { WORDS };
+        let num_qubits = self.num_qubits;
         // The first word of a qubit's row.
         let row = |q: Qubit| {
             if q.index() < num_qubits {
@@ -568,6 +591,64 @@ impl Lanes {
 /// A row word index as a fault target holds it.
 fn word_index(w: usize) -> u32 {
     u32::try_from(w).expect("under 2^32 row words")
+}
+
+/// Puts `items` in gate index order in linear time, for a circuit of
+/// `end` gates: a stable LSD radix sort on `index(item)`, clamped to
+/// `end + 1` (one past the end, where nothing fires), one byte digit per
+/// pass and only as many passes as `end + 1` has bytes. Items at one
+/// index keep their order. A pass whose digit is the same for every item
+/// moves nothing and is skipped. `spare` is the scatter buffer; the two
+/// trade places on each pass that moves.
+///
+/// # Panics
+///
+/// Panics if `end + 1` or the number of items does not fit in a `u32`.
+pub(crate) fn order_by_index<T: Copy>(
+    items: &mut Vec<T>,
+    spare: &mut Vec<T>,
+    end: usize,
+    index: impl Fn(&T) -> u32,
+) {
+    let n = items.len();
+    if n < 2 {
+        return;
+    }
+    let count = u32::try_from(n).expect("under 2^32 items to order");
+    let limit = end
+        .checked_add(1)
+        .and_then(|limit| u32::try_from(limit).ok())
+        .expect("a gate index past the end fits in 32 bits");
+    let passes = (u32::BITS - limit.leading_zeros()).div_ceil(8) as usize;
+    let key = |item: &T| index(item).min(limit);
+    let mut histograms = [[0u32; 256]; 4];
+    for item in items.iter() {
+        let k = key(item);
+        for (pass, histogram) in histograms[..passes].iter_mut().enumerate() {
+            histogram[(k >> (8 * pass)) as usize & 0xFF] += 1;
+        }
+    }
+    for (pass, histogram) in histograms[..passes].iter().enumerate() {
+        let digit = |item: &T| (key(item) >> (8 * pass)) as usize & 0xFF;
+        if histogram[digit(&items[0])] == count {
+            continue;
+        }
+        let mut next = [0u32; 256];
+        let mut at = 0;
+        for (next, &bucket) in next.iter_mut().zip(histogram) {
+            *next = at;
+            at += bucket;
+        }
+        // Every slot is overwritten below.
+        spare.truncate(n);
+        spare.resize(n, items[0]);
+        for item in items.iter() {
+            let slot = &mut next[digit(item)];
+            spare[*slot as usize] = *item;
+            *slot += 1;
+        }
+        std::mem::swap(items, spare);
+    }
 }
 
 /// `a · iᵏ`, applied with the slab's own maps (`−`,
@@ -761,6 +842,80 @@ mod tests {
             .collect();
         assert!(cases.len() > 64, "spans several words");
         assert_lanes_match_slab(&gates, 5, &cases);
+    }
+
+    /// A circuit past 65,536 gates takes three byte passes to order.
+    /// Faults stack at one index across lanes and, on one lane, on one
+    /// qubit (`X`, `Z`, `Y`: the order sets the phase); others sit at 0,
+    /// at the end, one past it, far past it and at `usize::MAX`.
+    #[test]
+    fn a_three_pass_schedule_matches_the_slab() {
+        let gates: Vec<Gate> = (0..70_000u32)
+            .map(|i| match i % 4 {
+                0 => Gate::cx(Qubit(i % 3), Qubit(3)),
+                1 => Gate::y(Qubit(i % 4)),
+                2 => Gate::ccx(Qubit(0), Qubit(1), Qubit(2)),
+                _ => Gate::z(Qubit(i % 4)),
+            })
+            .collect();
+        let end = gates.len();
+        let stacked = 65_793; // bytes 1, 1 and 1: three passes that move
+        let plans = [
+            plan(&[(stacked, 1, Pauli::X)]),
+            plan(&[
+                (stacked, 2, Pauli::X),
+                (stacked, 2, Pauli::Z),
+                (stacked, 2, Pauli::Y),
+            ]),
+            plan(&[
+                (stacked, 2, Pauli::Y),
+                (stacked, 2, Pauli::Z),
+                (stacked, 2, Pauli::X),
+            ]),
+            plan(&[(end, 0, Pauli::Y), (0, 3, Pauli::Y), (stacked, 0, Pauli::Z)]),
+            plan(&[(usize::MAX, 40, Pauli::X), (end + 1, 9, Pauli::Y)]),
+            plan(&[
+                (256, 1, Pauli::Y),
+                (1 << 16, 3, Pauli::X),
+                (end + 300, 0, Pauli::Z),
+            ]),
+            plan(&[(u32::MAX as usize, 7, Pauli::X), (end - 1, 3, Pauli::Y)]),
+        ];
+        let cases: Vec<_> = [0b0000u64, 0b0111, 0b1010]
+            .into_iter()
+            .flat_map(|input| plans.iter().map(move |p| (input, p.clone())))
+            .collect();
+        assert_lanes_match_slab(&gates, 4, &cases);
+    }
+
+    /// `order_by_index` against a stable comparison sort of the clamped
+    /// index, on many equal indices, at one, two, three and four byte
+    /// passes and past the end.
+    #[test]
+    fn radix_order_is_the_stable_index_order() {
+        let mut spare = Vec::new();
+        for end in [0usize, 200, 40_000, 70_000, u32::MAX as usize - 1] {
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let items: Vec<(u32, usize)> = (0..3_000)
+                .map(|position| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let index = match state % 5 {
+                        0 => end as u32,
+                        1 => u32::MAX,
+                        2 => (end as u64 + 1 + (state >> 40) % 9) as u32,
+                        _ => ((state >> 20) % (end as u64 + 1)) as u32,
+                    };
+                    (index, position)
+                })
+                .collect();
+            let mut want = items.clone();
+            want.sort_by_key(|&(index, _)| index.min(end as u32 + 1));
+            let mut got = items;
+            order_by_index(&mut got, &mut spare, end, |&(index, _)| index);
+            assert_eq!(got, want, "end {end}");
+        }
     }
 
     #[test]
