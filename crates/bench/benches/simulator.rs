@@ -14,8 +14,7 @@ use qram_bench::experiment_memory;
 use qram_core::{ArchSpec, QueryArchitecture, VirtualQram};
 use qram_noise::{derive_stream_seed, FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
 use qram_sim::{
-    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, run, run_with_faults, FaultPlan,
-    FidelityEstimate, Lanes, Pauli, ShotConfig,
+    run, run_shots, run_with_faults, FaultPlan, FidelityEstimate, Lanes, Pauli, ShotConfig,
 };
 
 fn bench_noiseless_query(c: &mut Criterion) {
@@ -101,7 +100,7 @@ fn bench_shot_engine(c: &mut Criterion) {
         let config = ShotConfig::new(shots).with_seed(9).with_threads(threads);
         group.bench_function(label, |b| {
             b.iter(|| {
-                monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
+                run_shots(query.circuit().gates(), &input, None, &config, &|shot| {
                     sampler.sample_shot(shot)
                 })
                 .unwrap()
@@ -150,9 +149,11 @@ fn bench_lane_engine(c: &mut Criterion) {
     let config = ShotConfig::new(shots as usize).with_seed(9).with_threads(1);
     group.bench_function("lanes", |b| {
         b.iter(|| {
-            monte_carlo_fidelity_with(gates, &input, &config, |shot| sampler.sample_shot(shot))
-                .unwrap()
-                .mean
+            run_shots(gates, &input, None, &config, &|shot| {
+                sampler.sample_shot(shot)
+            })
+            .unwrap()
+            .mean
         })
     });
     group.finish();
@@ -202,7 +203,7 @@ fn bench_reduced_engine(c: &mut Criterion) {
     let config = ShotConfig::new(shots as usize).with_seed(9).with_threads(1);
     group.bench_function("lanes", |b| {
         b.iter(|| {
-            monte_carlo_reduced_fidelity_with(gates, &input, &keep, &config, |shot| {
+            run_shots(gates, &input, Some(&keep), &config, &|shot| {
                 sampler.sample_shot(shot)
             })
             .unwrap()
@@ -213,7 +214,7 @@ fn bench_reduced_engine(c: &mut Criterion) {
     let sampler = FaultSampler::new(query.circuit(), model, 9);
     group.bench_function("lanes_phase_flip", |b| {
         b.iter(|| {
-            monte_carlo_reduced_fidelity_with(gates, &input, &keep, &config, |shot| {
+            run_shots(gates, &input, Some(&keep), &config, &|shot| {
                 sampler.sample_shot(shot)
             })
             .unwrap()

@@ -34,10 +34,16 @@
 //!   A plain copy-forward would let gradual regressions — each within
 //!   tolerance — walk the baseline upward run over run; the ratchet pins
 //!   the best mean observed until the snapshot is deleted.
+//! * `--help` — print the usage and exit.
+//!
+//! An unknown flag, a missing value, or an `--abs-tolerance` that is not
+//! a finite number of at least 0 prints the error and the usage to
+//! standard error and exits with code 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use qram_bench::cli::exit_on_error;
 use qram_bench::report::{
     apply_fleet_slo_gate, apply_gate, baseline_snapshot_dir, bench_results_dir,
     compare_against_baseline, find_repo_root, load_records, merge_baseline_records, parse_baseline,
@@ -46,6 +52,11 @@ use qram_bench::report::{
 };
 use qram_telemetry::Json;
 
+/// The flag synopsis printed for `--help` and after a bad flag.
+const USAGE: &str = "[--out FILE] [--baseline-file FILE] [--abs-baseline NAME] \
+                     [--abs-tolerance X] [--refresh-abs-baseline] [--check] [--help]";
+
+#[derive(Debug, PartialEq)]
 struct Args {
     out: Option<PathBuf>,
     baseline_file: Option<PathBuf>,
@@ -55,41 +66,49 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
-    let mut out = None;
-    let mut baseline_file = None;
-    let mut abs_baseline = String::from("ci");
-    let mut abs_tolerance = 0.5;
-    let mut refresh_abs_baseline = false;
-    let mut check = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"))
+impl Args {
+    /// Parses the flags (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// [`USAGE`] itself for `--help`; otherwise a message naming the
+    /// unknown flag or the missing or malformed value. A tolerance must
+    /// be finite and at least 0: a `NaN` or infinite one would pass
+    /// every bench and so turn the absolute gate off.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args {
+            out: None,
+            baseline_file: None,
+            abs_baseline: String::from("ci"),
+            abs_tolerance: 0.5,
+            refresh_abs_baseline: false,
+            check: false,
         };
-        match flag.as_str() {
-            "--out" => out = Some(PathBuf::from(value())),
-            "--baseline-file" => baseline_file = Some(PathBuf::from(value())),
-            "--abs-baseline" => abs_baseline = value(),
-            "--abs-tolerance" => {
-                abs_tolerance = value().parse().expect("--abs-tolerance expects a number")
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--out" => parsed.out = Some(PathBuf::from(value()?)),
+                "--baseline-file" => parsed.baseline_file = Some(PathBuf::from(value()?)),
+                "--abs-baseline" => parsed.abs_baseline = value()?,
+                "--abs-tolerance" => {
+                    let v = value()?;
+                    parsed.abs_tolerance = match v.parse::<f64>() {
+                        Ok(x) if x.is_finite() && x >= 0.0 => x,
+                        _ => {
+                            return Err(format!(
+                                "{flag} expects a finite number of at least 0, not `{v}`"
+                            ))
+                        }
+                    };
+                }
+                "--refresh-abs-baseline" => parsed.refresh_abs_baseline = true,
+                "--check" => parsed.check = true,
+                "--help" => return Err(USAGE.into()),
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            "--refresh-abs-baseline" => refresh_abs_baseline = true,
-            "--check" => check = true,
-            other => panic!(
-                "unknown flag `{other}` (expected --out FILE, --baseline-file FILE, \
-                 --abs-baseline NAME, --abs-tolerance X, --refresh-abs-baseline, --check)"
-            ),
         }
-    }
-    Args {
-        out,
-        baseline_file,
-        abs_baseline,
-        abs_tolerance,
-        refresh_abs_baseline,
-        check,
+        Ok(parsed)
     }
 }
 
@@ -135,7 +154,7 @@ fn apply_abs_comparison(records: &[qram_bench::report::BenchRecord], args: &Args
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = exit_on_error(USAGE, Args::parse(std::env::args().skip(1)));
     let repo_root = std::env::current_dir()
         .ok()
         .and_then(|d| find_repo_root(&d))
@@ -154,7 +173,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = qram_sim::resolve_workers(0);
     let shot_engine = speedup(&records, "shot_engine", "serial", "sharded");
     let lane_engine = speedup(&records, "lane_engine", "slab", "lanes");
     let summary = summary_json(
@@ -302,5 +321,82 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parses_every_flag() {
+        let args = parse(&[
+            "--out",
+            "B.json",
+            "--baseline-file",
+            "base.json",
+            "--abs-baseline",
+            "local",
+            "--abs-tolerance",
+            "0.25",
+            "--refresh-abs-baseline",
+            "--check",
+        ])
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                out: Some(PathBuf::from("B.json")),
+                baseline_file: Some(PathBuf::from("base.json")),
+                abs_baseline: "local".into(),
+                abs_tolerance: 0.25,
+                refresh_abs_baseline: true,
+                check: true,
+            }
+        );
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            (defaults.abs_baseline.as_str(), defaults.abs_tolerance),
+            ("ci", 0.5)
+        );
+        assert!(!defaults.check && !defaults.refresh_abs_baseline);
+    }
+
+    #[test]
+    fn help_returns_the_usage() {
+        assert_eq!(parse(&["--check", "--help"]).unwrap_err(), USAGE);
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_missing_or_malformed_values() {
+        for (args, error) in [
+            (&["--fast"][..], "unknown flag `--fast`"),
+            (&["--out"], "--out needs a value"),
+            (
+                &["--check", "--abs-baseline"],
+                "--abs-baseline needs a value",
+            ),
+            (
+                &["--abs-tolerance", "half"],
+                "--abs-tolerance expects a finite number of at least 0, not `half`",
+            ),
+        ] {
+            assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
+    }
+
+    /// `ratio > 1 + tolerance` is false for every bench under a `NaN` or
+    /// infinite tolerance, which would silently pass the absolute gate.
+    #[test]
+    fn rejects_tolerances_that_turn_the_gate_off() {
+        for v in ["NaN", "inf", "-inf", "-0.5"] {
+            let error = format!("--abs-tolerance expects a finite number of at least 0, not `{v}`");
+            assert_eq!(parse(&["--abs-tolerance", v]).unwrap_err(), error);
+        }
+        assert_eq!(parse(&["--abs-tolerance", "0"]).unwrap().abs_tolerance, 0.0);
     }
 }

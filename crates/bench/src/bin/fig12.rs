@@ -17,7 +17,7 @@ use qram_circuit::decompose::{lower, CliffordTGate};
 use qram_core::{DataEncoding, QueryArchitecture, VirtualQram};
 use qram_layout::{route, route_with_chosen_layout, CouplingGraph};
 use qram_noise::{ibm_perth, ibmq_guadalupe, DeviceModel, ErrorReductionFactor, FaultSampler};
-use qram_sim::monte_carlo_fidelity_with;
+use qram_sim::run_shots;
 
 /// Scales a device model's 2-qubit channel by the routed/unrouted CX
 /// ratio, charging the SWAP overhead to every 2-qubit gate.
@@ -75,7 +75,7 @@ fn main() {
             let effective = ErrorReductionFactor(er.0 / penalty);
             let sampler =
                 FaultSampler::for_device(query.circuit(), &device, effective, config.seed);
-            let est = monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, |shot| {
+            let est = run_shots(query.circuit().gates(), &input, None, &config, &|shot| {
                 sampler.sample_shot(shot)
             })
             .expect("simulable");

@@ -81,7 +81,9 @@
 //!   (default 2, clamped to the fleet size);
 //! * `--slo-deadline T` — interactive-class deadline in virtual ns
 //!   (default 60000);
-//! * `--out FILE` — summary path (default `<repo root>/BENCH_SERVE.json`);
+//! * `--out FILE` — write the summary to `FILE` (without it, none is
+//!   written; the checked-in `BENCH_SERVE.json` is regenerated with
+//!   `--out BENCH_SERVE.json`);
 //! * `--trace-out FILE` — also export the full telemetry trace (the
 //!   canonically-ordered span log plus the metrics registry) as JSON;
 //! * `--help` — print the usage and exit.
@@ -108,7 +110,7 @@ use std::path::{Path, PathBuf};
 
 use qram_bench::cli::exit_on_error;
 use qram_bench::report::{
-    find_repo_root, latency_json, percentile, ServeArchPoint, ServeLoadPoint, SERVE_SUMMARY_SCHEMA,
+    latency_json, percentile, ServeArchPoint, ServeLoadPoint, SERVE_SUMMARY_SCHEMA,
 };
 use qram_bench::{experiment_memory, print_row};
 use qram_core::{ArchSpec, DataEncoding, Memory, Optimizations};
@@ -785,11 +787,15 @@ struct Summary<'a> {
     per_arch: &'a [ServeArchPoint],
 }
 
-/// Writes the `serve-summary/v6` document every mode emits: the shared
-/// header, the mode's leading sections, the flat `telemetry` section,
-/// the mode's trailing sections, and the per-architecture breakdown.
+/// Writes the `serve-summary/v6` document every mode emits to `--out`,
+/// if given: the shared header, the mode's leading sections, the flat
+/// `telemetry` section, the mode's trailing sections, and the
+/// per-architecture breakdown.
 fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
     let args = ctx.args;
+    let Some(path) = &args.out else {
+        return;
+    };
     let policy = args.release_policy;
     let (closed, capacity) = match summary.serving {
         Loop::Closed { requests, batches } => (Some((requests, batches)), None),
@@ -873,15 +879,7 @@ fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
     doc.extend(summary.tail);
     let per_arch = summary.per_arch.iter().map(Json::from).collect();
     doc.push(("per_arch", Json::Array(per_arch)));
-
-    let path = args.out.clone().unwrap_or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| find_repo_root(&d))
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_SERVE.json")
-    });
-    write_json(&path, &Json::object(doc), "summary");
+    write_json(path, &Json::object(doc), "summary");
 }
 
 fn main() {

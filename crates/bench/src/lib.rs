@@ -35,9 +35,7 @@ pub use cli::RunOptions;
 
 use qram_core::{Memory, QueryArchitecture};
 use qram_noise::{ErrorReductionFactor, FaultSampler, NoiseModel};
-use qram_sim::{
-    monte_carlo_fidelity_with, monte_carlo_reduced_fidelity_with, FidelityEstimate, ShotConfig,
-};
+use qram_sim::{run_shots, FidelityEstimate, ShotConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,21 +71,18 @@ pub fn architecture_fidelity(
     let query = arch.build(memory);
     let input = query.input_state(None);
     let sampler = FaultSampler::new(query.circuit(), model, config.seed);
-    let sample = |shot| sampler.sample_shot(shot);
-    match kind {
-        FidelityKind::Full => {
-            monte_carlo_fidelity_with(query.circuit().gates(), &input, &config, sample)
-                .expect("generated circuits are always simulable")
-        }
-        FidelityKind::Reduced => monte_carlo_reduced_fidelity_with(
-            query.circuit().gates(),
-            &input,
-            &query.output_qubits(),
-            &config,
-            sample,
-        )
-        .expect("generated circuits are always simulable"),
-    }
+    let keep = match kind {
+        FidelityKind::Full => None,
+        FidelityKind::Reduced => Some(query.output_qubits()),
+    };
+    run_shots(
+        query.circuit().gates(),
+        &input,
+        keep.as_deref(),
+        &config,
+        &|shot| sampler.sample_shot(shot),
+    )
+    .expect("generated circuits are always simulable")
 }
 
 /// A deterministic pseudo-random memory for experiment reproducibility.

@@ -1,5 +1,5 @@
 //! The real executor: requests run as lanes of bit-sliced circuit walks,
-//! dispatched as work-stealing runs.
+//! dispatched as runs on the shot engine's worker loop.
 //!
 //! Where the virtual timeline ([`crate::VirtualTimeline`]) *models* when
 //! a request runs on the served device, this module actually *computes*
@@ -26,24 +26,26 @@
 //! and no gate reads a phase to change a bit (`H` is rejected). A `Y`
 //! flips the bit, so it stays. A shot with an empty plan, or whose
 //! faults are all `Z`, samples `1.0` without a lane: its bits end as the
-//! ideal lane's. [`ShotStats`] stays a model count: every non-empty plan
-//! is replayed, with all its faults (`Z` included) and every gate
-//! applied. The estimate and the stats therefore equal those of the
-//! slab reference (per shot [`qram_sim::run_with_faults`], then the
-//! reduced fidelity) on the request's basis input, and so those of
+//! ideal lane's. [`ShotStats`] stays a model count, tallied by the shot
+//! engine's own [`ShotStats::count`]: every non-empty plan is replayed,
+//! with all its faults (`Z` included) and every gate applied. The
+//! estimate and the stats therefore equal those of the slab reference
+//! (per shot [`qram_sim::run_with_faults`], then the reduced fidelity)
+//! on the request's basis input, and so those of
 //! [`qram_sim::run_shots_stats`], whose shots are lane passes too.
 //!
 //! # Dispatch
 //!
 //! The caller allocates one result slot per request and cuts the slots
-//! per run before any worker starts. `workers − 1` threads are spawned
-//! and the calling thread works too; each pulls the next run off a
-//! shared queue, writes only that run's slots, and reuses one lane
-//! buffer and one buffer per shot plan across the runs it takes. A fired
-//! batch's work is now a few milliseconds, so a spawned thread less
-//! counts. Results never live in storage a worker allocated: glibc keeps
-//! a worker arena's high-water mark, and per-worker result vectors
-//! showed up in peak RSS.
+//! per run before any worker starts. The runs are the jobs of
+//! [`qram_sim::run_jobs`], the one worker loop the shot engine runs on
+//! too: the calling thread is one of its workers, each worker claims
+//! the next run in order, writes only that run's slots, and reuses one
+//! lane buffer and one buffer per shot plan across the runs it takes,
+//! and a run's panic reaches the caller with its own message. Results
+//! never live in storage a worker allocated: glibc keeps a worker
+//! arena's high-water mark, and per-worker result vectors showed up in
+//! peak RSS.
 //!
 //! # Determinism
 //!
@@ -56,13 +58,12 @@
 //! the fired request order. Which thread takes which run is invisible
 //! in the output.
 
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 use qram_circuit::Qubit;
 use qram_core::QueryError;
 use qram_noise::{derive_stream_seed, FaultSampler};
-use qram_sim::{FaultPlan, FidelityEstimate, Lanes, Pauli, ShotStats};
+use qram_sim::{run_jobs, FaultPlan, FidelityEstimate, Lanes, Pauli, ShotStats};
 
 use crate::{CompiledQuery, Latency, QueryRequest, QueryResult, ServiceConfig, Ticks};
 
@@ -112,31 +113,9 @@ pub(crate) fn dispatch(
         runs.push((run, out));
         (items, rest) = (tail, slot_tail);
     }
-    let workers = workers.clamp(1, runs.len().max(1));
-    let queue = Mutex::new(runs.into_iter());
-    let work = || {
-        let mut scratch = Scratch::default();
-        loop {
-            // Take the next run; the claim order is scheduling-dependent,
-            // the per-request results are not.
-            let next = queue.lock().expect("run queue poisoned").next();
-            let Some((run, out)) = next else {
-                return;
-            };
-            execute_run(run, out, config, &mut scratch);
-        }
-    };
-    if workers == 1 {
-        work();
-    } else {
-        thread::scope(|scope| {
-            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-            work();
-            for helper in helpers {
-                helper.join().expect("executor worker panicked");
-            }
-        });
-    }
+    run_jobs(workers, runs, |scratch: &mut Scratch, (run, out)| {
+        execute_run(run, out, config, scratch);
+    });
     slots
         .into_iter()
         .map(|slot| slot.expect("every dispatched item produces a result"))
@@ -191,7 +170,7 @@ fn execute_run(
             }
         }
     }
-    let walked = plans.iter().filter(|plan| flips_a_bit(plan)).count();
+    let walked = plans.iter().filter(|plan| plan.flips_bits()).count();
 
     // Lanes 0..run.len() are the ideal lanes; the shots whose plans flip
     // a bit follow in (request, shot) order, with only their bit-flipping
@@ -210,7 +189,7 @@ fn execute_run(
         assert!(value < (1u64 << width), "address {value} out of range");
         write_address(lanes, j, value);
         for plan in &plans[j * shots..(j + 1) * shots] {
-            if flips_a_bit(plan) {
+            if plan.flips_bits() {
                 write_address(lanes, lane, value);
                 for fault in plan.faults().iter().filter(|f| f.pauli != Pauli::Z) {
                     lanes.add_fault(lane, fault);
@@ -251,16 +230,9 @@ fn execute_run(
         let mut stats = ShotStats::default();
         samples.clear();
         for plan in &plans[j * shots..(j + 1) * shots] {
-            stats.shots += 1;
-            if plan.is_empty() {
-                samples.push(1.0);
-                continue;
-            }
-            stats.replayed += 1;
-            stats.faults += plan.len() as u64;
-            stats.gate_applications += gates.len() as u64;
-            if !flips_a_bit(plan) {
-                // All Z: its bits end as the ideal lane's.
+            stats.count(plan, gates);
+            if !plan.flips_bits() {
+                // No fault, or all Z: its bits end as the ideal lane's.
                 samples.push(1.0);
                 continue;
             }
@@ -286,11 +258,6 @@ fn execute_run(
         };
         *slot = Some((result, stats));
     }
-}
-
-/// Whether `plan` has a fault that flips a bit: an `X` or a `Y`.
-fn flips_a_bit(plan: &FaultPlan) -> bool {
-    plan.faults().iter().any(|f| f.pauli != Pauli::Z)
 }
 
 #[cfg(test)]
@@ -526,6 +493,22 @@ mod tests {
             assert!(r.value, "Memory::ones reads 1 everywhere");
             assert_eq!(r.fidelity.shots, 6);
             assert_eq!(stats.shots, 6);
+        }
+    }
+
+    /// A bad address in the second of two runs panics with its own
+    /// message at any worker count, whichever worker takes that run.
+    #[test]
+    fn an_out_of_range_address_panics_with_its_own_message() {
+        let (mut items, config) = prepared(17, 6);
+        items[12].request.address = 8;
+        for workers in [1, 2, 4] {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dispatch(&items, workers, &config)
+            }))
+            .expect_err("address 8 is out of range");
+            let text = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(text, "address 8 out of range", "{workers} workers");
         }
     }
 

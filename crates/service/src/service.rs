@@ -28,13 +28,12 @@
 //!   `(service seed, request id)` ([`qram_noise::derive_stream_seed`] +
 //!   [`FaultSampler::sample_shot_from`] over the spec's shared trial
 //!   table), so the estimate a request receives cannot depend on which
-//!   worker stole it;
+//!   worker claimed it;
 //! * latency is measured on the virtual clock via the [`CostModel`],
 //!   never on host wall time.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread;
 
 use qram_core::Memory;
 use qram_noise::{FaultSampler, NoiseModel, PauliChannel, BASE_ERROR_RATE};
@@ -210,12 +209,7 @@ impl ServiceConfig {
         if self.shots == 0 {
             return 1;
         }
-        let hardware = if self.workers > 0 {
-            self.workers
-        } else {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        };
-        hardware.min(items).max(1)
+        qram_sim::resolve_workers(self.workers).min(items).max(1)
     }
 }
 

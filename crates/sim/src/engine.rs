@@ -2,10 +2,10 @@
 //! across *shots*, and within a shard bit-sliced [`Lanes`] walks that
 //! each serve many shots.
 //!
-//! The engine splits a run of `shots` trajectories into per-thread
-//! *shards* executed under [`std::thread::scope`] — no work stealing, no
-//! external dependencies. Determinism across thread counts is structural,
-//! not accidental:
+//! The engine splits a run of `shots` trajectories into contiguous
+//! *shards*, one per thread, and runs them as the jobs of the crate's one
+//! worker loop ([`run_jobs`]), the calling thread taking one. Determinism
+//! across thread counts is structural, not accidental:
 //!
 //! * the sampler contract is `Fn(shot) -> FaultPlan`: every shot's fault
 //!   pattern is a pure function of the shot index (samplers derive an
@@ -64,23 +64,24 @@
 //! position), found as the shot is sampled. A fault past the end never
 //! fires and is never checked. When a replayed shot precedes the erroring
 //! one, the reference's panic fires first. Across shards the lowest
-//! shard's error wins, and a shard's panic is re-raised with its own
-//! payload, so it reads the same at any thread count.
+//! shard's error wins (results merge in shard order), and a shard's
+//! panic is re-raised with its own payload, so it reads the same at any
+//! thread count.
 //!
-//! Each shard keeps one [`Lanes`] buffer for its sign walks and passes,
+//! Each worker keeps one [`Lanes`] buffer for its sign walks and passes,
 //! one reduction scratch, one output [`PathState`], and its window's
-//! taps and sign rows.
+//! taps and sign rows, across the shards it takes. A shard starts by
+//! dropping any taps an erroring shard before it left behind.
 
-use std::num::NonZeroUsize;
-use std::panic;
 use std::sync::OnceLock;
-use std::thread;
 
 use qram_circuit::{Gate, Qubit};
 
 use crate::lanes::{order_by_index, SignTap};
 use crate::reduce::{KeptReference, LaneReduction};
-use crate::{Amplitude, FaultPlan, FidelityEstimate, Lanes, PathState, Pauli, SimError};
+use crate::{
+    resolve_workers, run_jobs, Amplitude, FaultPlan, FidelityEstimate, Lanes, PathState, SimError,
+};
 
 /// Shots per sign walk: a window's all-`Z` shots wait for its sign walk
 /// as taps, so a window bounds the taps held at any shot count.
@@ -89,12 +90,6 @@ const WINDOW_SHOTS: usize = 1024;
 /// Lane words of a multi-shot pass: 8 shots of 256 paths, or 1 shot of
 /// 2,048 or more.
 const PASS_WORDS: usize = 32;
-
-fn available_cores() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// Configuration of one Monte-Carlo fidelity run.
 ///
@@ -161,11 +156,7 @@ impl ShotConfig {
     /// The effective worker count: `threads`, or — when `threads == 0` —
     /// the machine's available parallelism.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            available_cores()
-        }
+        resolve_workers(self.threads)
     }
 }
 
@@ -196,6 +187,20 @@ pub struct ShotStats {
 }
 
 impl ShotStats {
+    /// Counts one sampled shot whose plan is `plan` on a circuit of
+    /// `gates`. These are model counts, not host work: every non-empty
+    /// plan counts as replayed, even one whose faults are all `Z` or all
+    /// lie past the end, with all of its faults injected and every gate
+    /// (barriers included) applied, whether or not a lane walks it.
+    pub fn count(&mut self, plan: &FaultPlan, gates: &[Gate]) {
+        self.shots += 1;
+        if !plan.is_empty() {
+            self.replayed += 1;
+            self.faults += plan.len() as u64;
+            self.gate_applications += gates.len() as u64;
+        }
+    }
+
     /// Adds another shard's counters into this one.
     pub fn merge_from(&mut self, other: &ShotStats) {
         self.shots += other.shots;
@@ -262,61 +267,35 @@ pub fn run_shots_stats(
     config: &ShotConfig,
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<(FidelityEstimate, ShotStats), SimError> {
-    // The input's row image, transposed once; the ideal walks a copy.
-    let mut image = Lanes::default();
-    image.load_paths(input);
-    let mut ideal = PathState::zero_vector(input.num_qubits());
-    {
-        let mut lanes = image.clone();
-        lanes.run(gates)?;
-        lanes.block(0).store_paths(input, &mut ideal);
-    }
-
+    let call = Call::new(gates, input, keep)?;
     let shots = config.shots;
     if shots == 0 {
         return Ok((FidelityEstimate::from_samples(&[]), ShotStats::default()));
     }
-    let threads = config.resolved_threads().min(shots).max(1);
+    // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
+    // Shot indices are global, so the shard boundaries never influence
+    // which plan a shot receives.
+    let threads = config.resolved_threads().min(shots);
+    let chunk = shots.div_ceil(threads);
     let mut samples = vec![0.0f64; shots];
+    let mut results = vec![Ok(ShotStats::default()); shots.div_ceil(chunk)];
+    let shards = samples
+        .chunks_mut(chunk)
+        .zip(&mut results)
+        .enumerate()
+        .map(|(i, (out, result))| ((i * chunk) as u64, out, result))
+        .collect();
+    run_jobs(
+        threads,
+        shards,
+        |shard: &mut Shard, (first, out, result)| {
+            *result = run_shard(shard, &call, first, out, sample_plan);
+        },
+    );
+    // Merged in shard order, so the lowest shard's error wins.
     let mut stats = ShotStats::default();
-    let call = Call {
-        gates,
-        input,
-        image: &image,
-        ideal: &ideal,
-        keep,
-        reference: OnceLock::new(),
-    };
-
-    if threads == 1 {
-        stats = run_shard(&call, 0, &mut samples, sample_plan)?;
-    } else {
-        // Contiguous sharding: shard `i` owns shots [i·chunk, (i+1)·chunk).
-        // Shot indices are global, so the shard boundaries never influence
-        // which plan a shot receives.
-        let chunk = shots.div_ceil(threads);
-        let call = &call;
-        let results: Vec<Result<ShotStats, SimError>> = thread::scope(|scope| {
-            let handles: Vec<_> = samples
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, out)| {
-                    scope.spawn(move || run_shard(call, (i * chunk) as u64, out, sample_plan))
-                })
-                .collect();
-            // Joined in shard order; a shard's panic goes on with its own
-            // payload, as it would on one thread.
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
-                })
-                .collect()
-        });
-        for result in results {
-            stats.merge_from(&result?);
-        }
+    for result in results {
+        stats.merge_from(&result?);
     }
     Ok((FidelityEstimate::from_samples(&samples), stats))
 }
@@ -326,15 +305,38 @@ struct Call<'a> {
     gates: &'a [Gate],
     input: &'a PathState,
     /// The input's paths as lane rows, one lane per path.
-    image: &'a Lanes,
-    ideal: &'a PathState,
+    image: Lanes,
+    ideal: PathState,
     keep: Option<&'a [Qubit]>,
     /// The reduction's reference, built by the first shard to reach a
     /// replayed shot.
     reference: OnceLock<KeptReference>,
 }
 
-impl Call<'_> {
+impl<'a> Call<'a> {
+    /// Transposes `input` into its row image once and walks a copy of it
+    /// for the ideal output, which checks every gate.
+    fn new(
+        gates: &'a [Gate],
+        input: &'a PathState,
+        keep: Option<&'a [Qubit]>,
+    ) -> Result<Self, SimError> {
+        let mut image = Lanes::default();
+        image.load_paths(input);
+        let mut lanes = image.clone();
+        lanes.run(gates)?;
+        let mut ideal = PathState::zero_vector(input.num_qubits());
+        lanes.block(0).store_paths(input, &mut ideal);
+        Ok(Call {
+            gates,
+            input,
+            image,
+            ideal,
+            keep,
+            reference: OnceLock::new(),
+        })
+    }
+
     /// The reduction's reference when the fidelity is reduced, built at
     /// its first use.
     ///
@@ -345,12 +347,13 @@ impl Call<'_> {
         let keep = self.keep?;
         Some(
             self.reference
-                .get_or_init(|| KeptReference::new(self.ideal, keep)),
+                .get_or_init(|| KeptReference::new(&self.ideal, keep)),
         )
     }
 }
 
-/// Runs one shard's contiguous shot range, writing fidelities into `out`.
+/// Runs one shard's contiguous shot range, from `first_shot`, on
+/// `shard`'s buffers, writing fidelities into `out`.
 ///
 /// It samples the shots in order and settles empty plans and errors. A
 /// shot that has any `X` or `Y` fault waits for a multi-shot pass, which
@@ -359,21 +362,17 @@ impl Call<'_> {
 /// partial pass at the window's end. Every sample is bit-identical to
 /// the slab engine's.
 fn run_shard(
+    shard: &mut Shard,
     call: &Call<'_>,
     first_shot: u64,
     out: &mut [f64],
     sample_plan: &(impl Fn(u64) -> FaultPlan + Sync),
 ) -> Result<ShotStats, SimError> {
+    // The worker's previous shard may have ended in an error, with its
+    // window's taps still held.
+    shard.taps.clear();
     let (end, num_qubits) = (call.gates.len(), call.input.num_qubits());
     let per_pass = (PASS_WORDS / call.input.num_paths().div_ceil(64).max(1)).max(1);
-    let mut shard = Shard {
-        lanes: Lanes::default(),
-        reduction: LaneReduction::default(),
-        noisy: PathState::zero_vector(num_qubits),
-        taps: Vec::new(),
-        spare_taps: Vec::new(),
-        signs: Vec::new(),
-    };
     let mut stats = ShotStats::default();
     // The places in the window of the sign walk's shots, in sign row
     // order, and the shots waiting for the next pass, with their plans.
@@ -382,7 +381,7 @@ fn run_shard(
         let first = first_shot + (window * WINDOW_SHOTS) as u64;
         for i in 0..out.len() {
             let plan = sample_plan(first + i as u64);
-            stats.shots += 1;
+            stats.count(&plan, call.gates);
             if plan.is_empty() {
                 // Fault-free shot: fidelity is exactly 1; skip the replay.
                 out[i] = 1.0;
@@ -391,18 +390,13 @@ fn run_shard(
             if let Some(error) = plan_error(&plan, end, num_qubits) {
                 return Err(error);
             }
-            if stats.replayed == 0 {
+            if stats.replayed == 1 {
                 // The reference is first used here, where the slab
                 // reduction first ran, so its panics fire at this shot.
                 call.reference();
             }
-            // Model counts: an all-Z shot counts as replayed, with every
-            // gate applied, though nothing walks it.
-            stats.replayed += 1;
-            stats.faults += plan.len() as u64;
-            stats.gate_applications += end as u64;
-            if plan.faults().iter().all(|f| f.pauli == Pauli::Z) {
-                // Its faults past the end never fire.
+            if !plan.flips_bits() {
+                // All `Z`: its faults past the end never fire.
                 let slot = u32::try_from(signed.len()).expect("a window of shots");
                 let firing = plan.faults().iter().filter(|f| f.gate_index <= end);
                 shard.taps.extend(firing.map(|f| SignTap {
@@ -442,7 +436,8 @@ fn plan_error(plan: &FaultPlan, end: usize, num_qubits: usize) -> Option<SimErro
         })
 }
 
-/// One shard's buffers, reused across its windows.
+/// A worker's buffers, reused across its windows and the shards it
+/// takes.
 struct Shard {
     /// The lane buffer of every sign walk and pass.
     lanes: Lanes,
@@ -454,6 +449,19 @@ struct Shard {
     taps: Vec<SignTap>,
     spare_taps: Vec<SignTap>,
     signs: Vec<u64>,
+}
+
+impl Default for Shard {
+    fn default() -> Self {
+        Shard {
+            lanes: Lanes::default(),
+            reduction: LaneReduction::default(),
+            noisy: PathState::zero_vector(0),
+            taps: Vec::new(),
+            spare_taps: Vec::new(),
+            signs: Vec::new(),
+        }
+    }
 }
 
 impl Shard {
@@ -475,7 +483,7 @@ impl Shard {
             call.gates.len(),
             |tap| tap.index,
         );
-        self.lanes.load_blocks(call.image, 1);
+        self.lanes.load_blocks(&call.image, 1);
         let words = call.input.num_paths().div_ceil(64);
         self.signs.clear();
         self.signs.resize(places.len() * words, 0);
@@ -516,7 +524,7 @@ impl Shard {
         if shots.is_empty() {
             return Ok(());
         }
-        self.lanes.load_blocks(call.image, shots.len());
+        self.lanes.load_blocks(&call.image, shots.len());
         for (block, (_, plan)) in shots.iter().enumerate() {
             self.lanes.add_block_faults(block, plan);
         }
@@ -697,7 +705,7 @@ mod tests {
     #[test]
     fn auto_resolution_never_oversubscribes() {
         // Auto fills the machine and no more; a pinned count is kept.
-        let cores = super::available_cores();
+        let cores = resolve_workers(0);
         assert_eq!(ShotConfig::new(8).resolved_threads(), cores);
         assert_eq!(ShotConfig::new(8).with_threads(3).resolved_threads(), 3);
     }
@@ -717,6 +725,69 @@ mod tests {
         gates.push(qram_circuit::Gate::H(Qubit(1)));
         let err = run_shots(&gates, &input, None, &config, &bad_plan).unwrap_err();
         assert_eq!(err, SimError::NonReversibleGate { gate: "h" });
+    }
+
+    /// A shard that ended in an error serves its next shots as a fresh
+    /// one does. Shot 0 leaves two `Z` taps on set bits, and shot 1 then
+    /// errors before the window's sign walk runs; a stale tap would flip
+    /// signs of the next shard's first all-`Z` shot.
+    #[test]
+    fn a_shard_after_an_error_serves_like_a_fresh_one() {
+        let gates = wide_gates();
+        let input = wide_input(130);
+        let plan = |shot: u64| -> FaultPlan {
+            let faults = match shot {
+                0 => vec![
+                    Fault::new(2, Qubit(66), Pauli::Z),
+                    Fault::new(0, Qubit(1), Pauli::Z),
+                ],
+                1 => vec![Fault::new(3, Qubit(99), Pauli::X)],
+                _ => vec![Fault::new(
+                    shot as usize % 8,
+                    Qubit(shot as u32 % 5),
+                    Pauli::Z,
+                )],
+            };
+            faults.into_iter().collect()
+        };
+        let kept: Vec<Qubit> = (0..70)
+            .filter(|q| ![67, 69].contains(q))
+            .map(Qubit)
+            .collect();
+        for keep in [None, Some(kept.as_slice())] {
+            let call = Call::new(&gates, &input, keep).unwrap();
+            let mut used = Shard::default();
+            let err = run_shard(&mut used, &call, 0, &mut [0.0; 2], &plan);
+            let (index, num_qubits) = (99, 70);
+            assert_eq!(err, Err(SimError::QubitOutOfRange { index, num_qubits }));
+            let (mut again, mut fresh) = ([0.0; 8], [0.0; 8]);
+            let stats = run_shard(&mut used, &call, 2, &mut again, &plan).unwrap();
+            let want = run_shard(&mut Shard::default(), &call, 2, &mut fresh, &plan).unwrap();
+            assert_eq!(stats, want);
+            assert_eq!(again.map(f64::to_bits), fresh.map(f64::to_bits));
+        }
+    }
+
+    /// Shot `s` faults qubit `40 + s`, so every shard fails on its own
+    /// qubit; the lowest shard's error wins at any thread count.
+    #[test]
+    fn the_lowest_shards_error_wins() {
+        let (c, input) = test_circuit();
+        let plan = |shot: u64| -> FaultPlan {
+            [Fault::new(0, Qubit(40 + shot as u32), Pauli::X)]
+                .into_iter()
+                .collect()
+        };
+        for threads in [1, 2, 4] {
+            let config = ShotConfig::new(16).with_threads(threads);
+            let err = run_shots_stats(c.gates(), &input, None, &config, &plan).unwrap_err();
+            let (index, num_qubits) = (40, 3);
+            assert_eq!(
+                err,
+                SimError::QubitOutOfRange { index, num_qubits },
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

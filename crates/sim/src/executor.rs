@@ -13,7 +13,7 @@
 
 use qram_circuit::{Control, Gate, Qubit};
 
-use crate::state::{PathBits, PathsMut};
+use crate::state::PathBits;
 use crate::{PathState, SimError};
 
 /// A single-qubit Pauli error.
@@ -121,6 +121,12 @@ impl FaultPlan {
         &self.faults
     }
 
+    /// Whether some fault flips a bit: an `X` or a `Y`. Without one, a
+    /// plan changes only phases, and the run ends in the ideal's bits.
+    pub fn flips_bits(&self) -> bool {
+        self.faults.iter().any(|f| f.pauli != Pauli::Z)
+    }
+
     /// The faults grouped by `gate_index`, sorted ascending.
     fn sorted(&self) -> Vec<Fault> {
         let mut sorted = self.faults.clone();
@@ -170,45 +176,26 @@ pub fn run_with_faults(
 ) -> Result<(), SimError> {
     let faults = plan.sorted();
     let num_qubits = state.num_qubits();
-    run_plan_on(gates, &mut state.as_paths_mut(), &faults, num_qubits)
-}
-
-/// Executes the full gate/fault sequence over one slab view. `faults`
-/// must already be location-sorted ([`FaultPlan::sorted`]).
-fn run_plan_on(
-    gates: &[Gate],
-    view: &mut PathsMut<'_>,
-    faults: &[Fault],
-    num_qubits: usize,
-) -> Result<(), SimError> {
-    let mut next_fault = 0usize;
-
-    let fire =
-        |idx: usize, view: &mut PathsMut<'_>, next_fault: &mut usize| -> Result<(), SimError> {
-            while *next_fault < faults.len() && faults[*next_fault].gate_index <= idx {
-                let f = faults[*next_fault];
-                if f.qubit.index() >= num_qubits {
-                    return Err(SimError::QubitOutOfRange {
-                        index: f.qubit.index(),
-                        num_qubits,
-                    });
-                }
-                match f.pauli {
-                    Pauli::X => view.apply_x(f.qubit.index()),
-                    Pauli::Y => view.apply_y(f.qubit.index()),
-                    Pauli::Z => view.apply_z(f.qubit.index()),
-                }
-                *next_fault += 1;
+    let mut next = 0;
+    // Fires every fault located at or before `idx` that has not fired.
+    let mut fire = |idx: usize, state: &mut PathState| -> Result<(), SimError> {
+        while let Some(f) = faults.get(next).filter(|f| f.gate_index <= idx) {
+            if f.qubit.index() >= num_qubits {
+                return Err(SimError::QubitOutOfRange {
+                    index: f.qubit.index(),
+                    num_qubits,
+                });
             }
-            Ok(())
-        };
-
+            f.pauli.apply(state, f.qubit);
+            next += 1;
+        }
+        Ok(())
+    };
     for (i, gate) in gates.iter().enumerate() {
-        fire(i, view, &mut next_fault)?;
-        apply_gate_on(gate, view, num_qubits)?;
+        fire(i, state)?;
+        apply_gate(gate, state)?;
     }
-    fire(gates.len(), view, &mut next_fault)?;
-    Ok(())
+    fire(gates.len(), state)
 }
 
 /// Fails with [`SimError::QubitOutOfRange`] on the first operand (in
@@ -226,15 +213,15 @@ fn check_bounds(gate: &Gate, num_qubits: usize) -> Result<(), SimError> {
     }
 }
 
-/// Applies one gate to a slab view.
+/// Applies one gate to the slab.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::NonReversibleGate`] for `H`,
 /// [`SimError::QubitOutOfRange`] for bad qubit indices (bounds are
 /// checked before family legality).
-fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Result<(), SimError> {
-    check_bounds(gate, num_qubits)?;
+fn apply_gate(gate: &Gate, state: &mut PathState) -> Result<(), SimError> {
+    check_bounds(gate, state.num_qubits())?;
     #[inline]
     fn ctrl_active(bits: &PathBits<'_>, c: &Control) -> bool {
         bits.get(c.qubit.index()) == c.value
@@ -242,12 +229,12 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
     match gate {
         Gate::Barrier => {}
         Gate::H(_) => return Err(SimError::NonReversibleGate { gate: "h" }),
-        Gate::X(q) | Gate::ClX(q) => view.apply_x(q.index()),
-        Gate::Y(q) => view.apply_y(q.index()),
-        Gate::Z(q) => view.apply_z(q.index()),
+        Gate::X(q) | Gate::ClX(q) => state.apply_x(*q),
+        Gate::Y(q) => state.apply_y(*q),
+        Gate::Z(q) => state.apply_z(*q),
         Gate::Cx { control, target } | Gate::ClCx { control, target } => {
             let (c, t) = (*control, target.index());
-            view.permute_paths(|bits| {
+            state.permute_in_place(|bits| {
                 if ctrl_active(bits, &c) {
                     bits.flip(t);
                 }
@@ -255,7 +242,7 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
         }
         Gate::Ccx { controls, target } => {
             let (cs, t) = (*controls, target.index());
-            view.permute_paths(|bits| {
+            state.permute_in_place(|bits| {
                 if ctrl_active(bits, &cs[0]) && ctrl_active(bits, &cs[1]) {
                     bits.flip(t);
                 }
@@ -263,7 +250,7 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
         }
         Gate::Mcx { controls, target } => {
             let (cs, t) = (controls.as_slice(), target.index());
-            view.permute_paths(|bits| {
+            state.permute_in_place(|bits| {
                 if cs.iter().all(|c| ctrl_active(bits, c)) {
                     bits.flip(t);
                 }
@@ -271,11 +258,11 @@ fn apply_gate_on(gate: &Gate, view: &mut PathsMut<'_>, num_qubits: usize) -> Res
         }
         Gate::Swap(a, b) | Gate::ClSwap(a, b) => {
             let (a, b) = (a.index(), b.index());
-            view.permute_paths(|bits| bits.swap_bits(a, b));
+            state.permute_in_place(|bits| bits.swap_bits(a, b));
         }
         Gate::Cswap { control, a, b } => {
             let (c, a, b) = (*control, a.index(), b.index());
-            view.permute_paths(|bits| {
+            state.permute_in_place(|bits| {
                 if ctrl_active(bits, &c) {
                     bits.swap_bits(a, b);
                 }

@@ -31,10 +31,15 @@
 //! * [`monte_carlo_fidelity`] / [`run_shots`] — the paper's shot harness:
 //!   average `|⟨ψ_ideal|ψ_shot⟩|²` over sampled fault patterns. Shots are
 //!   sharded over threads ([`ShotConfig`]), and each shot is one lane
-//!   pass with one lane per input path. The full overlap reads the pass
+//!   pass with one lane per input path. [`ShotStats::count`] is the
+//!   shot ledger, the model counts every shot path tallies. The full overlap reads the pass
 //!   back into a [`PathState`]; the fidelity reduced to kept qubits
 //!   ([`monte_carlo_reduced_fidelity`]) is read straight from the lane
 //!   rows. Estimates equal the slab's bit for bit, for any thread count.
+//!
+//! * [`run_jobs`] — the one scoped worker loop that runs the engine's
+//!   shards and the query service's lane runs; [`resolve_workers`] is
+//!   the one rule that turns a worker count of `0` into every core.
 //!
 //! # Example
 //!
@@ -64,17 +69,16 @@ mod lanes;
 mod reduce;
 mod shots;
 mod state;
+mod workers;
 
 pub use amplitude::Amplitude;
 pub use bitstring::BitString;
 pub use engine::{run_shots, run_shots_stats, ShotConfig, ShotStats};
 pub use executor::{run, run_with_faults, Fault, FaultPlan, Pauli};
 pub use lanes::Lanes;
-pub use shots::{
-    monte_carlo_fidelity, monte_carlo_fidelity_with, monte_carlo_reduced_fidelity,
-    monte_carlo_reduced_fidelity_with, FidelityEstimate,
-};
+pub use shots::{monte_carlo_fidelity, monte_carlo_reduced_fidelity, FidelityEstimate};
 pub use state::{PathBits, PathState};
+pub use workers::{resolve_workers, run_jobs};
 
 /// Errors produced by the path simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

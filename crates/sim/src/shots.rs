@@ -65,8 +65,8 @@ impl std::fmt::Display for FidelityEstimate {
 /// the circuit under its sampled plan and contributes
 /// `|⟨ψ_ideal|ψ_shot⟩|²`. Shots run on the sharded parallel engine with
 /// automatic thread count; results are bit-identical for any thread count
-/// (see [`run_shots`]). Use [`monte_carlo_fidelity_with`] to control the
-/// shot/thread configuration explicitly.
+/// (see [`run_shots`]). Call [`run_shots`] to set the
+/// [`ShotConfig`] (shot count and worker threads) explicitly.
 ///
 /// # Errors
 ///
@@ -95,21 +95,6 @@ pub fn monte_carlo_fidelity(
     run_shots(gates, input, None, &ShotConfig::new(shots), &sample_plan)
 }
 
-/// Like [`monte_carlo_fidelity`], but with an explicit [`ShotConfig`]
-/// controlling shot count and worker threads.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-pub fn monte_carlo_fidelity_with(
-    gates: &[Gate],
-    input: &PathState,
-    config: &ShotConfig,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(gates, input, None, config, &sample_plan)
-}
-
 /// Like [`monte_carlo_fidelity`], but each shot's fidelity is computed on
 /// the reduced state over `keep` (typically the address and bus registers),
 /// tracing out the QRAM tree — the fidelity notion under which
@@ -132,22 +117,6 @@ pub fn monte_carlo_reduced_fidelity(
         &ShotConfig::new(shots),
         &sample_plan,
     )
-}
-
-/// Like [`monte_carlo_reduced_fidelity`], but with an explicit
-/// [`ShotConfig`] controlling shot count and worker threads.
-///
-/// # Errors
-///
-/// Propagates the first simulation error from the ideal run or any shot.
-pub fn monte_carlo_reduced_fidelity_with(
-    gates: &[Gate],
-    input: &PathState,
-    keep: &[qram_circuit::Qubit],
-    config: &ShotConfig,
-    sample_plan: impl Fn(u64) -> FaultPlan + Sync,
-) -> Result<FidelityEstimate, SimError> {
-    run_shots(gates, input, Some(keep), config, &sample_plan)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Sparse superpositions over computational basis states, stored as a
-//! flat data-oriented slab.
+//! flat data-oriented slab. The slab executor applies gates and faults
+//! to a [`PathState`] directly, one path at a time.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -139,77 +140,6 @@ impl PathBits<'_> {
         for (i, &q) in qubits.iter().enumerate() {
             self.set(q, (value >> (n - 1 - i)) & 1 == 1);
         }
-    }
-}
-
-/// A mutable view over the paths of a [`PathState`] slab, on which the
-/// slab executor applies gates.
-#[derive(Debug)]
-pub(crate) struct PathsMut<'a> {
-    words: &'a mut [u64],
-    amps: &'a mut [Amplitude],
-    stride: usize,
-    num_qubits: usize,
-}
-
-impl PathsMut<'_> {
-    /// The hot iteration idiom: `chunks_exact_mut` walks the word slab
-    /// one path at a time without per-path index arithmetic or bounds
-    /// checks. A zero-qubit state has `stride == 0` (which
-    /// `chunks_exact_mut` rejects), but then there is no bit any gate
-    /// could legally touch, so the traversal is a no-op.
-    #[inline]
-    fn each_path(&mut self, mut f: impl FnMut(&mut [u64], &mut Amplitude)) {
-        if self.stride == 0 {
-            return;
-        }
-        for (words, amp) in self
-            .words
-            .chunks_exact_mut(self.stride)
-            .zip(self.amps.iter_mut())
-        {
-            f(words, amp);
-        }
-    }
-
-    /// Applies `X` on qubit `i`: flips the bit in every path.
-    pub(crate) fn apply_x(&mut self, i: usize) {
-        self.each_path(|words, _| word_flip(words, i));
-    }
-
-    /// Applies `Z` on qubit `i`: negates the amplitude of every path with
-    /// the bit set.
-    pub(crate) fn apply_z(&mut self, i: usize) {
-        self.each_path(|words, amp| {
-            if word_get(words, i) {
-                *amp = -*amp;
-            }
-        });
-    }
-
-    /// Applies `Y = iXZ` on qubit `i`.
-    pub(crate) fn apply_y(&mut self, i: usize) {
-        self.each_path(|words, amp| {
-            let was_one = word_get(words, i);
-            word_flip(words, i);
-            *amp = if was_one {
-                amp.mul_neg_i()
-            } else {
-                amp.mul_i()
-            };
-        });
-    }
-
-    /// Applies a bit-level permutation `f` to every path in the view.
-    pub(crate) fn permute_paths(&mut self, mut f: impl FnMut(&mut PathBits<'_>)) {
-        let num_qubits = self.num_qubits;
-        self.each_path(|words, _| {
-            let mut bits = PathBits {
-                words,
-                len: num_qubits,
-            };
-            f(&mut bits);
-        });
     }
 }
 
@@ -437,16 +367,6 @@ impl PathState {
         (&mut self.words, &mut self.amps)
     }
 
-    /// A mutable view over the whole slab.
-    pub(crate) fn as_paths_mut(&mut self) -> PathsMut<'_> {
-        PathsMut {
-            words: &mut self.words,
-            amps: &mut self.amps,
-            stride: self.stride,
-            num_qubits: self.num_qubits,
-        }
-    }
-
     /// Iterator over `(basis state, amplitude)` pairs in slab order.
     /// Basis states are materialized per item — intended for inspection
     /// and tests, not hot loops.
@@ -593,21 +513,55 @@ impl PathState {
             .sum()
     }
 
+    /// Calls `f` on every path's words and amplitude, in slab order:
+    /// `chunks_exact_mut` walks the word slab one path at a time without
+    /// per-path index arithmetic or bounds checks. A zero-qubit state has
+    /// `stride == 0` (which `chunks_exact_mut` rejects), but then there is
+    /// no bit any gate could legally touch, so the traversal is a no-op.
+    #[inline]
+    fn each_path(&mut self, mut f: impl FnMut(&mut [u64], &mut Amplitude)) {
+        if self.stride == 0 {
+            return;
+        }
+        for (words, amp) in self
+            .words
+            .chunks_exact_mut(self.stride)
+            .zip(self.amps.iter_mut())
+        {
+            f(words, amp);
+        }
+    }
+
     /// Applies `X` on `qubit`: flips the bit in every path.
     pub fn apply_x(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_x(qubit.index());
+        let i = qubit.index();
+        self.each_path(|words, _| word_flip(words, i));
     }
 
     /// Applies `Z` on `qubit`: negates the amplitude of every path with the
     /// bit set.
     pub fn apply_z(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_z(qubit.index());
+        let i = qubit.index();
+        self.each_path(|words, amp| {
+            if word_get(words, i) {
+                *amp = -*amp;
+            }
+        });
     }
 
     /// Applies `Y = iXZ` on `qubit`: flips the bit and multiplies by
     /// `+i` (|0⟩→|1⟩) or `−i` (|1⟩→|0⟩).
     pub fn apply_y(&mut self, qubit: Qubit) {
-        self.as_paths_mut().apply_y(qubit.index());
+        let i = qubit.index();
+        self.each_path(|words, amp| {
+            let was_one = word_get(words, i);
+            word_flip(words, i);
+            *amp = if was_one {
+                amp.mul_neg_i()
+            } else {
+                amp.mul_i()
+            };
+        });
     }
 
     /// Applies a bit-level permutation `f` to every path **in place** —
@@ -617,7 +571,7 @@ impl PathState {
     /// gate; checked in debug builds). For non-injective maps use
     /// [`PathState::from_parts`] to rebuild with accumulation.
     pub fn permute_paths(&mut self, f: impl FnMut(&mut PathBits<'_>)) {
-        self.as_paths_mut().permute_paths(f);
+        self.permute_in_place(f);
         #[cfg(debug_assertions)]
         {
             let mut seen = std::collections::HashSet::with_capacity(self.num_paths());
@@ -628,6 +582,14 @@ impl PathState {
                 );
             }
         }
+    }
+
+    /// [`PathState::permute_paths`] without the debug-build injectivity
+    /// check, for the slab executor, whose gates are injective by
+    /// construction.
+    pub(crate) fn permute_in_place(&mut self, mut f: impl FnMut(&mut PathBits<'_>)) {
+        let len = self.num_qubits;
+        self.each_path(|words, _| f(&mut PathBits { words, len }));
     }
 
     /// Whether every path holds |0⟩ on all of `qubits` (e.g. ancillas

@@ -27,7 +27,7 @@
 //!   through bounded non-blocking admission with back-pressure,
 //!   deadline-aware work-conserving batching, a staged compiler
 //!   (`spec → circuit → resources → cost`) behind an LRU cache, a
-//!   deterministic work-stealing executor with honest
+//!   deterministic lane-run executor with honest
 //!   resource-calibrated latency breakdowns, and workload generators
 //!   (Poisson/bursty arrivals, zipf-skewed addresses and specs).
 //! * [`fleet`] — fleet-scale serving: a deterministic virtual-time
