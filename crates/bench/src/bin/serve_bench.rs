@@ -120,7 +120,7 @@ use qram_service::{
     assign_specs_with, Admission, ArrivalProcess, BatchReport, QramService, QueryResult, QuerySpec,
     ReleasePolicy, ServiceConfig, SloClass, SpecMix, TenantId, Ticks, Workload,
 };
-use qram_telemetry::{fnv1a_64, host_wall, key, Json, MetricsRegistry, TelemetryRecorder};
+use qram_telemetry::{fnv1a_64, host_wall, key, Json, Key, MetricsRegistry, TelemetryRecorder};
 
 /// The flag synopsis printed for `--help` and after a bad flag.
 const USAGE: &str = "[--full] [--arch NAME] [--shots N] [--seed N] [--threads N] \
@@ -699,7 +699,7 @@ fn run_open_point(
 /// diffs across parallelism settings.
 fn print_telemetry(telemetry: &MetricsRegistry, trace_digest: u64) {
     let us =
-        |name: &str, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q)) as f64 / 1e3;
+        |name: Key, q: f64| telemetry.histogram(name).map_or(0, |h| h.percentile(q)) as f64 / 1e3;
     for (label, name) in [
         ("stage_queue_wait_us", key::STAGE_QUEUE_WAIT),
         ("stage_compile_us", key::STAGE_COMPILE),
@@ -839,8 +839,8 @@ fn write_summary(ctx: &Ctx<'_>, summary: Summary<'_>) {
     // Stage-histogram percentiles, admission flow conservation,
     // release-policy counters, and the trace/metrics digests.
     let t = summary.telemetry;
-    let c = |name: &str| Json::from(t.counter(name));
-    let p = |name: &str, q: f64| Json::from(t.histogram(name).map_or(0, |h| h.percentile(q)));
+    let c = |name: Key| Json::from(t.counter(name));
+    let p = |name: Key, q: f64| Json::from(t.histogram(name).map_or(0, |h| h.percentile(q)));
     let arrivals = t.counter(key::ADMISSION_ACCEPTED)
         + t.counter(key::ADMISSION_SHED)
         + t.counter(key::ADMISSION_REJECTED);
@@ -1483,7 +1483,7 @@ fn fleet_sections(
         ("digest_deadline_priority", hex(dp.results_digest)),
         ("digest_tail_drop", hex(td.results_digest)),
     ]);
-    let counter = |name: &str| Json::from(telemetry.counter(name));
+    let counter = |name: Key| Json::from(telemetry.counter(name));
     let offered: usize = runs.iter().map(|r| r.point.offered).sum();
     let shed: u64 = runs.iter().map(|r| r.point.shed).sum();
     let high_water = telemetry.gauge(key::FLEET_FRONT_DEPTH_HIGH_WATER);

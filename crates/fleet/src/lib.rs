@@ -580,12 +580,11 @@ impl FleetController<TelemetryRecorder> {
     /// shard's trace digest in shard order, chained with the front
     /// door's.
     pub fn trace_digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        for shard in &self.shards {
-            bytes.extend_from_slice(&shard.recorder().trace_digest().to_le_bytes());
-        }
-        bytes.extend_from_slice(&self.recorder.trace_digest().to_le_bytes());
-        fnv1a_64(bytes)
+        let shards = self.shards.iter().map(|shard| shard.recorder());
+        let digests = shards
+            .chain([&self.recorder])
+            .map(TelemetryRecorder::trace_digest);
+        fnv1a_64(digests.flat_map(u64::to_le_bytes))
     }
 }
 

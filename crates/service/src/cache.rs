@@ -93,22 +93,23 @@ impl CircuitCache {
         compile: impl FnOnce() -> CompiledQuery,
     ) -> (Arc<CompiledQuery>, bool) {
         match self.try_fetch(spec, || Ok::<_, std::convert::Infallible>(compile())) {
-            Ok(result) => result,
+            Ok((compiled, hit, _)) => (compiled, hit),
             Err(e) => match e {},
         }
     }
 
     /// Like [`fetch`](CircuitCache::fetch) for fallible compilation —
-    /// the verify-before-insert path. A miss whose `compile` fails still
-    /// counts as a miss (the `lookups == hits + misses` invariant is
-    /// unconditional) but inserts nothing: a rejected artifact never
-    /// becomes servable state, and a later lookup of the same spec
-    /// recompiles from scratch.
+    /// the verify-before-insert path — that also returns the spec whose
+    /// artifact the insert evicted, if any. A miss whose `compile` fails
+    /// still counts as a miss (the `lookups == hits + misses` invariant
+    /// is unconditional) but inserts and evicts nothing: a rejected
+    /// artifact never becomes servable state, and a later lookup of the
+    /// same spec recompiles from scratch.
     pub fn try_fetch<E>(
         &mut self,
         spec: QuerySpec,
         compile: impl FnOnce() -> Result<CompiledQuery, E>,
-    ) -> Result<(Arc<CompiledQuery>, bool), E> {
+    ) -> Result<(Arc<CompiledQuery>, bool, Option<QuerySpec>), E> {
         self.metrics.add(key::CACHE_LOOKUPS, 1);
         if let Some(pos) = self.entries.iter().position(|(s, _)| *s == spec) {
             self.metrics.add(key::CACHE_HITS, 1);
@@ -116,16 +117,16 @@ impl CircuitCache {
             let entry = self.entries.remove(pos);
             let compiled = Arc::clone(&entry.1);
             self.entries.push(entry);
-            return Ok((compiled, true));
+            return Ok((compiled, true, None));
         }
         self.metrics.add(key::CACHE_MISSES, 1);
         let compiled = Arc::new(compile()?);
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
+        let evicted = (self.entries.len() == self.capacity).then(|| {
             self.metrics.add(key::CACHE_EVICTIONS, 1);
-        }
+            self.entries.remove(0).0
+        });
         self.entries.push((spec, Arc::clone(&compiled)));
-        Ok((compiled, false))
+        Ok((compiled, false, evicted))
     }
 
     /// Number of cached queries.
@@ -217,6 +218,17 @@ mod tests {
         cache.fetch(a, || unreachable!("a was refreshed, not evicted"));
         cache.fetch(b, || compile(b));
         assert_eq!(cache.stats().misses, 4);
+    }
+
+    #[test]
+    fn try_fetch_reports_the_evicted_spec() {
+        let mut cache = CircuitCache::new(1);
+        let a = QuerySpec::new(0, 1);
+        let b = QuerySpec::new(0, 2);
+        let ok = |spec| Ok::<_, std::convert::Infallible>(compile(spec));
+        assert_eq!(cache.try_fetch(a, || ok(a)).unwrap().2, None);
+        assert_eq!(cache.try_fetch(a, || ok(a)).unwrap().2, None, "a hit");
+        assert_eq!(cache.try_fetch(b, || ok(b)).unwrap().2, Some(a));
     }
 
     #[test]
@@ -327,7 +339,7 @@ mod tests {
         assert_eq!(stats.lookups, stats.hits + stats.misses);
         // A later lookup of the same spec recompiles cleanly: a fresh
         // miss that inserts and serves.
-        let (compiled, hit) = cache
+        let (compiled, hit, _) = cache
             .try_fetch(spec, || Ok::<_, VerifyError>(compile(spec)))
             .unwrap();
         assert!(!hit);

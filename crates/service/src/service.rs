@@ -338,6 +338,9 @@ pub struct QramService<R: Recorder = NoopRecorder> {
     /// depend only on `(circuit, noise, seed)`, so workers replay
     /// per-request streams from it instead of rebuilding.
     samplers: HashMap<QuerySpec, Arc<FaultSampler>>,
+    /// The recorder's interned group id per spec, filled at each spec's
+    /// first batch while the recorder is enabled.
+    groups: HashMap<QuerySpec, u32>,
     batcher: DeadlineBatcher,
     timeline: VirtualTimeline,
     now: Ticks,
@@ -398,6 +401,7 @@ impl<R: Recorder> QramService<R> {
             compiler: Compiler::new(config.cost, config.shots),
             cache: CircuitCache::new(config.cache_capacity),
             samplers: HashMap::new(),
+            groups: HashMap::new(),
             batcher: DeadlineBatcher::new(config.batch_limit, config.deadline),
             timeline: VirtualTimeline::new(config.cost.units),
             now: 0,
@@ -807,6 +811,16 @@ impl<R: Recorder> QramService<R> {
         }
     }
 
+    /// The recorder's group id for `batch`'s spec: its group key is
+    /// formatted and interned once, at the spec's first batch.
+    fn group_id(&mut self, batch: &QueryBatch) -> u32 {
+        let recorder = &mut self.recorder;
+        *self
+            .groups
+            .entry(batch.spec)
+            .or_insert_with(|| recorder.intern_group(&batch.group_key()))
+    }
+
     /// Fires `batches` at `fire_time`: resolves circuits through the
     /// cache, schedules every member on the virtual timeline, executes
     /// the flattened work list as lane runs on the executor, and parks the
@@ -819,7 +833,7 @@ impl<R: Recorder> QramService<R> {
         let mut prepared: Vec<PreparedRequest> = Vec::new();
         for batch in batches {
             let spec = batch.spec;
-            let group = enabled.then(|| batch.group_key());
+            let group = enabled.then(|| self.group_id(&batch));
             let lead = batch.lead_id();
             let memory = &self.memory;
             let compiler = self.compiler;
@@ -833,18 +847,16 @@ impl<R: Recorder> QramService<R> {
             } else {
                 VerifyLevel::Structural
             };
-            let (compiled, hit) = self
+            let (compiled, hit, evicted) = self
                 .cache
                 .try_fetch(spec, || compiler.try_compile(spec, memory, level))
                 .unwrap_or_else(|e| panic!("miscompiled artifact for {spec:?}: {e}"));
-            if !hit {
-                // A miss may have evicted an artifact; drop the evicted
-                // specs' samplers too, so the sampler map stays bounded
-                // by the cache capacity. Rebuilding a sampler later is
-                // deterministic (pure in circuit, noise, seed), so
-                // pruning cannot perturb any fault stream.
-                let cached = self.cache.keys();
-                self.samplers.retain(|s, _| cached.contains(s));
+            if let Some(evicted) = evicted {
+                // Drop the evicted spec's sampler too, so the sampler map
+                // stays bounded by the cache capacity. Rebuilding a
+                // sampler later is deterministic (pure in circuit, noise,
+                // seed), so pruning cannot perturb any fault stream.
+                self.samplers.remove(&evicted);
             }
             // Virtual costs come off the artifact's measured resources:
             // compile scales with the architecture's gate count, execute
@@ -853,7 +865,7 @@ impl<R: Recorder> QramService<R> {
             let execute = compiled.cost.execute;
             let ready_at = fire_time + compile;
             self.metrics.add(key::BATCHES_FIRED, 1);
-            if let Some(group) = &group {
+            if let Some(group) = group {
                 self.recorder
                     .record(key::BATCH_SIZE, batch.requests.len() as u64);
                 self.recorder.span(SpanEvent {
@@ -861,7 +873,7 @@ impl<R: Recorder> QramService<R> {
                     start: fire_time,
                     end: fire_time,
                     stage: SpanStage::BatchForm {
-                        group: group.clone(),
+                        group,
                         reason,
                         size: batch.requests.len() as u64,
                     },
@@ -871,7 +883,7 @@ impl<R: Recorder> QramService<R> {
                     start: fire_time,
                     end: ready_at,
                     stage: SpanStage::Compile {
-                        group: group.clone(),
+                        group,
                         cache_hit: hit,
                         verify: Compiler::verify_tag(level),
                     },
@@ -899,14 +911,12 @@ impl<R: Recorder> QramService<R> {
                     execute,
                 };
                 batch_completed = batch_completed.max(end);
-                if let Some(group) = &group {
+                if let Some(group) = group {
                     self.recorder.span(SpanEvent {
                         request: request.id,
                         start: request.arrival,
                         end: request.arrival + latency.queue_wait,
-                        stage: SpanStage::QueueWait {
-                            group: group.clone(),
-                        },
+                        stage: SpanStage::QueueWait { group },
                     });
                     self.recorder.span(SpanEvent {
                         request: request.id,

@@ -10,10 +10,11 @@
 //!   pipeline stage (admission, queue wait, batch formation, compile,
 //!   execute), exported as a canonically-ordered event log with an
 //!   fnv1a-64 digest that CI can diff across parallelism settings;
-//! * [`MetricsRegistry`] — named counters, high-water gauges and
-//!   log-linear [`Histogram`]s with deterministic (exactly associative)
-//!   merge and a nearest-rank `percentile()` consistent with the bench
-//!   crate's `report::percentile`;
+//! * [`MetricsRegistry`] — counters, high-water gauges and log-linear
+//!   [`Histogram`]s in array slots indexed by [`Key`], with
+//!   deterministic (exactly associative) merge and a nearest-rank
+//!   `percentile()` consistent with the bench crate's
+//!   `report::percentile`;
 //! * [`Recorder`] — the trait instrumentation sites call, with a
 //!   zero-cost [`NoopRecorder`] default (every method an empty inline
 //!   body, monomorphized away) and a [`TelemetryRecorder`] that feeds
@@ -46,12 +47,43 @@ pub type Ticks = u64;
 /// fnv1a-64 over a byte stream — the same digest primitive the bench
 /// harness uses for results, applied here to traces and metrics.
 pub fn fnv1a_64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash.write(&[byte]);
     }
-    hash
+    hash.finish()
+}
+
+/// fnv1a-64 folded as bytes are produced, so digests never buffer the
+/// serialization they hash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    pub(crate) fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn write_u64(&mut self, value: u64) {
+        self.write(&value.to_le_bytes());
+    }
+
+    /// A string as its little-endian `u64` length, then its bytes.
+    pub(crate) fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write(s.as_bytes());
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// The audited host wall-clock read.
@@ -68,74 +100,139 @@ pub fn host_wall() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// Canonical metric names, shared by recording sites and exporters so
+/// Canonical metric keys, shared by recording sites and exporters so
 /// the registry's key space stays consistent across crates.
+///
+/// A [`Key`] is an index into one static name table that lists every
+/// name in byte order, so a registry stores each metric in an array
+/// slot and walks its slots in name order.
 pub mod key {
-    /// Counter: arrivals admitted into the pending queue.
-    pub const ADMISSION_ACCEPTED: &str = "admission.accepted";
-    /// Counter: arrivals shed by the admission controller.
-    pub const ADMISSION_SHED: &str = "admission.shed";
-    /// Counter: arrivals rejected as malformed.
-    pub const ADMISSION_REJECTED: &str = "admission.rejected";
-    /// Counter: compiled-circuit cache lookups.
-    pub const CACHE_LOOKUPS: &str = "cache.lookups";
-    /// Counter: cache lookups served from the cache.
-    pub const CACHE_HITS: &str = "cache.hits";
-    /// Counter: cache lookups that had to compile.
-    pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: compiled circuits evicted by the LRU policy.
-    pub const CACHE_EVICTIONS: &str = "cache.evictions";
-    /// Counter: per-batch reports dropped by the FIFO cap.
-    pub const BATCH_REPORTS_DROPPED: &str = "service.batch_reports_dropped";
-    /// Counter: requests that completed execution.
-    pub const SERVICE_COMPLETED: &str = "service.completed";
-    /// Counter: batches fired by the scheduler.
-    pub const BATCHES_FIRED: &str = "service.batches_fired";
-    /// Gauge: high-water mark of requests in the system.
-    pub const QUEUE_DEPTH_HIGH_WATER: &str = "queue.depth.high_water";
-    /// Histogram: per-request queue-wait ticks.
-    pub const STAGE_QUEUE_WAIT: &str = "stage.queue_wait_ns";
-    /// Histogram: per-request compile ticks.
-    pub const STAGE_COMPILE: &str = "stage.compile_ns";
-    /// Histogram: per-request execute ticks.
-    pub const STAGE_EXECUTE: &str = "stage.execute_ns";
-    /// Histogram: per-request end-to-end latency ticks.
-    pub const STAGE_TOTAL: &str = "stage.total_ns";
-    /// Histogram: batch sizes at fire time.
-    pub const BATCH_SIZE: &str = "batch.size";
-    /// Counter: work-conserving releases the cache-affine policy
-    /// redirected to a younger cache-resident group.
-    pub const POLICY_CACHE_AFFINE_FIRES: &str = "policy.cache_affine_fires";
-    /// Counter: releases where the age cap forced the oldest group
-    /// despite a younger cache-resident group pending.
-    pub const POLICY_AGE_CAP_FORCED: &str = "policy.age_cap_forced";
-    /// Counter: shots sampled by the simulation engine.
-    pub const SIM_SHOTS: &str = "sim.shots";
-    /// Counter: shots whose fault plan forced a path replay.
-    pub const SIM_REPLAYED: &str = "sim.replayed_shots";
-    /// Counter: faults injected across all shots.
-    pub const SIM_FAULTS: &str = "sim.faults_injected";
-    /// Counter: gate applications replayed by faulty shots.
-    pub const SIM_GATES: &str = "sim.gate_applications";
-    /// Counter: requests the fleet router placed on a shard.
-    pub const FLEET_ROUTED: &str = "fleet.routed";
-    /// Counter: requests shed at the fleet front door.
-    pub const FLEET_SHED: &str = "fleet.shed";
-    /// Counter: replica routes whose tie-break was decided by the
-    /// cache-residency probe (rather than the lowest-shard fallback).
-    pub const FLEET_REPLICA_CACHE_WINS: &str = "fleet.replica_cache_wins";
-    /// Gauge: high-water mark of the fleet front-door queue depth.
-    pub const FLEET_FRONT_DEPTH_HIGH_WATER: &str = "fleet.front_depth.high_water";
+    /// A metric name, as its index into the sorted name table.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct Key(u8);
+
+    impl Key {
+        /// Number of keys.
+        pub const COUNT: usize = NAMES.len();
+
+        /// The metric name.
+        pub fn name(self) -> &'static str {
+            NAMES[self.index()]
+        }
+
+        /// Every key, in name order.
+        pub fn all() -> impl Iterator<Item = Key> {
+            (0..Key::COUNT as u8).map(Key)
+        }
+
+        pub(crate) fn index(self) -> usize {
+            usize::from(self.0)
+        }
+    }
+
+    /// Declares the keys in one list, so a key's index and its name
+    /// cannot disagree: the list's order is the index order.
+    macro_rules! keys {
+        ($($(#[doc = $doc:literal])* $key:ident = $name:literal,)*) => {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[repr(u8)]
+            enum Index {
+                $($key,)*
+            }
+
+            $(
+                $(#[doc = $doc])*
+                pub const $key: Key = Key(Index::$key as u8);
+            )*
+
+            /// Every metric name, indexed by [`Key`]; listed in byte order
+            /// (pinned by test).
+            const NAMES: &[&str] = &[$($name,)*];
+        };
+    }
+
+    keys! {
+        /// Counter: arrivals admitted into the pending queue.
+        ADMISSION_ACCEPTED = "admission.accepted",
+        /// Counter: arrivals rejected as malformed.
+        ADMISSION_REJECTED = "admission.rejected",
+        /// Counter: arrivals shed by the admission controller.
+        ADMISSION_SHED = "admission.shed",
+        /// Histogram: batch sizes at fire time.
+        BATCH_SIZE = "batch.size",
+        /// Counter: compiled circuits evicted by the LRU policy.
+        CACHE_EVICTIONS = "cache.evictions",
+        /// Counter: cache lookups served from the cache.
+        CACHE_HITS = "cache.hits",
+        /// Counter: compiled-circuit cache lookups.
+        CACHE_LOOKUPS = "cache.lookups",
+        /// Counter: cache lookups that had to compile.
+        CACHE_MISSES = "cache.misses",
+        /// Gauge: high-water mark of the fleet front-door queue depth.
+        FLEET_FRONT_DEPTH_HIGH_WATER = "fleet.front_depth.high_water",
+        /// Counter: replica routes whose tie-break was decided by the
+        /// cache-residency probe (rather than the lowest-shard fallback).
+        FLEET_REPLICA_CACHE_WINS = "fleet.replica_cache_wins",
+        /// Counter: requests the fleet router placed on a shard.
+        FLEET_ROUTED = "fleet.routed",
+        /// Counter: requests shed at the fleet front door.
+        FLEET_SHED = "fleet.shed",
+        /// Counter: releases where the age cap forced the oldest group
+        /// despite a younger cache-resident group pending.
+        POLICY_AGE_CAP_FORCED = "policy.age_cap_forced",
+        /// Counter: work-conserving releases the cache-affine policy
+        /// redirected to a younger cache-resident group.
+        POLICY_CACHE_AFFINE_FIRES = "policy.cache_affine_fires",
+        /// Gauge: high-water mark of requests in the system.
+        QUEUE_DEPTH_HIGH_WATER = "queue.depth.high_water",
+        /// Counter: per-batch reports dropped by the FIFO cap.
+        BATCH_REPORTS_DROPPED = "service.batch_reports_dropped",
+        /// Counter: batches fired by the scheduler.
+        BATCHES_FIRED = "service.batches_fired",
+        /// Counter: requests that completed execution.
+        SERVICE_COMPLETED = "service.completed",
+        /// Counter: faults injected across all shots.
+        SIM_FAULTS = "sim.faults_injected",
+        /// Counter: gate applications replayed by faulty shots.
+        SIM_GATES = "sim.gate_applications",
+        /// Counter: shots whose fault plan forced a path replay.
+        SIM_REPLAYED = "sim.replayed_shots",
+        /// Counter: shots sampled by the simulation engine.
+        SIM_SHOTS = "sim.shots",
+        /// Histogram: per-request compile ticks.
+        STAGE_COMPILE = "stage.compile_ns",
+        /// Histogram: per-request execute ticks.
+        STAGE_EXECUTE = "stage.execute_ns",
+        /// Histogram: per-request queue-wait ticks.
+        STAGE_QUEUE_WAIT = "stage.queue_wait_ns",
+        /// Histogram: per-request end-to-end latency ticks.
+        STAGE_TOTAL = "stage.total_ns",
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn names_are_strictly_sorted() {
+            assert!(NAMES.windows(2).all(|w| w[0] < w[1]), "{NAMES:?}");
+            assert_eq!(SIM_SHOTS.name(), "sim.shots");
+            let names: Vec<&str> = Key::all().map(Key::name).collect();
+            assert_eq!(names, NAMES);
+        }
+    }
 }
+
+pub use key::Key;
 
 /// The instrumentation interface threaded through the serving pipeline
 /// and the simulation engine.
 ///
 /// Sites call these methods unconditionally on hot paths; with the
 /// [`NoopRecorder`] every call monomorphizes to an empty inline body,
-/// so disabled telemetry costs nothing. Sites that would *allocate* to
-/// build a payload (group-key strings, span structs) guard on
-/// [`Recorder::enabled`] first.
+/// so disabled telemetry costs nothing. Sites that would build a
+/// payload (group keys, span structs) guard on [`Recorder::enabled`]
+/// first.
 pub trait Recorder {
     /// Whether recording is active. Sites use this to skip payload
     /// construction; the default is `true`.
@@ -143,14 +240,19 @@ pub trait Recorder {
         true
     }
 
-    /// Adds `delta` to a named counter.
-    fn add(&mut self, name: &'static str, delta: u64);
+    /// Adds `delta` to a counter.
+    fn add(&mut self, key: Key, delta: u64);
 
-    /// Raises a named high-water gauge to `value` if larger.
-    fn gauge_max(&mut self, name: &'static str, value: u64);
+    /// Raises a high-water gauge to `value` if larger.
+    fn gauge_max(&mut self, key: Key, value: u64);
 
-    /// Records a sample into a named histogram.
-    fn record(&mut self, name: &'static str, value: u64);
+    /// Records a sample into a histogram.
+    fn record(&mut self, key: Key, value: u64);
+
+    /// The id that spans recorded here carry for the batch group key
+    /// `key`: the same key always gets the same id. Sites intern a key
+    /// once and keep its id.
+    fn intern_group(&mut self, key: &str) -> u32;
 
     /// Records one pipeline span.
     fn span(&mut self, event: SpanEvent);
@@ -167,13 +269,18 @@ impl Recorder for NoopRecorder {
     }
 
     #[inline(always)]
-    fn add(&mut self, _name: &'static str, _delta: u64) {}
+    fn add(&mut self, _key: Key, _delta: u64) {}
 
     #[inline(always)]
-    fn gauge_max(&mut self, _name: &'static str, _value: u64) {}
+    fn gauge_max(&mut self, _key: Key, _value: u64) {}
 
     #[inline(always)]
-    fn record(&mut self, _name: &'static str, _value: u64) {}
+    fn record(&mut self, _key: Key, _value: u64) {}
+
+    #[inline(always)]
+    fn intern_group(&mut self, _key: &str) -> u32 {
+        0
+    }
 
     #[inline(always)]
     fn span(&mut self, _event: SpanEvent) {}
@@ -210,16 +317,20 @@ impl TelemetryRecorder {
 }
 
 impl Recorder for TelemetryRecorder {
-    fn add(&mut self, name: &'static str, delta: u64) {
-        self.metrics.add(name, delta);
+    fn add(&mut self, key: Key, delta: u64) {
+        self.metrics.add(key, delta);
     }
 
-    fn gauge_max(&mut self, name: &'static str, value: u64) {
-        self.metrics.gauge_max(name, value);
+    fn gauge_max(&mut self, key: Key, value: u64) {
+        self.metrics.gauge_max(key, value);
     }
 
-    fn record(&mut self, name: &'static str, value: u64) {
-        self.metrics.record(name, value);
+    fn record(&mut self, key: Key, value: u64) {
+        self.metrics.record(key, value);
+    }
+
+    fn intern_group(&mut self, key: &str) -> u32 {
+        self.tracer.intern(key)
     }
 
     fn span(&mut self, event: SpanEvent) {

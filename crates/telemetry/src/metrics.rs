@@ -1,15 +1,14 @@
 //! Mergeable, deterministic metrics: counters, high-water gauges and
 //! log-linear histograms.
 //!
-//! Everything here is integer arithmetic over [`BTreeMap`]s, so two
-//! registries fed the same values — in any interleaving, on any number
-//! of threads, merged in any association — are **bit-identical**. That
-//! is the property the serving stack's digest discipline needs: a
-//! histogram is as diffable as a results digest.
+//! Everything here is integer arithmetic over arrays indexed by
+//! [`Key`] and by bucket, so two registries fed the same values — in any
+//! interleaving, on any number of threads, merged in any association —
+//! are **bit-identical**. That is the property the serving stack's
+//! digest discipline needs: a histogram is as diffable as a results
+//! digest.
 
-use std::collections::BTreeMap;
-
-use crate::{fnv1a_64, Json};
+use crate::{Fnv1a, Json, Key};
 
 /// Values below this are their own bucket (exact ticks).
 const LINEAR_MAX: u64 = 128;
@@ -52,11 +51,14 @@ fn bucket_floor(index: u64) -> u64 {
 /// * **`percentile()` consistent with `report::percentile`**: the same
 ///   nearest-rank rule, answering the bucket floor — i.e. exactly what
 ///   `report::percentile` returns over the floor-quantized samples.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Counts are dense, indexed by bucket and grown on demand up to the
+/// highest bucket recorded (at most 3,776 buckets, for `u64::MAX`).
+/// Equality, digests and exports see only the occupied buckets.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    /// Sparse bucket counts, keyed by bucket index. A `BTreeMap` keeps
-    /// iteration (and therefore digests and JSON) in value order.
-    buckets: BTreeMap<u64, u64>,
+    /// Sample count per bucket index; unoccupied buckets hold 0.
+    buckets: Vec<u64>,
     /// Total recorded samples.
     total: u64,
 }
@@ -77,7 +79,12 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        *self.buckets.entry(bucket_index(value)).or_insert(0) += n;
+        // At most 3,775, so the cast cannot truncate.
+        let index = bucket_index(value) as usize;
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        self.buckets[index] += n;
         self.total += n;
     }
 
@@ -97,8 +104,11 @@ impl Histogram {
     /// order-insensitive: any merge tree over the same shards yields a
     /// bit-identical histogram.
     pub fn merge_from(&mut self, other: &Histogram) {
-        for (&index, &n) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += n;
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += n;
         }
         self.total += other.total;
     }
@@ -118,23 +128,21 @@ impl Histogram {
         let rank = ((q / 100.0) * self.total as f64).ceil() as u64;
         let rank = rank.clamp(1, self.total);
         let mut seen = 0u64;
-        let mut last = 0u64;
-        for (&index, &n) in &self.buckets {
+        for (index, n) in self.occupied() {
             seen += n;
-            last = index;
             if seen >= rank {
                 return bucket_floor(index);
             }
         }
-        bucket_floor(last)
+        self.max()
     }
 
     /// Floor of the highest occupied bucket (0 when empty).
     pub fn max(&self) -> u64 {
         self.buckets
-            .keys()
-            .next_back()
-            .map_or(0, |&index| bucket_floor(index))
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |index| bucket_floor(index as u64))
     }
 
     /// The representative (bucket floor) a value collapses to.
@@ -145,27 +153,83 @@ impl Histogram {
         bucket_floor(bucket_index(value))
     }
 
-    /// Canonical byte serialization folded into registry digests.
-    fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.total.to_le_bytes());
-        for (&index, &n) in &self.buckets {
-            out.extend_from_slice(&index.to_le_bytes());
-            out.extend_from_slice(&n.to_le_bytes());
+    /// `(bucket index, count)` for every occupied bucket, in index
+    /// (and therefore value) order.
+    fn occupied(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0u64..)
+            .zip(self.buckets.iter().copied())
+            .filter(|&(_, n)| n > 0)
+    }
+
+    /// Folds the canonical serialization into a registry digest.
+    fn digest_into(&self, hash: &mut Fnv1a) {
+        hash.write_u64(self.total);
+        for (index, n) in self.occupied() {
+            hash.write_u64(index);
+            hash.write_u64(n);
         }
     }
 }
 
-/// A registry of named counters, high-water gauges and [`Histogram`]s.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        self.total == other.total && self.occupied().eq(other.occupied())
+    }
+}
+
+impl Eq for Histogram {}
+
+// A registry's presence masks hold one bit per key.
+const _: () = assert!(Key::COUNT <= 64);
+
+/// One `u64` per [`Key`], plus the set of keys ever written: a slot
+/// written with 0 is still present. Holds no memory until the first
+/// write, so an idle registry allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Slots {
+    /// Bit `i` set when key `i` was written.
+    present: u64,
+    /// Empty until the first write, then one value per key.
+    values: Vec<u64>,
+}
+
+impl Slots {
+    /// The slot of `key`, marked present.
+    fn slot(&mut self, key: Key) -> &mut u64 {
+        if self.values.is_empty() {
+            self.values = vec![0; Key::COUNT];
+        }
+        self.present |= 1 << key.index();
+        &mut self.values[key.index()]
+    }
+
+    fn get(&self, key: Key) -> u64 {
+        self.values.get(key.index()).copied().unwrap_or(0)
+    }
+
+    /// Present slots in name order.
+    fn iter(&self) -> impl Iterator<Item = (Key, u64)> + '_ {
+        Key::all()
+            .filter(|key| self.present & (1 << key.index()) != 0)
+            .map(|key| (key, self.values[key.index()]))
+    }
+}
+
+/// A registry of counters, high-water gauges and [`Histogram`]s, one
+/// array slot per [`Key`].
 ///
-/// Names are `&'static str` so recording sites pay no allocation; maps
-/// are `BTreeMap` so iteration, JSON and the digest are independent of
-/// insertion order. Registries merge deterministically — shard-local
-/// registries summed in any order produce identical state.
+/// Recording indexes a slot, with no name compare and no allocation
+/// after the first write of each kind. Iteration, JSON and the digest
+/// walk slots in key order, which is name order, so they are
+/// independent of insertion order. Registries merge deterministically —
+/// shard-local registries summed in any order produce identical state.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: Slots,
+    gauges: Slots,
+    /// Empty until the first sample, then one histogram per key; a
+    /// histogram is present when it holds a sample.
+    histograms: Vec<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -174,50 +238,61 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `delta` to the named counter (creating it at zero).
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+    /// Adds `delta` to a counter (creating it at zero).
+    pub fn add(&mut self, key: Key, delta: u64) {
+        *self.counters.slot(key) += delta;
     }
 
     /// Current value of a counter (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, key: Key) -> u64 {
+        self.counters.get(key)
     }
 
-    /// Raises the named high-water gauge to `value` if it is larger.
-    pub fn gauge_max(&mut self, name: &'static str, value: u64) {
-        let slot = self.gauges.entry(name).or_insert(0);
+    /// Raises a high-water gauge to `value` if it is larger.
+    pub fn gauge_max(&mut self, key: Key, value: u64) {
+        let slot = self.gauges.slot(key);
         *slot = (*slot).max(value);
     }
 
     /// Current value of a gauge (0 when never touched).
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.get(name).copied().unwrap_or(0)
+    pub fn gauge(&self, key: Key) -> u64 {
+        self.gauges.get(key)
     }
 
-    /// Records a sample into the named histogram.
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+    /// Records a sample into a histogram.
+    pub fn record(&mut self, key: Key, value: u64) {
+        self.histogram_slot(key).record(value);
     }
 
-    /// The named histogram, if anything was recorded under it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    /// The histogram of `key`, if anything was recorded under it.
+    pub fn histogram(&self, key: Key) -> Option<&Histogram> {
+        self.histograms.get(key.index()).filter(|h| !h.is_empty())
+    }
+
+    fn histogram_slot(&mut self, key: Key) -> &mut Histogram {
+        if self.histograms.is_empty() {
+            self.histograms = vec![Histogram::default(); Key::COUNT];
+        }
+        &mut self.histograms[key.index()]
+    }
+
+    /// Present histograms in name order.
+    fn histograms(&self) -> impl Iterator<Item = (Key, &Histogram)> + '_ {
+        Key::all().filter_map(|key| Some((key, self.histogram(key)?)))
     }
 
     /// Merges another registry into this one: counters add, gauges take
     /// the max, histograms merge bucket-wise. Exactly associative and
     /// order-insensitive.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
-        for (&name, &v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
+        for (key, v) in other.counters.iter() {
+            self.add(key, v);
         }
-        for (&name, &v) in &other.gauges {
-            let slot = self.gauges.entry(name).or_insert(0);
-            *slot = (*slot).max(v);
+        for (key, v) in other.gauges.iter() {
+            self.gauge_max(key, v);
         }
-        for (&name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge_from(h);
+        for (key, h) in other.histograms() {
+            self.histogram_slot(key).merge_from(h);
         }
     }
 
@@ -226,34 +301,30 @@ impl MetricsRegistry {
     /// Two registries compare equal iff their digests match, so CI can
     /// diff one hex line instead of the full dump.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        for (&name, &v) in &self.counters {
-            bytes.push(0u8);
-            push_str(&mut bytes, name);
-            bytes.extend_from_slice(&v.to_le_bytes());
+        let mut hash = Fnv1a::new();
+        for (tag, slots) in [(0u8, &self.counters), (1, &self.gauges)] {
+            for (key, v) in slots.iter() {
+                hash.write(&[tag]);
+                hash.write_str(key.name());
+                hash.write_u64(v);
+            }
         }
-        for (&name, &v) in &self.gauges {
-            bytes.push(1u8);
-            push_str(&mut bytes, name);
-            bytes.extend_from_slice(&v.to_le_bytes());
+        for (key, h) in self.histograms() {
+            hash.write(&[2]);
+            hash.write_str(key.name());
+            h.digest_into(&mut hash);
         }
-        for (&name, h) in &self.histograms {
-            bytes.push(2u8);
-            push_str(&mut bytes, name);
-            h.digest_bytes(&mut bytes);
-        }
-        fnv1a_64(bytes)
+        hash.finish()
     }
 }
 
 /// The registry dump: counters and gauges verbatim, histograms as
-/// count/percentile summaries, each map in name order.
+/// count/percentile summaries, each in name order.
 impl From<&MetricsRegistry> for Json {
     fn from(registry: &MetricsRegistry) -> Json {
-        let values = |map: &BTreeMap<&'static str, u64>| {
-            Json::object(map.iter().map(|(&name, &v)| (name, v.into())))
-        };
-        let histograms = registry.histograms.iter().map(|(&name, h)| {
+        let values =
+            |slots: &Slots| Json::object(slots.iter().map(|(key, v)| (key.name(), v.into())));
+        let histograms = registry.histograms().map(|(key, h)| {
             let summary = Json::object([
                 ("count", h.count().into()),
                 ("p50", h.percentile(50.0).into()),
@@ -261,7 +332,7 @@ impl From<&MetricsRegistry> for Json {
                 ("p99", h.percentile(99.0).into()),
                 ("max", h.max().into()),
             ]);
-            (name, summary)
+            (key.name(), summary)
         });
         Json::object([
             ("counters", values(&registry.counters)),
@@ -271,14 +342,10 @@ impl From<&MetricsRegistry> for Json {
     }
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key;
 
     #[test]
     fn small_values_are_exact() {
@@ -347,30 +414,30 @@ mod tests {
     fn registry_merge_is_deterministic() {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
-        a.add("x", 2);
-        a.gauge_max("g", 7);
-        a.record("h", 100);
-        b.add("x", 3);
-        b.add("y", 1);
-        b.gauge_max("g", 5);
-        b.record("h", 4000);
+        a.add(key::CACHE_HITS, 2);
+        a.gauge_max(key::QUEUE_DEPTH_HIGH_WATER, 7);
+        a.record(key::STAGE_TOTAL, 100);
+        b.add(key::CACHE_HITS, 3);
+        b.add(key::CACHE_MISSES, 1);
+        b.gauge_max(key::QUEUE_DEPTH_HIGH_WATER, 5);
+        b.record(key::STAGE_TOTAL, 4000);
         let mut ab = a.clone();
         ab.merge_from(&b);
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.digest(), ba.digest());
-        assert_eq!(ab.counter("x"), 5);
-        assert_eq!(ab.gauge("g"), 7);
-        assert_eq!(ab.histogram("h").unwrap().count(), 2);
+        assert_eq!(ab.counter(key::CACHE_HITS), 5);
+        assert_eq!(ab.gauge(key::QUEUE_DEPTH_HIGH_WATER), 7);
+        assert_eq!(ab.histogram(key::STAGE_TOTAL).unwrap().count(), 2);
     }
 
     #[test]
     fn digest_distinguishes_metric_kinds() {
         let mut a = MetricsRegistry::new();
-        a.add("m", 3);
+        a.add(key::SIM_SHOTS, 3);
         let mut b = MetricsRegistry::new();
-        b.gauge_max("m", 3);
+        b.gauge_max(key::SIM_SHOTS, 3);
         assert_ne!(a.digest(), b.digest());
     }
 }

@@ -4,12 +4,15 @@
 //!
 //! Spans deliberately carry **only knob-invariant facts** — virtual
 //! times, request ids, group keys, shot counts, execution-unit indices.
+//! A span names its batch group by a small id that the recording
+//! tracer interned; the digest and the JSON export resolve the id back
+//! to the key's text, so neither depends on the id.
 //! Worker counts and other host-parallelism settings never appear in a
 //! span, because the whole point of the digest is to be bit-identical
 //! across them: the same workload must produce the same trace no matter
 //! how the host parallelized it.
 
-use crate::{fnv1a_64, Json, Ticks};
+use crate::{Fnv1a, Json, Ticks};
 
 /// Request ids at or above this bit are synthetic: terminal admission
 /// spans for shed/rejected arrivals, which never receive a real service
@@ -115,7 +118,7 @@ impl VerifyTag {
 }
 
 /// The stage a span covers, with its stage-specific payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanStage {
     /// The admission decision (instantaneous on the virtual clock).
     Admission {
@@ -127,13 +130,13 @@ pub enum SpanStage {
     /// Time spent waiting in the batching queue and for an execution
     /// unit, after arrival and excluding compile time.
     QueueWait {
-        /// Batch group key (the spec's architecture name).
-        group: String,
+        /// Batch group id (see [`SpanTracer::intern`]).
+        group: u32,
     },
     /// Batch formation: a group left the pending queue.
     BatchForm {
-        /// Batch group key (the spec's architecture name).
-        group: String,
+        /// Batch group id (see [`SpanTracer::intern`]).
+        group: u32,
         /// Why the batch fired now.
         reason: FireReason,
         /// Requests in the batch.
@@ -141,8 +144,8 @@ pub enum SpanStage {
     },
     /// The compile stage for a batch (zero-width on cache hits).
     Compile {
-        /// Batch group key (the spec's architecture name).
-        group: String,
+        /// Batch group id (see [`SpanTracer::intern`]).
+        group: u32,
         /// Whether the compiled circuit came from the cache.
         cache_hit: bool,
         /// Verification level the compiler ran under.
@@ -193,49 +196,50 @@ impl SpanStage {
         }
     }
 
-    fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.push(self.rank());
-        match self {
+    /// Folds the stage into a trace digest, resolving group ids through
+    /// `groups`.
+    fn digest_into(&self, hash: &mut Fnv1a, groups: &[Box<str>]) {
+        hash.write(&[self.rank()]);
+        match *self {
             SpanStage::Admission {
                 outcome,
                 queue_depth,
             } => {
-                out.push(*outcome as u8);
-                out.extend_from_slice(&queue_depth.to_le_bytes());
+                hash.write(&[outcome as u8]);
+                hash.write_u64(queue_depth);
             }
-            SpanStage::QueueWait { group } => push_str(out, group),
+            SpanStage::QueueWait { group } => hash.write_str(&groups[group as usize]),
             SpanStage::BatchForm {
                 group,
                 reason,
                 size,
             } => {
-                push_str(out, group);
-                out.push(*reason as u8);
-                out.extend_from_slice(&size.to_le_bytes());
+                hash.write_str(&groups[group as usize]);
+                hash.write(&[reason as u8]);
+                hash.write_u64(size);
             }
             SpanStage::Compile {
                 group,
                 cache_hit,
                 verify,
             } => {
-                push_str(out, group);
-                out.push(u8::from(*cache_hit));
-                out.push(*verify as u8);
+                hash.write_str(&groups[group as usize]);
+                hash.write(&[u8::from(cache_hit), verify as u8]);
             }
             SpanStage::Execute { unit, shots } => {
-                out.extend_from_slice(&unit.to_le_bytes());
-                out.extend_from_slice(&shots.to_le_bytes());
+                hash.write_u64(unit);
+                hash.write_u64(shots);
             }
             SpanStage::Route { shard, reason } => {
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.push(*reason as u8);
+                hash.write_u64(shard);
+                hash.write(&[reason as u8]);
             }
         }
     }
 }
 
 /// One virtual-time interval in the life of a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// Request id (or a [`SYNTHETIC_REQUEST_BASE`]-tagged ordinal for
     /// arrivals that never got one).
@@ -254,62 +258,59 @@ impl SpanEvent {
         (self.start, self.request, self.stage.rank(), self.end)
     }
 
-    fn digest_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.start.to_le_bytes());
-        out.extend_from_slice(&self.end.to_le_bytes());
-        out.extend_from_slice(&self.request.to_le_bytes());
-        self.stage.digest_bytes(out);
+    fn digest_into(&self, hash: &mut Fnv1a, groups: &[Box<str>]) {
+        hash.write_u64(self.start);
+        hash.write_u64(self.end);
+        hash.write_u64(self.request);
+        self.stage.digest_into(hash, groups);
     }
-}
 
-/// One span as a JSON object: id, stage, interval, then the stage's
-/// payload. Synthetic request ids are masked back to the
-/// offered-arrival ordinal and marked `"terminal"`.
-impl From<&SpanEvent> for Json {
-    fn from(event: &SpanEvent) -> Json {
-        let terminal = event.request >= SYNTHETIC_REQUEST_BASE;
-        let request = event.request & !SYNTHETIC_REQUEST_BASE;
+    /// The span as a JSON object: id, stage, interval, then the stage's
+    /// payload, with group ids resolved through `groups`. Synthetic
+    /// request ids are masked back to the offered-arrival ordinal and
+    /// marked `"terminal"`.
+    fn json(&self, groups: &[Box<str>]) -> Json {
+        let terminal = self.request >= SYNTHETIC_REQUEST_BASE;
+        let request = self.request & !SYNTHETIC_REQUEST_BASE;
+        let group = |id: u32| Json::from(&*groups[id as usize]);
         let mut members: Vec<(&str, Json)> = vec![
             ("request", request.into()),
-            ("stage", event.stage.name().into()),
-            ("start", event.start.into()),
-            ("end", event.end.into()),
+            ("stage", self.stage.name().into()),
+            ("start", self.start.into()),
+            ("end", self.end.into()),
         ];
-        match &event.stage {
+        match self.stage {
             SpanStage::Admission {
                 outcome,
                 queue_depth,
             } => members.extend([
                 ("outcome", outcome.label().into()),
-                ("queue_depth", (*queue_depth).into()),
+                ("queue_depth", queue_depth.into()),
             ]),
-            SpanStage::QueueWait { group } => members.push(("group", group.as_str().into())),
+            SpanStage::QueueWait { group: id } => members.push(("group", group(id))),
             SpanStage::BatchForm {
-                group,
+                group: id,
                 reason,
                 size,
             } => members.extend([
-                ("group", group.as_str().into()),
+                ("group", group(id)),
                 ("reason", reason.label().into()),
-                ("size", (*size).into()),
+                ("size", size.into()),
             ]),
             SpanStage::Compile {
-                group,
+                group: id,
                 cache_hit,
                 verify,
             } => members.extend([
-                ("group", group.as_str().into()),
-                ("cache_hit", (*cache_hit).into()),
+                ("group", group(id)),
+                ("cache_hit", cache_hit.into()),
                 ("verify", verify.label().into()),
             ]),
             SpanStage::Execute { unit, shots } => {
-                members.extend([("unit", (*unit).into()), ("shots", (*shots).into())]);
+                members.extend([("unit", unit.into()), ("shots", shots.into())]);
             }
             SpanStage::Route { shard, reason } => {
-                members.extend([
-                    ("shard", (*shard).into()),
-                    ("reason", reason.label().into()),
-                ]);
+                members.extend([("shard", shard.into()), ("reason", reason.label().into())]);
             }
         }
         if terminal {
@@ -326,16 +327,47 @@ impl From<&SpanEvent> for Json {
 /// the in-memory order is already deterministic; the canonical sort by
 /// `(start, request, stage, end)` additionally makes the exported log
 /// and digest independent of *any* recording order, should a future
-/// recorder buffer per shard.
+/// recorder buffer per shard. The sort is stable: spans with equal
+/// sort keys keep their push order. A span's group id must come from
+/// this tracer's [`intern`](SpanTracer::intern): the digest and the
+/// export panic on an id it never handed out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanTracer {
     events: Vec<SpanEvent>,
+    /// Batch group keys, indexed by the ids spans carry.
+    groups: Vec<Box<str>>,
 }
 
 impl SpanTracer {
     /// An empty tracer.
     pub fn new() -> Self {
         SpanTracer::default()
+    }
+
+    /// The id of the batch group key `key`, added to the key table on
+    /// first sight. Spans pushed here carry group ids from this method.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` distinct keys are interned.
+    pub fn intern(&mut self, key: &str) -> u32 {
+        let id = match self.groups.iter().position(|g| **g == *key) {
+            Some(id) => id,
+            None => {
+                self.groups.push(key.into());
+                self.groups.len() - 1
+            }
+        };
+        u32::try_from(id).expect("fewer than 2^32 group keys")
+    }
+
+    /// The key text of an interned group id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by [`intern`](SpanTracer::intern).
+    pub fn group(&self, id: u32) -> &str {
+        &self.groups[id as usize]
     }
 
     /// Appends one span.
@@ -353,34 +385,30 @@ impl SpanTracer {
         self.events.is_empty()
     }
 
-    /// Spans sorted into the canonical `(start, request, stage, end)`
-    /// order used for export and digesting.
-    pub fn canonical(&self) -> Vec<SpanEvent> {
-        let mut sorted = self.events.clone();
-        sorted.sort_by_key(SpanEvent::sort_key);
+    /// The spans in the canonical `(start, request, stage, end)` order
+    /// used for export and digesting.
+    pub fn canonical(&self) -> Vec<&SpanEvent> {
+        let mut sorted: Vec<&SpanEvent> = self.events.iter().collect();
+        sorted.sort_by_key(|event| event.sort_key());
         sorted
     }
 
     /// fnv1a-64 digest of the canonical event log.
     pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::new();
+        let mut hash = Fnv1a::new();
         for event in self.canonical() {
-            event.digest_bytes(&mut bytes);
+            event.digest_into(&mut hash, &self.groups);
         }
-        fnv1a_64(bytes)
+        hash.finish()
     }
 }
 
 /// The canonical log as a JSON array of span objects.
 impl From<&SpanTracer> for Json {
     fn from(tracer: &SpanTracer) -> Json {
-        Json::Array(tracer.canonical().iter().map(Json::from).collect())
+        let spans = tracer.canonical().into_iter();
+        Json::Array(spans.map(|event| event.json(&tracer.groups)).collect())
     }
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
 }
 
 #[cfg(test)]
@@ -444,14 +472,14 @@ mod tests {
                 outcome: AdmissionOutcome::Accepted,
                 queue_depth: 0,
             },
-            SpanStage::QueueWait { group: "g".into() },
+            SpanStage::QueueWait { group: 0 },
             SpanStage::BatchForm {
-                group: "g".into(),
+                group: 0,
                 reason: FireReason::Deadline,
                 size: 2,
             },
             SpanStage::Compile {
-                group: "g".into(),
+                group: 0,
                 cache_hit: true,
                 verify: VerifyTag::Structural,
             },
@@ -473,6 +501,16 @@ mod tests {
                 "route"
             ]
         );
+    }
+
+    #[test]
+    fn group_keys_intern_once_into_small_spans() {
+        let mut t = SpanTracer::new();
+        let a = t.intern("virtual");
+        let b = t.intern("bucket-brigade");
+        assert_eq!((a, b, t.intern("virtual")), (0, 1, 0));
+        assert_eq!(t.group(b), "bucket-brigade");
+        assert_eq!(std::mem::size_of::<SpanEvent>(), 48);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! digest must be a pure function of the event *set*.
 
 use proptest::prelude::*;
-use qram_telemetry::{Histogram, MetricsRegistry, SpanEvent, SpanStage, SpanTracer};
+use qram_telemetry::{key, Histogram, MetricsRegistry, SpanEvent, SpanStage, SpanTracer};
 
 fn hist_of(values: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -79,16 +79,16 @@ proptest! {
         cb in any::<u32>(),
     ) {
         let mut a = MetricsRegistry::new();
-        a.add("c", u64::from(ca));
-        a.gauge_max("g", u64::from(ca));
+        a.add(key::CACHE_HITS, u64::from(ca));
+        a.gauge_max(key::QUEUE_DEPTH_HIGH_WATER, u64::from(ca));
         for &v in &xs {
-            a.record("h", v);
+            a.record(key::STAGE_TOTAL, v);
         }
         let mut b = MetricsRegistry::new();
-        b.add("c", u64::from(cb));
-        b.gauge_max("g", u64::from(cb));
+        b.add(key::CACHE_HITS, u64::from(cb));
+        b.gauge_max(key::QUEUE_DEPTH_HIGH_WATER, u64::from(cb));
         for &v in &ys {
-            b.record("h", v);
+            b.record(key::STAGE_TOTAL, v);
         }
         let mut ab = a.clone();
         ab.merge_from(&b);
@@ -96,8 +96,11 @@ proptest! {
         ba.merge_from(&a);
         prop_assert_eq!(&ab, &ba);
         prop_assert_eq!(ab.digest(), ba.digest());
-        prop_assert_eq!(ab.counter("c"), u64::from(ca) + u64::from(cb));
-        prop_assert_eq!(ab.gauge("g"), u64::from(ca).max(u64::from(cb)));
+        prop_assert_eq!(ab.counter(key::CACHE_HITS), u64::from(ca) + u64::from(cb));
+        prop_assert_eq!(
+            ab.gauge(key::QUEUE_DEPTH_HIGH_WATER),
+            u64::from(ca).max(u64::from(cb))
+        );
     }
 
     /// The trace digest depends only on the event set, not the order
@@ -117,12 +120,12 @@ proptest! {
             })
             .collect();
         let mut forward = SpanTracer::new();
-        for s in &spans {
-            forward.push(s.clone());
+        for &s in &spans {
+            forward.push(s);
         }
         let mut reverse = SpanTracer::new();
-        for s in spans.iter().rev() {
-            reverse.push(s.clone());
+        for &s in spans.iter().rev() {
+            reverse.push(s);
         }
         prop_assert_eq!(forward.digest(), reverse.digest());
         prop_assert_eq!(forward.canonical(), reverse.canonical());

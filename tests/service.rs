@@ -12,6 +12,7 @@ use qram::service::{
     QramService, QueryResult, QuerySpec, ReleasePolicy, ServiceConfig, ServiceReport, SpecMix,
     Ticks, Workload,
 };
+use qram::telemetry::key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -601,12 +602,12 @@ fn age_cap_bounds_a_cold_groups_queue_wait_without_deadlines() {
     // the age cap eventually forced the cold group out.
     let metrics = service.metrics_snapshot();
     assert!(
-        metrics.counter("policy.cache_affine_fires") > 1,
+        metrics.counter(key::POLICY_CACHE_AFFINE_FIRES) > 1,
         "expected repeated cache-affine redirects, saw {}",
-        metrics.counter("policy.cache_affine_fires")
+        metrics.counter(key::POLICY_CACHE_AFFINE_FIRES)
     );
     assert!(
-        metrics.counter("policy.age_cap_forced") >= 1,
+        metrics.counter(key::POLICY_AGE_CAP_FORCED) >= 1,
         "the age cap never forced the cold group out"
     );
 
